@@ -7,31 +7,21 @@ HttpClients against Apache is almost pure kernel (engine dispatch,
 process stepping, transport, call interception), so events-per-second
 here is a direct measure of the sim kernel, not of any one workload.
 
-Two implementations are measured, matching ``repro.sim.create_engine``:
-
-- ``pure``  — the authoritative pure-Python batched engine;
-- ``fast``  — ``repro.sim._fastengine``, *when it is compiled*.  The
-  interpreted twin exists only for the differential oracle and is
-  deliberately not benchmarked (it is the pure loop minus
-  ``__slots__``; timing it would just measure that handicap).
-
-As a script it measures best-of-N wall clock per implementation,
-writes JSON for CI trending, and gates each implementation against its
-own committed trend entry (``benchmarks/BENCH_engine.json``)::
+As a script it measures best-of-N wall clock, writes JSON for CI
+trending, and gates against the committed trend
+(``benchmarks/BENCH_engine.json``)::
 
     python benchmarks/bench_engine_throughput.py --smoke -o out.json
 
 The gate fails when events/sec drops more than 10% below the
-committed per-implementation trend; re-record the trend when the
-machine class changes.  ``--acceptance`` additionally enforces the
-speedup targets over the legacy one-at-a-time kernel's recorded 95k
-events/s — 1.5x for the batched pure loop, 3x for a compiled
-``_fastengine`` — meaningful only on a machine class comparable to the
+committed trend; re-record the trend when the machine class changes.
+``--acceptance`` additionally enforces the 1.5x speedup target of the
+batched loop over the legacy one-at-a-time kernel's recorded 95k
+events/s — meaningful only on a machine class comparable to the
 recording machine, so it is not part of the CI smoke gate.
 
-Under pytest it runs a small population once per available
-implementation and asserts behavioural invariants only (bit-stable
-event counts across repeats and across implementations, a healthy
+Under pytest it runs a small population and asserts behavioural
+invariants only (bit-stable event counts across repeats, a healthy
 client population) — wall-clock thresholds on shared CI runners are
 flaky, so timing gates live in ``main()``.
 """
@@ -57,53 +47,25 @@ REGRESSION_TOLERANCE = 0.10  # CI gate: >10% below trend fails
 # comparisons are paired A/B subprocess alternation, and committed
 # trend values are recorded at the slow-phase floor.
 LEGACY_EVENTS_PER_SEC = 95_000
-ACCEPTANCE_SPEEDUP_PURE = 1.5
-ACCEPTANCE_SPEEDUP_FAST = 3.0
+ACCEPTANCE_SPEEDUP = 1.5
 
 TREND_PATH = os.path.join(os.path.dirname(__file__), "BENCH_engine.json")
 
 
-def compiled_fast_available() -> bool:
-    """True when ``repro.sim._fastengine`` is a compiled extension."""
-    try:
-        from repro.sim import _fastengine
-    except ImportError:
-        return False
-    return _fastengine.is_compiled()
-
-
-def implementations_under_test() -> list[str]:
-    """``pure`` always; ``fast`` only when the compiled build is in."""
-    if compiled_fast_available():
-        return ["pure", "fast"]
-    return ["pure"]
-
-
-def measure(clients: int, repeats: int, base_seed: int = 2000,
-            engine: str = "pure") -> dict:
-    """Best-of-N timing of one serial load run at ``clients`` clients,
-    under the ``engine`` implementation (pure | fast)."""
+def measure(clients: int, repeats: int, base_seed: int = 2000) -> dict:
+    """Best-of-N timing of one serial load run at ``clients`` clients."""
     spec = LoadSpec(workload="Apache1", clients=clients,
                     iterations=ITERATIONS)
     config = RunConfig(base_seed=base_seed)
-    previous = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = engine
-    try:
-        execute_load_run(spec, 0, config)  # untimed interpreter warm-up
-        best = None
-        result = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = execute_load_run(spec, 0, config)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_ENGINE"]
-        else:
-            os.environ["REPRO_ENGINE"] = previous
+    execute_load_run(spec, 0, config)  # untimed interpreter warm-up
+    best = None
+    result = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = execute_load_run(spec, 0, config)
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
     return {
-        "engine": engine,
         "clients": clients,
         "iterations": ITERATIONS,
         "repeats": repeats,
@@ -116,9 +78,8 @@ def measure(clients: int, repeats: int, base_seed: int = 2000,
 
 
 def test_engine_throughput_smoke():
-    """Pytest entry: the measured run is deterministic and healthy
-    under every available implementation; no wall-clock assertions
-    (see module doc)."""
+    """Pytest entry: the measured run is deterministic and healthy; no
+    wall-clock assertions (see module doc)."""
     first = measure(SMOKE_CLIENTS, repeats=1)
     second = measure(SMOKE_CLIENTS, repeats=1)
     # Bit-stable kernel: the same spec produces the same event stream.
@@ -128,11 +89,6 @@ def test_engine_throughput_smoke():
     # Every client ran and issued its requests.
     assert first["completed_clients"] == SMOKE_CLIENTS
     assert first["request_count"] >= SMOKE_CLIENTS
-    if compiled_fast_available():
-        fast = measure(SMOKE_CLIENTS, repeats=1, engine="fast")
-        assert fast["engine_events"] == first["engine_events"]
-        assert fast["request_count"] == first["request_count"]
-        assert fast["completed_clients"] == first["completed_clients"]
 
 
 def load_trend(path: str):
@@ -144,11 +100,11 @@ def load_trend(path: str):
         return None
 
 
-def trend_reference(trend, engine: str, smoke: bool):
-    """The committed events/sec for one (implementation, size), if any."""
+def trend_reference(trend, smoke: bool):
+    """The committed events/sec for one population size, if any."""
     if not isinstance(trend, dict):
         return None
-    entry = trend.get(engine)
+    entry = trend.get("pure")
     if not isinstance(entry, dict):
         return None
     key = "smoke_events_per_sec" if smoke else "events_per_sec"
@@ -163,78 +119,57 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="best-of-N timing repeats (default "
                              f"{DEFAULT_REPEATS})")
-    parser.add_argument("--engine", choices=["pure", "fast", "all"],
-                        default="all",
-                        help="which implementation(s) to measure "
-                             "(default: every available one)")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="write the measurements to this JSON file")
     parser.add_argument("--trend", default=TREND_PATH, metavar="PATH",
                         help="committed trend JSON to gate against "
                              "(default: benchmarks/BENCH_engine.json)")
     parser.add_argument("--acceptance", action="store_true",
-                        help="also enforce the speedup targets over the "
+                        help="also enforce the speedup target over the "
                              "legacy kernel's recorded events/s")
     args = parser.parse_args(argv)
 
-    if args.engine == "all":
-        engines = implementations_under_test()
-    elif args.engine == "fast" and not compiled_fast_available():
-        print("FAIL: --engine fast requested but no compiled "
-              "repro.sim._fastengine is installed")
-        return 1
-    else:
-        engines = [args.engine]
-
     clients = SMOKE_CLIENTS if args.smoke else CLIENTS
-    trend = load_trend(args.trend)
     gate_ok = True
+    stats = measure(clients, args.repeats)
+    speedup = round(stats["events_per_sec"] / LEGACY_EVENTS_PER_SEC, 3)
+    stats["speedup_vs_legacy"] = speedup
     report = {
         "benchmark": "engine-throughput",
         "workload": "Apache1/closed-loop",
         "smoke": args.smoke,
         "cpu_count": os.cpu_count(),
         "legacy_events_per_sec": LEGACY_EVENTS_PER_SEC,
-        "compiled_fast_available": compiled_fast_available(),
-        "results": {},
+        "results": stats,
     }
 
-    for engine in engines:
-        stats = measure(clients, args.repeats, engine=engine)
-        speedup = round(stats["events_per_sec"] / LEGACY_EVENTS_PER_SEC, 3)
-        stats["speedup_vs_legacy"] = speedup
-        report["results"][engine] = stats
+    print(f"engine throughput — Apache1, {clients} clients "
+          f"x {ITERATIONS} iterations, best of {args.repeats}")
+    print(f"  {stats['engine_events']:>7d} events in "
+          f"{stats['seconds']:7.4f}s  "
+          f"{stats['events_per_sec']:>10.1f} events/s  "
+          f"{speedup:.2f}x vs legacy kernel")
 
-        print(f"[{engine}] engine throughput — Apache1, {clients} clients "
-              f"x {ITERATIONS} iterations, best of {args.repeats}")
-        print(f"  {stats['engine_events']:>7d} events in "
-              f"{stats['seconds']:7.4f}s  "
-              f"{stats['events_per_sec']:>10.1f} events/s  "
-              f"{speedup:.2f}x vs legacy kernel")
-
-        reference = trend_reference(trend, engine, args.smoke)
-        if reference:
-            floor = reference * (1.0 - REGRESSION_TOLERANCE)
-            stats["trend_events_per_sec"] = reference
-            if stats["events_per_sec"] < floor:
-                print(f"  FAIL: {stats['events_per_sec']:.0f} events/s is "
-                      f"more than {REGRESSION_TOLERANCE:.0%} below the "
-                      f"committed {engine} trend of {reference:.0f}")
-                gate_ok = False
-            else:
-                print(f"  within {REGRESSION_TOLERANCE:.0%} of the "
-                      f"committed {engine} trend ({reference:.0f} events/s)")
+    reference = trend_reference(load_trend(args.trend), args.smoke)
+    if reference:
+        floor = reference * (1.0 - REGRESSION_TOLERANCE)
+        stats["trend_events_per_sec"] = reference
+        if stats["events_per_sec"] < floor:
+            print(f"  FAIL: {stats['events_per_sec']:.0f} events/s is "
+                  f"more than {REGRESSION_TOLERANCE:.0%} below the "
+                  f"committed trend of {reference:.0f}")
+            gate_ok = False
         else:
-            print(f"  no committed {engine} trend at {args.trend}; "
-                  f"regression gate skipped")
+            print(f"  within {REGRESSION_TOLERANCE:.0%} of the "
+                  f"committed trend ({reference:.0f} events/s)")
+    else:
+        print(f"  no committed trend at {args.trend}; "
+              f"regression gate skipped")
 
-        if args.acceptance:
-            target = (ACCEPTANCE_SPEEDUP_FAST if engine == "fast"
-                      else ACCEPTANCE_SPEEDUP_PURE)
-            if speedup < target:
-                print(f"  FAIL: speedup {speedup:.2f}x is below the "
-                      f"{target}x acceptance target for {engine}")
-                gate_ok = False
+    if args.acceptance and speedup < ACCEPTANCE_SPEEDUP:
+        print(f"  FAIL: speedup {speedup:.2f}x is below the "
+              f"{ACCEPTANCE_SPEEDUP}x acceptance target")
+        gate_ok = False
 
     report["gate_ok"] = gate_ok
     if args.output:

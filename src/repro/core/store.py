@@ -297,6 +297,40 @@ def _load_jsonl(path: Path, index: dict[tuple[str, str], dict]) -> int:
     return corrupt
 
 
+def _open_append(path: Path):
+    """Open one store file for appending, repairing a partial final line.
+
+    A kill mid-write can leave the file ending without ``\\n``.  Appending
+    straight after it would glue the next record onto that fragment and
+    lose both lines to the loader, so the fragment is cut off first —
+    unless it is a whole record that only lacks its newline (the loader
+    indexed it, so it must survive), which gets the newline instead.
+    """
+    try:
+        with open(path, "r+b") as raw:
+            end = raw.seek(0, os.SEEK_END)
+            start = end  # where the final line begins
+            while start > 0:
+                chunk_start = max(0, start - 65536)
+                raw.seek(chunk_start)
+                newline = raw.read(start - chunk_start).rfind(b"\n")
+                if newline >= 0:
+                    start = chunk_start + newline + 1
+                    break
+                start = chunk_start
+            if start < end:
+                raw.seek(start)
+                try:
+                    json.loads(raw.read())
+                except ValueError:
+                    raw.truncate(start)
+                else:
+                    raw.write(b"\n")
+    except FileNotFoundError:
+        pass
+    return open(path, "a", encoding="utf-8")
+
+
 class _StoreIndex:
     """The shared in-memory half of both store flavours: the
     ``(fingerprint, fault key) -> serialized run`` map plus a
@@ -424,7 +458,7 @@ class RunStore(_StoreIndex):
         self._remember(fingerprint, key, data)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle = _open_append(self.path)
         self._handle.write(json.dumps({"fp": fingerprint, "key": key,
                                        "run": data}) + "\n")
         self._handle.flush()
@@ -528,8 +562,7 @@ class ShardedRunStore(_StoreIndex):
         handle = self._handles.get(number)
         if handle is None:
             self._ensure_manifest()
-            handle = open(self.path / _segment_name(number), "a",
-                          encoding="utf-8")
+            handle = _open_append(self.path / _segment_name(number))
             self._handles[number] = handle
         handle.write(json.dumps({"fp": fingerprint, "key": key,
                                  "run": data}) + "\n")

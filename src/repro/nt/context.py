@@ -25,12 +25,15 @@ all-ones size means four gigabytes.
 The handler is a single generator frame with everything the four steps
 need — the implementation, its blocking-ness, the hook list, the
 invocation counters, the tracer, the per-parameter pointer flags —
-pre-bound at registration instead of re-resolved per call.  This
-flattens what used to be the proxy → ``_invoke`` → interception
-dispatch → implementation chain into one loop body; the hook list and
-return-hook list are bound *by object identity*, so hooks added or
-removed after registration (``InterceptionLayer.add_hook`` mutates the
-list in place) are still honoured on the next call.
+pre-bound at registration instead of re-resolved per call.  The hook
+list and return-hook list are bound *by object identity*, so hooks
+added or removed after registration (``InterceptionLayer.add_hook``
+mutates the list in place) are still honoured on the next call.
+
+The builder is the only call path, on NT and on the Linux port alike:
+the context class supplies the one system-dependent piece, its
+``resolve`` function mapping an export to the ``(implementation,
+is_blocking)`` pair — kernel32 here, libc in :mod:`repro.posix.context`.
 """
 
 from __future__ import annotations
@@ -68,8 +71,12 @@ def _resolve_impl(sig: FunctionSig):
         return sig._dispatch
 
 
-def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
+def build_call_handler(ctx, sig: FunctionSig):
     """Compile the flattened call handler for one (process, export).
+
+    ``ctx`` is a :class:`Win32Context` or a
+    :class:`repro.posix.context.PosixContext`; its ``resolve`` names the
+    implementation behind ``sig``.
 
     Everything resolvable at registration time is captured in the
     closure: per-call work is the encode loop, the invocation-counter
@@ -92,7 +99,7 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
     nparams = len(sig.params)
     pointer_flags = sig.pointer_flags
     has_pointers = any(pointer_flags)
-    impl, blocking = _resolve_impl(sig)
+    impl, blocking = ctx.resolve(sig)
     hooks = interception.hooks
     return_hooks = interception.return_hooks
     per_pid = interception._invocations.get(process.pid)
@@ -222,6 +229,8 @@ class _K32Proxy:
 class Win32Context:
     """Per-process gateway to the simulated NT machine."""
 
+    resolve = staticmethod(_resolve_impl)
+
     def __init__(self, machine: "Machine", process: "NTProcess"):
         self.machine = machine
         self.process = process
@@ -249,46 +258,3 @@ class Win32Context:
         """Resolve a raw pointer (e.g. a HeapAlloc result) back to its
         buffer — the program-side equivalent of dereferencing it."""
         return self.machine.address_space.resolve(address)
-
-    # ------------------------------------------------------------------
-    # Call dispatch (reference form)
-    # ------------------------------------------------------------------
-    def _invoke(self, sig: FunctionSig, sem_args: tuple[Any, ...]):
-        """Unspecialised dispatch, kept as the readable reference for
-        what a compiled handler does; ``ctx.k32`` never routes through
-        it, but tests exercise it against the flattened handlers."""
-        if len(sem_args) != len(sig.params):
-            raise TypeError(
-                f"{sig.name} takes {len(sig.params)} arguments,"
-                f" got {len(sem_args)}"
-            )
-        machine = self.machine
-        space = machine.address_space
-        raw_args = tuple(map(space.encode, sem_args))
-        raw_args, override = machine.interception.dispatch(
-            self.process, sig, raw_args)
-        interception = machine.interception
-        if override is not None:
-            if override.delay > 0.0:
-                yield Sleep(override.delay)
-            if override.skip:
-                self.process.last_error = override.last_error
-                result = override.result
-                if not interception.return_hooks:
-                    tracer = machine.tracer
-                    if tracer is None or not tracer.calls_enabled:
-                        return result
-                return interception.dispatch_return(self.process, sig, result)
-        decoded = list(map(space.decode, raw_args, sig.pointer_flags))
-        frame = runtime.Frame(machine, self.process, sig, decoded)
-        impl, blocking = _resolve_impl(sig)
-        if blocking:
-            result = yield from impl(frame)
-        else:
-            result = impl(frame)
-        interception = machine.interception
-        if not interception.return_hooks:
-            tracer = machine.tracer
-            if tracer is None or not tracer.calls_enabled:
-                return result  # nothing observes returns on this run
-        return interception.dispatch_return(self.process, sig, result)

@@ -100,7 +100,8 @@ class CallRecord:
 
 
 class InterceptionLayer:
-    """Dispatch point between program code and kernel32 implementations."""
+    """Hooks and call trace shared by every handler between program code
+    and the kernel32 (or libc) implementations."""
 
     def __init__(self, keep_full_trace: bool = True):
         self.hooks: list[CallHook] = []
@@ -108,8 +109,8 @@ class InterceptionLayer:
         self.keep_full_trace = keep_full_trace
         self.trace: list[CallRecord] = []
         # Per-pid invocation counters, nested rather than keyed by
-        # (pid, name) tuples: dispatch runs for every simulated library
-        # call, and the nested form needs no key allocation there.
+        # (pid, name) tuples: handlers bind their process's inner dict
+        # once, so a call needs no key allocation.
         self._invocations: dict[int, dict[str, int]] = {}
         self._called_by_role: dict[str, set[str]] = {}
         self._call_counts: dict[str, int] = {}
@@ -136,52 +137,9 @@ class InterceptionLayer:
             pass
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch (the call side runs inline in each compiled handler, see
+    # repro.nt.context.build_call_handler)
     # ------------------------------------------------------------------
-    def dispatch(self, process: "NTProcess", sig: FunctionSig,
-                 raw_args: tuple[int, ...]):
-        """Run hooks over one call.
-
-        Returns ``(raw_args, override)`` — the possibly corrupted
-        argument words plus the last :class:`CallOverride` any hook
-        issued (None when the call proceeds normally).
-        """
-        name = sig.name
-        per_pid = self._invocations.get(process.pid)
-        if per_pid is None:
-            per_pid = self._invocations[process.pid] = {}
-        invocation = per_pid.get(name, 0) + 1
-        per_pid[name] = invocation
-
-        injected = False
-        override = None
-        for hook in self.hooks:
-            replacement = hook.on_call(process, sig, invocation, raw_args)
-            if replacement is not None:
-                if replacement.__class__ is CallOverride:
-                    override = replacement
-                else:
-                    raw_args = replacement
-                injected = True
-
-        called = self._called_by_role.get(process.role)
-        if called is None:
-            called = self._called_by_role[process.role] = set()
-        called.add(name)
-        counts = self._call_counts
-        counts[name] = counts.get(name, 0) + 1
-        tracer = process.machine.tracer
-        if tracer is not None and tracer.calls_enabled:
-            tracer.emit(process.machine.engine.now, "call", "enter",
-                        pid=process.pid, role=process.role, func=sig.name,
-                        invocation=invocation, injected=injected)
-        if self.keep_full_trace:
-            self.trace.append(CallRecord(
-                process.machine.engine.now, process.pid, process.role,
-                sig.name, invocation, injected,
-            ))
-        return raw_args, override
-
     def dispatch_return(self, process: "NTProcess", sig: FunctionSig,
                         result):
         """Run return hooks over one completed call's result."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..net.transport import Transport
-from ..sim import RandomStreams, create_engine
+from ..sim import Engine, RandomStreams
 from .eventlog import EventLog
 from .filesystem import FileSystem
 from .handles import HandleTable
@@ -41,10 +41,7 @@ class Machine:
         # The structured run tracer (repro.trace.Tracer), or None when
         # tracing is off — every subsystem gates on that None test.
         self.tracer = tracer
-        # Pure or compiled event loop, selected by $REPRO_ENGINE (the
-        # differential oracle flips this; ``auto`` only ever picks the
-        # compiled flavour).
-        self.engine = create_engine(tracer=tracer)
+        self.engine = Engine(tracer=tracer)
         self.rng = RandomStreams(seed)
         self.address_space = AddressSpace()
         self.handles = HandleTable()

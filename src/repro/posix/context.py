@@ -1,17 +1,18 @@
 """The libc view a simulated Linux program gets of its machine.
 
-Mirrors :class:`repro.nt.context.Win32Context`, but dispatches through
-the libc registry.  The *same* interception layer sits in the middle —
-which is the paper's portability claim made concrete: the injector,
-fault lists and campaign flow run unmodified; only this system-
-dependent dispatch (the "JNI component") is new.
+Mirrors :class:`repro.nt.context.Win32Context`: every call runs a
+handler from the same :func:`repro.nt.context.build_call_handler`, so
+the *same* interception layer sits in the middle — which is the paper's
+portability claim made concrete: the injector, fault lists and campaign
+flow run unmodified; only this system-dependent export resolution (the
+"JNI component") is new.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Any
 
+from ..nt import context as nt_context
 from ..nt.kernel32 import runtime
 from ..sim import Sleep
 from .libc import LIBC_IMPLEMENTATIONS, LIBC_REGISTRY
@@ -21,12 +22,18 @@ class UnknownLibcExportError(AttributeError):
     """A program referenced a function libc does not export."""
 
 
-_BLOCKING = {name for name, fn in LIBC_IMPLEMENTATIONS.items()
-             if inspect.isgeneratorfunction(fn)}
+def _resolve_libc(sig):
+    """The (implementation, is_blocking) pair for one libc export;
+    exports without a specific implementation get the generic one."""
+    impl = LIBC_IMPLEMENTATIONS.get(sig.name)
+    if impl is None:
+        return runtime.generic_implementation, False
+    return impl, inspect.isgeneratorfunction(impl)
 
 
 class _LibcProxy:
-    __slots__ = ("_ctx",)
+    """Attribute-style access to libc: ``ctx.libc.open``; handlers are
+    compiled once per process and memoised like ``ctx.k32``'s."""
 
     def __init__(self, ctx: "PosixContext"):
         self._ctx = ctx
@@ -35,17 +42,15 @@ class _LibcProxy:
         sig = LIBC_REGISTRY.get(name)
         if sig is None:
             raise UnknownLibcExportError(f"libc has no export {name!r}")
-        ctx = self._ctx
-
-        def call(*args: Any):
-            return ctx._invoke(sig, args)
-
-        call.__name__ = name
+        call = nt_context.build_call_handler(self._ctx, sig)
+        setattr(self, name, call)
         return call
 
 
 class PosixContext:
     """Per-process gateway to the simulated Linux machine."""
+
+    resolve = staticmethod(_resolve_libc)
 
     def __init__(self, machine, process):
         self.machine = machine
@@ -61,35 +66,3 @@ class PosixContext:
 
     def memory(self, address: int):
         return self.machine.address_space.resolve(address)
-
-    def _invoke(self, sig, sem_args):
-        if len(sem_args) != len(sig.params):
-            raise TypeError(
-                f"{sig.name} takes {len(sig.params)} arguments,"
-                f" got {len(sem_args)}")
-        space = self.machine.address_space
-        raw_args = tuple(space.encode(value) for value in sem_args)
-        raw_args, override = self.machine.interception.dispatch(
-            self.process, sig, raw_args)
-        if override is not None:
-            if override.delay > 0.0:
-                yield Sleep(override.delay)
-            if override.skip:
-                # errno shares the last-error slot on the Linux port
-                self.process.last_error = override.last_error
-                return self.machine.interception.dispatch_return(
-                    self.process, sig, override.result)
-        decoded = [
-            space.decode(raw, spec.ptype.pointer_like)
-            for raw, spec in zip(raw_args, sig.params)
-        ]
-        frame = runtime.Frame(self.machine, self.process, sig, decoded)
-        impl = LIBC_IMPLEMENTATIONS.get(sig.name)
-        if impl is None:
-            result = runtime.generic_implementation(frame)
-        elif sig.name in _BLOCKING:
-            result = yield from impl(frame)
-        else:
-            result = impl(frame)
-        return self.machine.interception.dispatch_return(
-            self.process, sig, result)

@@ -16,7 +16,6 @@ from .engine import (
     ScheduleInPastError,
     SimulationError,
     Timer,
-    create_engine,
 )
 from .primitives import (
     TIMED_OUT,
@@ -34,7 +33,6 @@ from .rng import RandomStreams, derive_seed
 
 __all__ = [
     "Engine",
-    "create_engine",
     "Timer",
     "SimulationError",
     "ScheduleInPastError",

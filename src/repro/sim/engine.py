@@ -35,10 +35,8 @@ Hot-path notes (the engine dominates multi-client load runs):
   so they land in the next batch and overall dispatch order is
   identical to one-at-a-time popping.
 
-This module is the authoritative pure-Python event loop.  An optional
-compiled twin lives in :mod:`repro.sim._fastengine`; the differential
-trace oracle (``tests/sim/test_fastengine_oracle.py``) holds the two
-bit-identical.
+This is the simulator's only event loop: every
+:class:`repro.nt.machine.Machine` runs on an :class:`Engine`.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-import os
 from typing import Any, Callable, Optional
 
 # Compaction never triggers below this queue size: tiny heaps are
@@ -89,8 +86,8 @@ class Timer:
         self.cancelled = True
         self.callback = None
         self.args = ()
-        # Tombstone accounting (``Engine._note_cancel``), inlined: every
-        # satisfied timed wait cancels its timeout timer through here.
+        # Tombstone accounting, inlined rather than an Engine method:
+        # every satisfied timed wait cancels its timeout timer here.
         engine = self.engine
         if engine is not None:
             engine._tombstones += 1
@@ -189,12 +186,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Tombstone accounting
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._tombstones += 1
-        if (self._tombstones * 2 > len(self._queue)
-                and len(self._queue) >= _COMPACT_MIN):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop tombstoned entries and restore the heap invariant.
 
@@ -380,43 +371,3 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self._now:.3f} pending={self.pending_count}>"
-
-
-def create_engine(tracer=None, kind: Optional[str] = None):
-    """Select an event-loop implementation.
-
-    ``kind`` (or the ``REPRO_ENGINE`` environment variable when kind is
-    ``None``) picks the flavour:
-
-    - ``"pure"`` — this module's :class:`Engine`, always available; the
-      authoritative implementation.
-    - ``"fast"`` — :class:`repro.sim._fastengine.FastEngine`, compiled
-      or not; raises :class:`SimulationError` if the module is missing.
-    - ``"auto"`` (the default) — ``FastEngine`` only when it is
-      actually running as a compiled extension, otherwise ``Engine``.
-      An interpreted ``_fastengine`` is *slower* than this module (no
-      ``__slots__``), so auto never picks it.
-
-    Every :class:`repro.nt.machine.Machine` routes through here, which
-    is what lets the differential oracle run the same workload under
-    both flavours by flipping one environment variable.
-    """
-    if kind is None:
-        kind = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    if kind == "pure":
-        return Engine(tracer=tracer)
-    if kind not in ("fast", "auto"):
-        raise ValueError(
-            f"unknown engine kind {kind!r}; expected pure, fast or auto"
-        )
-    try:
-        from . import _fastengine
-    except ImportError as exc:
-        if kind == "fast":
-            raise SimulationError(
-                "REPRO_ENGINE=fast but repro.sim._fastengine is not importable"
-            ) from exc
-        return Engine(tracer=tracer)
-    if kind == "fast" or _fastengine.is_compiled():
-        return _fastengine.FastEngine(tracer=tracer)
-    return Engine(tracer=tracer)

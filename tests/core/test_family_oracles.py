@@ -3,15 +3,11 @@
 The determinism contract that holds for parameter faults must also
 hold for windowed io/resource campaigns: the checkpointed store is
 byte-identical whatever the execution strategy — serial, process pool,
-or killed-and-resumed — and whichever engine twin
-(``REPRO_ENGINE=pure|fast``) executed the runs.  A single byte of
-drift here means window timing leaked scheduling or host state.
+or killed-and-resumed.  A single byte of drift here means window
+timing leaked scheduling or host state.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -81,48 +77,6 @@ def test_killed_and_resumed_store_is_byte_identical(tmp_path, mechanism,
         resumed = _campaign(mechanism, functions, store=store).run()
     assert resumed.cached_count == KILL_AFTER + 1  # + the profile run
     assert path.read_bytes() == reference
-
-
-_ENGINE_SCRIPT = """\
-import sys
-from repro.core.campaign import Campaign
-from repro.core.runner import RunConfig
-from repro.core.store import RunStore
-from repro.core.workload import MiddlewareKind
-
-mechanism, functions, path = sys.argv[1], sys.argv[2].split(","), sys.argv[3]
-with RunStore(path) as store:
-    Campaign("IIS", MiddlewareKind.NONE, mechanism=mechanism,
-             functions=functions,
-             config=RunConfig(base_seed=4000, trace_level="off"),
-             store=store).run()
-"""
-
-
-def _store_bytes_under_engine(tmp_path, engine, mechanism, functions):
-    path = tmp_path / f"{engine}.jsonl"
-    env = dict(os.environ, REPRO_ENGINE=engine,
-               PYTHONPATH=os.path.abspath("src"))
-    subprocess.run(
-        [sys.executable, "-c", _ENGINE_SCRIPT, mechanism,
-         ",".join(functions), str(path)],
-        check=True, env=env, timeout=300)
-    return path.read_bytes()
-
-
-@pytest.mark.parametrize("mechanism,functions", [
-    ("io", ["ReadFile", "net.recv"]),
-    ("resource", RESOURCES),
-])
-def test_engine_twins_agree_byte_for_byte(tmp_path, mechanism, functions):
-    # The fast engine replicates only the timer loop, but window opens
-    # and closes ride on engine timers — any divergence in firing order
-    # shows up as store drift here.
-    pure = _store_bytes_under_engine(tmp_path, "pure", mechanism, functions)
-    fast = _store_bytes_under_engine(tmp_path, "fast", mechanism, functions)
-    assert pure == fast
-    records = [json.loads(line) for line in pure.splitlines() if line]
-    assert any(record["run"].get("activated") for record in records)
 
 
 def test_io_and_resource_campaigns_share_a_store_without_collisions(

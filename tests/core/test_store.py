@@ -22,6 +22,7 @@ from repro.core.return_injector import ReturnFaultSpec
 from repro.core.runner import RunConfig
 from repro.core.store import (
     RunStore,
+    ShardedRunStore,
     config_fingerprint,
     fault_key_str,
     fault_from_dict,
@@ -327,6 +328,39 @@ def test_interior_corruption_is_counted_not_hidden(tmp_path):
         assert len(store) == 2
         assert store.get("fp", results["ReadFile"].fault) is not None
         assert store.get("fp", results["CreateFileA"].fault) is None
+
+
+@pytest.mark.parametrize("cut", [40, 1], ids=["mid-record", "newline"])
+@pytest.mark.parametrize("flavour", ["single", "sharded"])
+def test_append_after_truncated_tail_keeps_every_run(tmp_path, flavour,
+                                                     cut):
+    """A resumed append must not glue its record onto a kill-truncated
+    final line: the loader would then drop both.  Cutting only the
+    newline leaves a whole record, which must survive too."""
+    result = _synthetic_result(Outcome.NORMAL_SUCCESS)
+    if flavour == "single":
+        data_file = tmp_path / "runs.jsonl"
+
+        def open_store():
+            return RunStore(data_file)
+    else:
+        data_file = tmp_path / "runs.d" / "segment-000.jsonl"
+
+        def open_store():
+            return ShardedRunStore(tmp_path / "runs.d", segments=1)
+
+    with open_store() as store:
+        store.put("fp", "k1", result)
+        store.put("fp", "k2", result)
+    with open(data_file, "r+b") as handle:  # killed mid-write
+        handle.truncate(data_file.stat().st_size - cut)
+    with open_store() as store:  # resume: re-run whatever is missing
+        for key in ("k2", "k3"):
+            if ("fp", key) not in store:
+                store.put("fp", key, result)
+    with open_store() as store:
+        assert store.keys() == [("fp", "k1"), ("fp", "k2"), ("fp", "k3")]
+        assert store.corrupt_lines == 0
 
 
 def test_structurally_wrong_interior_line_is_counted(tmp_path):

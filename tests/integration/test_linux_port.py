@@ -1,10 +1,13 @@
 """Tests for the Linux port (Section 5's preliminary experiment)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Campaign, MiddlewareKind, RunConfig, execute_run
 from repro.core.faults import FaultSpec, FaultType
 from repro.core.outcomes import Outcome
+from repro.core.store import RunStore
 from repro.nt import Machine
 from repro.posix import (
     APACHE1_LINUX,
@@ -174,3 +177,29 @@ class TestLinuxCampaigns:
                            config=config).run()
         assert watched.failure_fraction < 0.3 * standalone.failure_fraction
         assert standalone.failure_fraction > 0.2
+
+
+# sha256 of the run store the Apache1/Apache2-Linux x none/watchd
+# campaigns write at seed 2000 (148 lines at either trace level).
+STORE_SHA256 = {
+    "off": "c43b55a5660f812e0d77b100584632b0"
+           "0fbe5b3898b55dc441a6893da400b616",
+    "full": "5febf63ea42226af0eb5533def6d6c2f"
+            "3cb93460cc0f020159ce7deadce60cf3",
+}
+
+
+@pytest.mark.parametrize("trace_level", sorted(STORE_SHA256))
+def test_linux_campaign_store_bytes_are_pinned(tmp_path, trace_level):
+    # libc calls run through the same handler builder as kernel32
+    # calls; any drift in what they encode, count, trace or return
+    # changes these bytes.
+    path = tmp_path / "linux.jsonl"
+    config = RunConfig(base_seed=2000, trace_level=trace_level)
+    with RunStore(path) as store:
+        for spec in (APACHE1_LINUX, APACHE2_LINUX):
+            for middleware in (MiddlewareKind.NONE, MiddlewareKind.WATCHD):
+                Campaign(spec, middleware, config=config, store=store).run()
+    data = path.read_bytes()
+    assert data.count(b"\n") == 148
+    assert hashlib.sha256(data).hexdigest() == STORE_SHA256[trace_level]

@@ -1,16 +1,16 @@
 """Lint visibility of the flattened dispatch chain.
 
-The engine refactor moved per-syscall dispatch out of
-``Win32Context._invoke`` into per-signature *pre-bound handler
-closures* (``repro.nt.context.build_call_handler``): a generator
-function nested inside a plain function, compiled once per (process,
-export).  These tests pin the properties that keep that shape inside
-the analyzer's field of view:
+Per-syscall dispatch is one kind of *pre-bound handler closure*
+(``repro.nt.context.build_call_handler``): a generator function nested
+inside a plain function, compiled once per (process, export), for NT
+and POSIX contexts alike.  These tests pin the properties that keep
+that shape inside the analyzer's field of view:
 
 - nested handler closures are indexed, so sim-hang and yield-race
   findings inside a pre-bound handler are still reported;
 - the production ``build_call_handler.call`` generator itself stays
-  indexed and suspendable (the regression this file exists for);
+  indexed and suspendable (the regression this file exists for), and
+  it is the only dispatch generator;
 - the program-side spelling ``yield from ctx.k32.Name(...)`` that the
   call-graph roots and the census oracle key on is unchanged.
 """
@@ -25,6 +25,7 @@ from repro.lint.simhang import SimHangRule
 from .conftest import parse_project, rules_of
 
 CONTEXT_PATH = "src/repro/nt/context.py"
+POSIX_CONTEXT_PATH = "src/repro/posix/context.py"
 
 # A miniature of the production shape: registration-time binding in a
 # plain outer function, a generator handler in the closure.
@@ -87,25 +88,36 @@ class TestYieldRaceInsidePreBoundHandlers:
         assert findings == []
 
 
+def _index(path: str) -> ModuleIndex:
+    with open(path, encoding="utf-8") as handle:
+        return ModuleIndex(path, ast.parse(handle.read()))
+
+
+def _generators(path: str) -> list[str]:
+    return sorted(name for name, info in _index(path).functions.items()
+                  if info.is_generator)
+
+
 class TestProductionHandlerStaysVisible:
     def test_flattened_handler_is_indexed_as_a_generator(self):
         # If build_call_handler.call ever becomes invisible to the
         # module index (renamed, generated, exec'd...), hang/race
         # analysis of the entire syscall hot path silently vanishes.
-        with open(CONTEXT_PATH, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        index = ModuleIndex(CONTEXT_PATH, tree)
-        info = index.functions.get("build_call_handler.call")
+        info = _index(CONTEXT_PATH).functions.get("build_call_handler.call")
         assert info is not None, "pre-bound handler closure not indexed"
         assert info.is_generator
-        # The reference dispatch form must stay visible too: it is the
-        # readable spec the handlers are tested against.
-        assert "Win32Context._invoke" in index.functions
+        # It is the only dispatch generator: both contexts compile their
+        # handlers through it and keep no per-call path of their own
+        # (``compute`` is the CPU-time model, not dispatch).
+        assert _generators(CONTEXT_PATH) == [
+            "Win32Context.compute", "build_call_handler.call"]
+        assert _generators(POSIX_CONTEXT_PATH) == ["PosixContext.compute"]
+        for path in (CONTEXT_PATH, POSIX_CONTEXT_PATH):
+            assert not any(name.endswith("._invoke")
+                           for name in _index(path).functions), path
 
     def test_handler_suspension_is_modelled(self):
-        with open(CONTEXT_PATH, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        index = ModuleIndex(CONTEXT_PATH, tree)
+        index = _index(CONTEXT_PATH)
         # `result = yield from impl(frame)` inside the handler makes it
         # a suspension point for atomicity analysis.
         assert index.can_suspend(index.functions["build_call_handler.call"])

@@ -8,6 +8,7 @@ from repro.core.runner import RunConfig
 from repro.load.result import load_result_to_dict
 from repro.load.runner import execute_load_run, resolve_workload
 from repro.load.spec import ArrivalMode, LoadSpec
+from repro.trace import trace_to_jsonl
 
 
 def small_spec(**overrides):
@@ -105,3 +106,19 @@ class TestSpecValidation:
     def test_unknown_workload_names_the_known_ones(self):
         with pytest.raises(KeyError, match="Apache1"):
             resolve_workload("nosuchthing")
+
+
+def test_load_run_trace_levels_nest():
+    # The calls-level stream is the full-level stream minus the
+    # engine/proc categories.
+    spec = LoadSpec(workload="Apache1", clients=5, iterations=1)
+    full = execute_load_run(
+        spec, config=RunConfig(base_seed=2000, trace_level="full"))
+    calls = execute_load_run(
+        spec, config=RunConfig(base_seed=2000, trace_level="calls"))
+    filtered = [event for event in full.trace
+                if event.category not in ("engine", "proc")]
+    assert [(e.time, e.category, e.name, e.data) for e in calls.trace] \
+        == [(e.time, e.category, e.name, e.data) for e in filtered]
+    for line in trace_to_jsonl(full.trace).splitlines():
+        json.loads(line)  # every record is valid JSONL

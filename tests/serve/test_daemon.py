@@ -155,15 +155,47 @@ def _spawn_daemon(store_path):
     env = dict(os.environ)
     root = Path(__file__).resolve().parents[2]
     env["PYTHONPATH"] = str(root / "src")
+    # A session of its own makes the daemon a process-group leader, so
+    # one killpg reaches its forked pool workers too.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--store",
          str(store_path), "--port", "0", "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=str(root))
+        env=env, cwd=str(root), start_new_session=True)
     banner = process.stdout.readline()
     assert "listening on" in banner, banner
     url = banner.split("listening on ", 1)[1].split(" ")[0]
     return process, url
+
+
+def _live_group_members(pgid):
+    """Pids in process group ``pgid`` that have not exited (zombies
+    awaiting a reaper have)."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+def _kill_daemon(process):
+    """SIGKILL the daemon and its pool workers; none may survive."""
+    os.killpg(process.pid, signal.SIGKILL)
+    process.wait(timeout=30)
+    process.stdout.close()
+    deadline = time.monotonic() + 30.0
+    while _live_group_members(process.pid):
+        assert time.monotonic() < deadline, \
+            f"daemon group survived SIGKILL: {_live_group_members(process.pid)}"
+        time.sleep(0.05)
 
 
 def test_killed_daemon_restarts_and_resumes(tmp_path):
@@ -193,8 +225,7 @@ def test_killed_daemon_restarts_and_resumes(tmp_path):
             time.sleep(0.02)
         assert done >= 2, "campaign never started executing"
     finally:
-        process.kill()
-        process.wait(timeout=30)
+        _kill_daemon(process)
 
     with ShardedRunStore(store_path) as interrupted:
         survivors = len(interrupted)
@@ -211,8 +242,7 @@ def test_killed_daemon_restarts_and_resumes(tmp_path):
         assert final["progress"]["executed"] <= \
             len(reference_lines) - survivors + 1
     finally:
-        process.kill()
-        process.wait(timeout=30)
+        _kill_daemon(process)
 
     # Byte-identity: the merged sharded store equals the sorted serial
     # single-file store, line for line.

@@ -4,18 +4,16 @@
 a flat list and dispatches it in seq order.  These tests pin the edge
 cases that make batching equivalent to one-at-a-time popping — ties,
 cancellation *inside* a batch, compaction triggered mid-batch, and
-stop/livelock interruption with drained-but-unfired timers — and run
-identically against the pure engine and its compilable twin.
+stop/livelock interruption with drained-but-unfired timers.
 """
 
 import pytest
 
 from repro.sim import Engine, SimulationError
-from repro.sim._fastengine import FastEngine
 from repro.sim.engine import _COMPACT_MIN
 
 
-@pytest.fixture(params=[Engine, FastEngine], ids=["pure", "fast"])
+@pytest.fixture(params=[Engine], ids=["pure"])
 def engine(request):
     return request.param()
 
