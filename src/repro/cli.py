@@ -352,9 +352,12 @@ def cmd_profile(args, out) -> int:
 
 
 def cmd_inject(args, out) -> int:
-    fault = FaultSpec.from_line(args.fault)
-    result = execute_run(get_workload(args.workload), _middleware(args),
-                         fault, _run_config(args))
+    workload = get_workload(args.workload)
+    fault = _parse_fault(args.fault, workload, out)
+    if fault is None:
+        return 2
+    result = execute_run(workload, _middleware(args), fault,
+                         _run_config(args))
     print(f"fault      : {fault!r}", file=out)
     print(f"activated  : {result.activated}", file=out)
     print(f"outcome    : {result.outcome.value}", file=out)
@@ -419,7 +422,7 @@ def cmd_run(args, out) -> int:
                 functions=(functions if mechanism in ("parameter", "return")
                            else None),
                 config=config.run_config(),
-                jobs=jobs if jobs > 1 else None, store=store,
+                jobs=jobs, store=store,
                 progress=progress, mechanism=mechanism,
                 prune=prune if mechanism == "parameter" else None)
             results[family] = campaign.run()
@@ -455,7 +458,7 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_reproduce(args, out) -> int:
-    from .core.exec import ProcessPoolBackend
+    from .core.exec import backend_for
 
     # The reproduce store is a cross-figure cache: an existing file is
     # reused by design, so Figure 3 re-executes nothing after Figure 2.
@@ -464,8 +467,7 @@ def cmd_reproduce(args, out) -> int:
         store, error = _open_store(args.store, resume=True, out=out)
         if error is not None:
             return error
-    backend = (ProcessPoolBackend(args.jobs)
-               if args.jobs is not None and args.jobs > 1 else None)
+    backend = backend_for(args.jobs)
     suite = ExperimentSuite(
         base_seed=2000,
         log=lambda message: print(f"  {message}", file=out, flush=True),
@@ -475,8 +477,7 @@ def cmd_reproduce(args, out) -> int:
         report = generate_experiments_report(suite)
         checks = shape_checks(suite)
     finally:
-        if backend is not None:
-            backend.close()
+        backend.close()
         if store is not None:
             store.close()
     print(report, file=out)
@@ -601,25 +602,31 @@ def _resolve_load_middleware(value: str, watchd_version, out):
     return kind, (watchd_version if watchd_version is not None else 3)
 
 
-def _parse_load_fault(line: str, out):
-    """A fault-list line (4 tokens) or a return-fault line (3 tokens).
+def _parse_fault(line: str, workload, out, returns: bool = False):
+    """A fault-list line checked against ``workload``'s registry.
 
-    Returns ``(fault, ok)`` — a fault of either mechanism, or
-    ``(None, False)`` on a parse error.
+    With ``returns``, a 3-token line is a return fault.  Returns the
+    fault, or None after printing a one-line ``bad --fault`` error.
     """
     from .core.faults import FaultType
-    from .core.return_injector import ReturnFaultSpec
+    from .core.injector import Injector
+    from .core.return_injector import ReturnFaultSpec, ReturnInjector
 
     parts = line.split()
     try:
-        if len(parts) == 3:
+        if returns and len(parts) == 3:
             function, fault_type, invocation = parts
-            return ReturnFaultSpec(function, FaultType(fault_type),
-                                   int(invocation)), True
-        return FaultSpec.from_line(line), True
+            fault = ReturnFaultSpec(function, FaultType(fault_type),
+                                    int(invocation))
+            ReturnInjector(fault, workload.target_role)
+        else:
+            fault = FaultSpec.from_line(line)
+            # Arming checks the export and the parameter index.
+            Injector(fault, workload.target_role, workload.registry)
     except ValueError as exc:
         print(f"bad --fault: {exc}", file=out)
-        return None, False
+        return None
+    return fault
 
 
 def cmd_load(args, out) -> int:
@@ -637,8 +644,9 @@ def cmd_load(args, out) -> int:
 
     fault = None
     if args.fault is not None:
-        fault, ok = _parse_load_fault(args.fault, out)
-        if not ok:
+        fault = _parse_fault(args.fault, get_workload(workload_name), out,
+                             returns=True)
+        if fault is None:
             return 2
 
     sweep = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .collector import RunResult
-from .exec import ExecutionBackend, ProcessPoolBackend, SerialBackend, run_plan
+from .exec import ExecutionBackend, backend_for, run_plan
 from .faultlist import generate_fault_list
 from .faults import DEFAULT_FAULT_TYPES, FaultSpec, FaultType
 from .outcomes import Outcome
@@ -184,12 +184,8 @@ class Campaign:
     def run(self) -> WorkloadSetResult:
         result = WorkloadSetResult(self.workload.name, self.middleware,
                                    self.config.watchd_version)
-        backend = self.backend
-        owns_backend = backend is None
-        if backend is None:
-            backend = (ProcessPoolBackend(self.jobs)
-                       if self.jobs is not None and self.jobs > 1
-                       else SerialBackend())
+        owns_backend = self.backend is None
+        backend = self.backend or backend_for(self.jobs)
         try:
             execution = run_plan(
                 self.plan(), self.workload, self.middleware, self.config,

@@ -1,10 +1,13 @@
 """Pluggable execution backends and the wave scheduler.
 
-A backend executes batches of :class:`~repro.core.plan.RunTask`\\ s;
-the scheduler (:func:`run_plan`) walks a :class:`CampaignPlan` wave by
-wave, consults the optional :class:`~repro.core.store.RunStore` for
-already-checkpointed runs, applies the activation gates, and hands
-every completed run back in canonical fault-list order.
+A backend maps a picklable function over a batch of independent work
+items — campaign runs, load runs, files to lint — with results aligned
+to the batch.  :func:`run_batch` is the one checkpointing loop on top
+of it (serve from the store, execute the rest, record, report
+progress); the scheduler (:func:`run_plan`) walks a
+:class:`CampaignPlan` wave by wave through it, applies the activation
+gates, and hands every completed run back in canonical fault-list
+order.
 
 **Determinism contract.**  Each run boots a fresh simulated machine
 seeded from ``(base seed, workload, middleware, fault key)`` and shares
@@ -17,25 +20,38 @@ order.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import multiprocessing
 import os
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .collector import RunResult, infer_result
-from .plan import CampaignPlan, RunTask, TaskKind
+from .plan import CampaignPlan, RunTask
 from .runner import RunConfig, execute_run
 from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
-OnResult = Callable[[RunTask, RunResult], None]
+OnResult = Callable[[Any, Any], None]
 
 
 class ExecutionBackend:
-    """Executes batches of run tasks; results align with the batch."""
+    """Maps work over independent items; results align with the batch."""
+
+    def map(self, execute: Callable[[Any], Any], items: Sequence,
+            on_result: Optional[OnResult] = None) -> list:
+        """``[execute(item) for item in items]``.
+
+        ``on_result(item, result)`` sees every result as it is
+        collected, in item order.  ``execute`` must pickle (a
+        module-level function, or a ``functools.partial`` of one) for
+        out-of-process backends.
+        """
+        raise NotImplementedError
 
     def run_tasks(self, tasks: Sequence[RunTask], workload: WorkloadSpec,
                   middleware: MiddlewareKind, config: RunConfig,
                   on_result: Optional[OnResult] = None) -> list[RunResult]:
+        """Execute campaign run tasks: :meth:`map` over ``tasks``."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -48,43 +64,56 @@ class ExecutionBackend:
         self.close()
 
 
+def _execute_task(workload: WorkloadSpec, middleware: MiddlewareKind,
+                  config: RunConfig, task: RunTask) -> RunResult:
+    return execute_run(workload, middleware, task.fault, config)
+
+
+def _execute_named_task(workload_name: str, middleware_value: str,
+                        config: RunConfig, task: RunTask) -> RunResult:
+    """Worker-side :func:`_execute_task`: the workload crosses the
+    process boundary by name and is resolved from the registry."""
+    return execute_run(get_workload(workload_name),
+                       MiddlewareKind(middleware_value), task.fault, config)
+
+
 class SerialBackend(ExecutionBackend):
-    """In-process, one run at a time — the reference implementation."""
+    """In-process, one item at a time — the reference implementation."""
+
+    def map(self, execute, items, on_result=None) -> list:
+        results = []
+        for item in items:
+            result = execute(item)
+            if on_result is not None:
+                on_result(item, result)
+            results.append(result)
+        return results
 
     def run_tasks(self, tasks, workload, middleware, config,
                   on_result=None) -> list[RunResult]:
-        results = []
-        for task in tasks:
-            run = execute_run(workload, middleware, task.fault, config)
-            if on_result is not None:
-                on_result(task, run)
-            results.append(run)
-        return results
+        return self.map(functools.partial(_execute_task, workload,
+                                          middleware, config),
+                        tasks, on_result)
 
     def __repr__(self) -> str:
         return "<SerialBackend>"
 
 
-def _run_chunk(workload_name: str, middleware_value: str,
-               faults: list, config: RunConfig) -> list[RunResult]:
-    """Worker body: execute one chunk of faults in a pool process."""
-    workload = get_workload(workload_name)
-    middleware = MiddlewareKind(middleware_value)
-    return [execute_run(workload, middleware, fault, config)
-            for fault in faults]
+def _map_chunk(execute, items: list) -> list:
+    """Worker body: one chunk of a :meth:`ProcessPoolBackend.map`."""
+    return [execute(item) for item in items]
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Dispatches runs across a ``concurrent.futures`` process pool.
+    """Dispatches work across a ``concurrent.futures`` process pool.
 
-    Tasks are submitted in chunks (one IPC round-trip per chunk, not
-    per run) and results are collected in submission order, so the
+    Items are submitted in chunks (one IPC round-trip per chunk, not
+    per item) and results are collected in submission order, so the
     caller sees the same sequence a serial backend would produce.
 
-    Workloads cross the process boundary *by name*: workers resolve
-    them from the registry, which the fork start method copies from the
-    parent — plugin workloads registered before the first dispatch are
-    therefore fully supported on POSIX platforms.
+    Workers are forked where the platform allows, so they inherit the
+    parent's registries — plugin workloads registered before the first
+    dispatch resolve by name inside the worker.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -105,65 +134,65 @@ class ProcessPoolBackend(ExecutionBackend):
                 max_workers=self.jobs, mp_context=context)
         return self._pool
 
-    def _chunks(self, tasks: Sequence[RunTask]) -> list[list[RunTask]]:
-        size = self.chunk_size
-        if size is None:
-            # Aim for a few chunks per worker so stragglers rebalance.
-            size = max(1, len(tasks) // (self.jobs * 4) + 1)
-        return [list(tasks[start:start + size])
-                for start in range(0, len(tasks), size)]
+    def map(self, execute, items, on_result=None) -> list:
+        """Chunked :meth:`ExecutionBackend.map`.
+
+        A failure never orphans finished work: every result that
+        completes in a worker reaches ``on_result`` (and hence the
+        store) before the first exception propagates.  A chunk raising
+        in its worker leaves the other chunks running — they are
+        independent, so a resume re-executes only the failing chunk.
+        A failure in this process (``on_result`` raising, e.g. a
+        cancellation, or an interrupt while waiting) cancels the chunks
+        not yet started and waits out the running ones.
+        """
+        items = list(items)
+        if not items:
+            return []
+        pool = self._ensure_pool()
+        # Aim for a few chunks per worker so stragglers rebalance.
+        size = self.chunk_size or max(1, len(items) // (self.jobs * 4) + 1)
+        chunks = [items[start:start + size]
+                  for start in range(0, len(items), size)]
+        futures = [pool.submit(_map_chunk, execute, chunk)
+                   for chunk in chunks]
+        results = []
+        failure = None
+
+        def stop(exc: BaseException, index: int) -> None:
+            nonlocal failure
+            failure = failure or exc
+            for later in futures[index + 1:]:
+                later.cancel()
+
+        for index, (chunk, future) in enumerate(zip(chunks, futures)):
+            try:
+                outputs = future.result()
+            except concurrent.futures.CancelledError:
+                continue
+            except Exception as exc:            # raised in the worker
+                failure = failure or exc
+                continue
+            except BaseException as exc:        # interrupted waiting
+                stop(exc, index)
+                continue
+            for item, output in zip(chunk, outputs):
+                results.append(output)
+                if on_result is None:
+                    continue
+                try:
+                    on_result(item, output)
+                except BaseException as exc:    # keep recording the rest
+                    stop(exc, index)
+        if failure is not None:
+            raise failure
+        return results
 
     def run_tasks(self, tasks, workload, middleware, config,
                   on_result=None) -> list[RunResult]:
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        chunks = self._chunks(tasks)
-        futures = [
-            pool.submit(_run_chunk, workload.name, middleware.value,
-                        [task.fault for task in chunk], config)
-            for chunk in chunks
-        ]
-        results: list[RunResult] = []
-
-        def record(chunk, runs) -> None:
-            for task, run in zip(chunk, runs):
-                if on_result is not None:
-                    on_result(task, run)
-                results.append(run)
-
-        for index, future in enumerate(futures):
-            try:
-                record(chunks[index], future.result())
-            except BaseException:
-                self._drain_after_failure(chunks, futures, index, record)
-                raise
-        return results
-
-    @staticmethod
-    def _drain_after_failure(chunks, futures, failed, record) -> None:
-        """A chunk raised: don't orphan the rest of the wave.
-
-        Chunks still queued are cancelled; chunks already running are
-        waited out and their completed runs handed to ``on_result``, so
-        everything that finished reaches the store before the exception
-        propagates and a resume re-executes only what truly never ran.
-        """
-        remaining = futures[failed + 1:]
-        for future in remaining:
-            future.cancel()
-        concurrent.futures.wait(remaining)
-        for chunk, future in zip(chunks[failed + 1:], remaining):
-            if future.cancelled():
-                continue
-            try:
-                runs = future.result()
-            except BaseException:
-                continue  # another failing chunk; the first wins
-            try:
-                record(chunk, runs)
-            except BaseException:
-                continue  # recording itself is failing; keep draining
+        return self.map(functools.partial(_execute_named_task, workload.name,
+                                          middleware.value, config),
+                        tasks, on_result)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -172,6 +201,14 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __repr__(self) -> str:
         return f"<ProcessPoolBackend jobs={self.jobs}>"
+
+
+def backend_for(jobs: Optional[int]) -> ExecutionBackend:
+    """The backend for a worker count: a process pool for more than
+    one worker, else in-process."""
+    if jobs is not None and jobs > 1:
+        return ProcessPoolBackend(jobs)
+    return SerialBackend()
 
 
 # ----------------------------------------------------------------------
@@ -199,23 +236,65 @@ class SafeProgress:
 
 
 # ----------------------------------------------------------------------
-# The scheduler
+# The checkpointing loop and the scheduler
 # ----------------------------------------------------------------------
 class PlanExecution:
-    """What :func:`run_plan` hands back to the campaign facade."""
+    """What :func:`run_plan` (and the load grid runner) hands back."""
 
     __slots__ = ("profile_run", "runs", "skipped_functions",
-                 "total", "executed_count", "cached_count",
+                 "total", "done", "executed_count", "cached_count",
                  "inferred_count")
 
-    def __init__(self):
+    def __init__(self, total: int = 0):
         self.profile_run: Optional[RunResult] = None
-        self.runs: list[RunResult] = []
+        self.runs: list = []
         self.skipped_functions: set[str] = set()
-        self.total = 0
+        self.total = total
+        self.done = 0
         self.executed_count = 0
         self.cached_count = 0
         self.inferred_count = 0
+
+
+def run_batch(tasks: Sequence, execute, execution: PlanExecution,
+              progress: SafeProgress, store=None, store_key=None,
+              counted: bool = True) -> list:
+    """Serve ``tasks`` from the store, execute the rest, checkpoint.
+
+    ``store_key(task)`` is the task's ``(fingerprint, key)`` in
+    ``store``; ``execute(pending, on_result)`` runs the uncached tasks
+    on a backend.  Every executed run is checkpointed before the
+    progress callback fires, so an interrupt never loses a finished
+    run.  ``counted`` runs advance ``execution.done``.  Returns the
+    runs aligned with ``tasks``.
+    """
+    runs = [None] * len(tasks)
+    pending = []
+
+    def advance(run) -> None:
+        if counted:
+            execution.done += 1
+            progress(execution.done, execution.total, run)
+
+    for index, task in enumerate(tasks):
+        cached = store.get(*store_key(task)) if store is not None else None
+        if cached is None:
+            pending.append(index)
+        else:
+            runs[index] = cached
+            execution.cached_count += 1
+            advance(cached)
+
+    def record(task, run) -> None:
+        if store is not None:
+            store.put(*store_key(task), run)
+        execution.executed_count += 1
+        advance(run)
+
+    fresh = execute([tasks[index] for index in pending], record)
+    for index, run in zip(pending, fresh):
+        runs[index] = run
+    return runs
 
 
 def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
@@ -243,40 +322,25 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
     execution = PlanExecution()
     safe_progress = SafeProgress(progress)
     results: dict[str, RunResult] = {}
-    state = {"done": 0}
 
-    def dispatch(tasks: Sequence[RunTask], count: bool) -> None:
-        pending = []
-        for task in tasks:
-            cached = (store.get(fingerprint, task.fault)
-                      if store is not None else None)
-            if cached is not None:
-                results[task.task_id] = cached
-                execution.cached_count += 1
-                if count:
-                    state["done"] += 1
-                    safe_progress(state["done"], execution.total, cached)
-            else:
-                pending.append(task)
+    def execute(pending: list[RunTask], on_result) -> list[RunResult]:
+        return backend.run_tasks(pending, workload, middleware, config,
+                                 on_result=on_result)
 
-        def record(task: RunTask, run: RunResult) -> None:
-            if store is not None:
-                store.put(fingerprint, task.fault, run)
+    def dispatch(tasks: Sequence[RunTask], counted: bool) -> None:
+        runs = run_batch(tasks, execute, execution, safe_progress,
+                         store=store,
+                         store_key=lambda task: (fingerprint, task.fault),
+                         counted=counted)
+        for task, run in zip(tasks, runs):
             results[task.task_id] = run
-            execution.executed_count += 1
-            if count:
-                state["done"] += 1
-                safe_progress(state["done"], execution.total, run)
-
-        backend.run_tasks(pending, workload, middleware, config,
-                          on_result=record)
 
     # --- Wave 0: the fault-free profiling run --------------------------
     eligible = list(plan.functions)
     if plan.profile_task is not None:
         if on_stage is not None:
             on_stage("profiling")
-        dispatch([plan.profile_task], count=False)
+        dispatch([plan.profile_task], counted=False)
         execution.profile_run = results[plan.profile_task.task_id]
         called = set(execution.profile_run.called_functions)
 
@@ -298,7 +362,7 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
     # --- Wave 1: probes (one fault per function) -----------------------
     if on_stage is not None:
         on_stage("probing")
-    dispatch([plan.probes[name] for name in eligible], count=True)
+    dispatch([plan.probes[name] for name in eligible], counted=True)
 
     # --- Activation gate: release the rest of each activated function --
     released = []
@@ -310,12 +374,12 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
             # The paper's shortcut: the function is not called, so its
             # remaining faults would not activate either.
             execution.skipped_functions.add(name)
-            state["done"] += len(plan.releases[name])
+            execution.done += len(plan.releases[name])
 
     # --- Wave 2: released faults ---------------------------------------
     if on_stage is not None:
         on_stage("releasing")
-    dispatch(released, count=True)
+    dispatch(released, counted=True)
 
     # --- Expansion: pruned faults inherit their representative's run --
     # Never checkpointed: on resume the representative is served from

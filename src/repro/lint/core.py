@@ -29,9 +29,12 @@ of the same mistake.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from ..core.exec import backend_for
 
 # File extensions treated as fault-list files when scanning directories.
 FAULT_LIST_SUFFIXES = (".lst", ".flt", ".faults")
@@ -277,31 +280,38 @@ def apply_baseline(findings: Sequence[Finding],
 # ----------------------------------------------------------------------
 # Analyzer
 # ----------------------------------------------------------------------
-def _lint_files(tasks: Sequence[tuple],
-                rules: Sequence[Rule]) -> tuple:
-    """Parse and per-file-check a batch of ``(path, display)`` tasks.
+def _lint_file(rules: Sequence[Rule], task: tuple) -> tuple:
+    """Parse and per-file-check one ``(path, display)`` task.
 
-    Module-level so ``ProcessPoolExecutor`` can pickle it; returns the
-    parsed modules (the parent still needs them for project rules) and
-    the findings from every ``check_module`` pass.
+    Module-level so a process pool can pickle it; returns the parsed
+    module (``None`` on a syntax error — the parent still needs the
+    modules for project rules) and the findings from every
+    ``check_module`` pass.
     """
-    modules: list[ParsedModule] = []
-    findings: list[Finding] = []
-    for path, display in tasks:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                "parse-error", display, exc.lineno or 1,
-                f"syntax error: {exc.msg}"))
-            continue
-        modules.append(ParsedModule(display, tree, source))
-    for module in modules:
-        for rule in rules:
-            findings.extend(rule.check_module(module))
-    return modules, findings
+    path, display = task
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return None, [Finding("parse-error", display, exc.lineno or 1,
+                              f"syntax error: {exc.msg}")]
+    module = ParsedModule(display, tree, source)
+    return module, [finding for rule in rules
+                    for finding in rule.check_module(module)]
+
+
+def _lint_files(tasks: Sequence[tuple], rules: Sequence[Rule],
+                jobs: int = 1) -> tuple:
+    """:func:`_lint_file` over a batch on ``jobs`` workers.
+
+    Returns the parsed modules and the ``check_module`` findings in
+    file order, so the output is bit-identical to a serial run.
+    """
+    with backend_for(jobs) as backend:
+        per_file = backend.map(functools.partial(_lint_file, rules), tasks)
+    modules = [module for module, _ in per_file if module is not None]
+    return modules, [finding for _, found in per_file for finding in found]
 
 
 class LintResult:
@@ -393,10 +403,7 @@ class Analyzer:
     def run(self, paths: Sequence[str], jobs: int = 1) -> LintResult:
         py_files, fault_files = self.collect(paths)
         tasks = [(path, self._display_path(path)) for path in py_files]
-        if jobs > 1 and len(tasks) > 1:
-            modules, findings = self._run_parallel(tasks, jobs)
-        else:
-            modules, findings = _lint_files(tasks, self.rules)
+        modules, findings = _lint_files(tasks, self.rules, jobs)
 
         for rule in self.rules:
             findings.extend(rule.check_project(modules))
@@ -415,38 +422,6 @@ class Analyzer:
         return LintResult(fresh, suppressed,
                           len(py_files) + len(fault_files),
                           checked_paths=checked)
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, tasks: Sequence[tuple], jobs: int) -> tuple:
-        """Fan per-file analysis out over worker processes.
-
-        Same chunking idiom as ``repro.core.exec.ProcessPoolBackend``:
-        chunks a few times smaller than an even split keep the workers
-        busy when file sizes are skewed.  Results are collected in
-        submission order and the caller sorts the merged finding list,
-        so the output is bit-identical to a serial run.
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk_size = max(1, len(tasks) // (jobs * 4) + 1)
-        chunks = [list(tasks[i:i + chunk_size])
-                  for i in range(0, len(tasks), chunk_size)]
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            mp_context = None
-        modules: list[ParsedModule] = []
-        findings: list[Finding] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks)),
-                                 mp_context=mp_context) as pool:
-            futures = [pool.submit(_lint_files, chunk, self.rules)
-                       for chunk in chunks]
-            for future in futures:
-                chunk_modules, chunk_findings = future.result()
-                modules.extend(chunk_modules)
-                findings.extend(chunk_findings)
-        return modules, findings
 
 
 def default_rules() -> list[Rule]:

@@ -9,7 +9,6 @@ containing load entries deserialize correctly.
 """
 
 from .campaign import (
-    LoadExecution,
     LoadTask,
     plan_load_tasks,
     run_load_tasks,
@@ -23,7 +22,6 @@ __all__ = [
     "ArrivalMode",
     "ClientStats",
     "LoadClient",
-    "LoadExecution",
     "LoadRunResult",
     "LoadSpec",
     "LoadTask",

@@ -9,12 +9,16 @@ store files to the serial path, whatever the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import os
+import functools
 from typing import Optional, Sequence
 
-from ..core.exec import SafeProgress
+from ..core.exec import (
+    ExecutionBackend,
+    PlanExecution,
+    SafeProgress,
+    backend_for,
+    run_batch,
+)
 from ..core.runner import RunConfig
 from .result import LoadRunResult
 from .runner import execute_load_run
@@ -50,89 +54,38 @@ def plan_load_tasks(spec: LoadSpec, reps: int = 1,
             for variant in specs for rep in range(reps)]
 
 
-def _run_load_chunk(tasks: list[LoadTask],
-                    config: RunConfig) -> list[LoadRunResult]:
-    """Worker body: execute one chunk of load tasks in a pool process."""
-    return [execute_load_run(task.spec, task.rep, config)
-            for task in tasks]
-
-
-class LoadExecution:
-    """What :func:`run_load_tasks` hands back to the CLI."""
-
-    __slots__ = ("runs", "total", "executed_count", "cached_count")
-
-    def __init__(self):
-        self.runs: list[LoadRunResult] = []
-        self.total = 0
-        self.executed_count = 0
-        self.cached_count = 0
+def _execute_load_task(config: RunConfig, task: LoadTask) -> LoadRunResult:
+    return execute_load_run(task.spec, task.rep, config)
 
 
 def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
-                   jobs: int = 1, store=None,
-                   progress=None) -> LoadExecution:
+                   jobs: int = 1, store=None, progress=None,
+                   backend: Optional[ExecutionBackend] = None
+                   ) -> PlanExecution:
     """Execute a load-task grid, checkpointing as runs complete.
 
-    Results come back in task order regardless of ``jobs``; completed
-    runs are checkpointed to ``store`` (when given) before the progress
+    Runs go to ``backend`` when given (the serve daemon shares its
+    warm pool), else to a backend for ``jobs`` workers owned by this
+    call.  Results come back in task order regardless; completed runs
+    are checkpointed to ``store`` (when given) before the progress
     callback fires, and cached runs are served without re-execution.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    execution = LoadExecution()
-    execution.total = len(tasks)
-    safe_progress = SafeProgress(progress)
-    done = 0
+    execution = PlanExecution(total=len(tasks))
+    owned = backend is None
+    backend = backend or backend_for(jobs)
 
-    # --- Serve cached runs, keeping slots for the rest ------------------
-    slots: list[Optional[LoadRunResult]] = [None] * len(tasks)
-    pending: list[tuple[int, LoadTask]] = []
-    for index, task in enumerate(tasks):
-        cached = (store.get(task.spec.fingerprint(config), task.spec.key(task.rep))
-                  if store is not None else None)
-        if cached is not None:
-            slots[index] = cached
-            execution.cached_count += 1
-            done += 1
-            safe_progress(done, execution.total, cached)
-        else:
-            pending.append((index, task))
+    def execute(pending: list[LoadTask], on_result) -> list[LoadRunResult]:
+        return backend.map(functools.partial(_execute_load_task, config),
+                           pending, on_result)
 
-    def record(index: int, task: LoadTask, run: LoadRunResult) -> None:
-        nonlocal done
-        if store is not None:
-            store.put(task.spec.fingerprint(config), task.spec.key(task.rep),
-                      run)
-        slots[index] = run
-        execution.executed_count += 1
-        done += 1
-        safe_progress(done, execution.total, run)
-
-    if jobs == 1 or len(pending) <= 1:
-        for index, task in pending:
-            record(index, task, execute_load_run(task.spec, task.rep, config))
-    else:
-        _run_pool(pending, config, jobs, record)
-
-    execution.runs = [run for run in slots if run is not None]
+    try:
+        execution.runs = run_batch(
+            tasks, execute, execution, SafeProgress(progress), store=store,
+            store_key=lambda task: (task.spec.fingerprint(config),
+                                    task.spec.key(task.rep)))
+    finally:
+        if owned:
+            backend.close()
     return execution
-
-
-def _run_pool(pending, config: RunConfig, jobs: int, record) -> None:
-    """Chunked process-pool dispatch, results in submission order."""
-    context = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    chunk_size = max(1, len(pending) // (jobs * 4) + 1)
-    chunks = [pending[start:start + chunk_size]
-              for start in range(0, len(pending), chunk_size)]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context) as pool:
-        futures = [
-            pool.submit(_run_load_chunk, [task for _, task in chunk], config)
-            for chunk in chunks
-        ]
-        for chunk, future in zip(chunks, futures):
-            for (index, task), run in zip(chunk, future.result()):
-                record(index, task, run)

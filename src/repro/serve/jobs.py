@@ -5,9 +5,10 @@ One worker thread drains submissions in arrival order, executing each
 through the ordinary campaign machinery — :func:`~repro.core.exec
 .run_plan` via the :class:`~repro.core.campaign.Campaign` facade — so
 a daemon-executed campaign is bit-identical to the same campaign run
-from the CLI.  All jobs share one persistent
-:class:`~repro.core.exec.ProcessPoolBackend` (workers survive across
-jobs; waves are sharded across them in chunks) and one run store,
+from the CLI.  All jobs — campaigns and load grids alike — share one
+persistent :class:`~repro.core.exec.ProcessPoolBackend` (workers
+survive across jobs; batches are sharded across them in chunks) and
+one run store,
 which is what dedups overlapping campaigns: the scheduler consults the
 store by ``(config fingerprint, fault key)`` before dispatching any
 run, so the overlap of a second campaign is served from cache and
@@ -28,7 +29,7 @@ import threading
 import time
 from typing import Optional
 
-from ..core.exec import ProcessPoolBackend, SerialBackend
+from ..core.exec import backend_for
 from .spec import CampaignJobSpec, LoadJobSpec
 
 
@@ -131,11 +132,9 @@ class Job:
 class JobQueue:
     """FIFO execution of submitted jobs over shared workers + store."""
 
-    def __init__(self, store, jobs: int = 1,
-                 chunk_size: Optional[int] = None):
+    def __init__(self, store, jobs: int = 1):
         self.store = store
-        self.backend = (ProcessPoolBackend(jobs, chunk_size=chunk_size)
-                        if jobs > 1 else SerialBackend())
+        self.backend = backend_for(jobs)
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._pending: list[str] = []
@@ -263,8 +262,8 @@ class JobQueue:
             if fingerprint not in seen:
                 seen.add(fingerprint)
                 job.fingerprints.append(fingerprint)
-        execution = run_load_tasks(tasks, config, jobs=1,
-                                   store=self.store,
-                                   progress=self._progress(job))
+        execution = run_load_tasks(tasks, config, store=self.store,
+                                   progress=self._progress(job),
+                                   backend=self.backend)
         job.cached_count = execution.cached_count
         job.executed_count = execution.executed_count

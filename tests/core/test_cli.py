@@ -60,8 +60,25 @@ class TestInject:
         assert "restart-success" in text
 
     def test_malformed_fault_rejected(self):
-        with pytest.raises(ValueError):
-            _run(["inject", "--workload", "IIS", "--fault", "nonsense"])
+        code, text = _run(["inject", "--workload", "IIS",
+                           "--fault", "nonsense"])
+        assert code == 2
+        assert text == "bad --fault: malformed fault line: 'nonsense'\n"
+
+    @pytest.mark.parametrize("line, reason", [
+        ("CreateFileA x zero 1", "invalid literal for int()"),
+        ("CreateFileA 0 bogus 1", "'bogus' is not a valid FaultType"),
+        ("NoSuchExport 0 zero 1", "unknown export 'NoSuchExport'"),
+        ("CreateFileA 9 zero 1", "cannot corrupt index 9"),
+    ])
+    def test_bad_fault_is_one_line_exit_2(self, line, reason):
+        """Bad input is a one-line error, never a traceback — checked
+        against the workload's registry before any machine boots."""
+        code, text = _run(["inject", "--workload", "IIS", "--fault", line])
+        assert code == 2
+        assert text.startswith("bad --fault: ")
+        assert reason in text
+        assert text.count("\n") == 1
 
 
 class TestRun:

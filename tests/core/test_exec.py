@@ -13,6 +13,7 @@ from repro.core.exec import (
     ProcessPoolBackend,
     SafeProgress,
     SerialBackend,
+    backend_for,
 )
 from repro.core.runner import RunConfig
 from repro.core.workload import MiddlewareKind
@@ -208,3 +209,27 @@ def test_chunk_failure_drain_tolerates_failing_on_result(config):
     # The first run was recorded (then its exception propagated); the
     # drain attempted the rest without hanging on the raised recorder.
     assert seen[0] == real[0].key
+
+
+# ----------------------------------------------------------------------
+# The map primitive and backend selection
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend_type", [SerialBackend, ProcessPoolBackend])
+def test_map_aligns_results_and_reports_in_item_order(backend_type):
+    seen = []
+    backend = backend_type() if backend_type is SerialBackend \
+        else backend_type(jobs=2, chunk_size=2)
+    with backend:
+        results = backend.map(abs, [-3, 1, -2, 0, -5],
+                              on_result=lambda item, result:
+                              seen.append((item, result)))
+    assert results == [3, 1, 2, 0, 5]
+    assert seen == [(-3, 3), (1, 1), (-2, 2), (0, 0), (-5, 5)]
+
+
+def test_backend_for_picks_the_pool_above_one_worker():
+    assert isinstance(backend_for(None), SerialBackend)
+    assert isinstance(backend_for(1), SerialBackend)
+    with backend_for(3) as backend:
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.jobs == 3

@@ -8,13 +8,15 @@ from ``(base seed, spec identity, rep)``.  Worker counts come from the
 run each width as its own job.
 """
 
+import json
 import os
 
 import pytest
 
+from repro.core.faults import FaultSpec, FaultType
 from repro.core.runner import RunConfig
 from repro.core.store import RunStore
-from repro.load.campaign import plan_load_tasks, run_load_tasks
+from repro.load.campaign import LoadTask, plan_load_tasks, run_load_tasks
 from repro.load.spec import LoadSpec
 
 SPEC = LoadSpec(workload="Apache1", clients=4, iterations=1)
@@ -71,3 +73,47 @@ def test_resume_serves_cached_runs_without_execution(tmp_path):
         store.close()
     assert second.executed_count == 0 and second.cached_count == 1
     assert len(second.runs) == 1
+
+
+def _store_keys(path) -> set:
+    lines = path.read_text().splitlines() if path.exists() else []
+    return {(entry["fp"], entry["key"]) for entry in map(json.loads, lines)}
+
+
+def test_poisoned_chunk_keeps_every_finished_chunk(tmp_path):
+    """A load chunk that raises in its worker must not orphan the other
+    chunks: every run that finished in a worker is checkpointed before
+    the exception propagates, so a resume executes only the poisoned
+    chunk."""
+    config = RunConfig(base_seed=2000)
+    grid = plan_load_tasks(SPEC, reps=4, sweep=SWEEP)
+    assert len(grid) == 8   # jobs=2: four chunks of two
+    poison = FaultSpec("NoSuchExport", 0, FaultType.ZERO, 1)
+    poisoned = [LoadTask(grid[0].spec.replace(fault=poison), grid[0].rep)]
+    path = tmp_path / "runs.jsonl"
+
+    store = RunStore(path)
+    try:
+        with pytest.raises(ValueError, match="NoSuchExport"):
+            run_load_tasks(poisoned + grid[1:], config, jobs=2, store=store)
+    finally:
+        store.close()
+    assert _store_keys(path) == {
+        (task.spec.fingerprint(config), task.spec.key(task.rep))
+        for task in grid[2:]}
+
+    store = RunStore(path)
+    try:
+        resumed = run_load_tasks(grid, config, jobs=2, store=store)
+    finally:
+        store.close()
+    assert (resumed.executed_count, resumed.cached_count) == (2, 6)
+
+    serial = tmp_path / "serial.jsonl"
+    store = RunStore(serial)
+    try:
+        run_load_tasks(grid, config, jobs=1, store=store)
+    finally:
+        store.close()
+    assert sorted(path.read_bytes().splitlines()) == \
+        sorted(serial.read_bytes().splitlines())

@@ -176,3 +176,78 @@ def test_submit_after_close_is_refused(tmp_path):
     store.close()
     with pytest.raises(RuntimeError, match="shutting down"):
         queue.submit(_campaign_spec())
+
+
+# ----------------------------------------------------------------------
+# Load jobs on the shared pool
+# ----------------------------------------------------------------------
+def _sorted_lines(path) -> list:
+    return sorted(path.read_bytes().splitlines())
+
+
+def test_load_job_on_the_pool_matches_serial_grid(tmp_path):
+    """A load job runs on the daemon's warm pool, and its store lines are
+    byte-identical to the same grid run serially."""
+    from repro.core.exec import ProcessPoolBackend
+    from repro.core.store import RunStore
+    from repro.load import run_load_tasks
+
+    spec = LoadJobSpec(LoadSpec("Apache1", clients=3), reps=2, sweep=[2, 4])
+    store = ShardedRunStore(tmp_path / "store.d", segments=4)
+    queue = JobQueue(store, jobs=2)
+    assert isinstance(queue.backend, ProcessPoolBackend)
+    mapped = []
+    pool_map = queue.backend.map
+
+    def spying_map(execute, items, on_result=None):
+        mapped.append(len(items))
+        return pool_map(execute, items, on_result)
+
+    queue.backend.map = spying_map
+    try:
+        job = _wait(queue.submit(spec))
+    finally:
+        queue.close()
+        store.close()
+    assert job.state is JobState.DONE
+    assert mapped == [4]
+    merged = tmp_path / "merged.jsonl"
+    ShardedRunStore(tmp_path / "store.d").merge_to(merged)
+
+    serial = tmp_path / "serial.jsonl"
+    serial_store = RunStore(serial)
+    try:
+        run_load_tasks(spec.tasks(), spec.run_config(), jobs=1,
+                       store=serial_store)
+    finally:
+        serial_store.close()
+    assert _sorted_lines(merged) == _sorted_lines(serial)
+
+
+def test_cancel_running_load_job_keeps_checkpoints(tmp_path):
+    """DELETE on a load job running on the pool unwinds through the
+    pool's drain: it ends cancelled, its finished runs stay in the
+    store, and a resubmission resumes from them."""
+    spec = LoadJobSpec(LoadSpec("Apache1", clients=20, iterations=4),
+                       reps=24)
+    store = ShardedRunStore(tmp_path / "store.d", segments=2)
+    queue = JobQueue(store, jobs=2)
+    try:
+        job = queue.submit(spec)
+        deadline = time.monotonic() + 60.0
+        while job.done < 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert job.done >= 1, "load job never started executing"
+        queue.cancel(job.job_id)
+        _wait(job)
+        assert job.state is JobState.CANCELLED
+        checkpointed = len(store)
+        assert job.done <= checkpointed <= 24
+
+        resumed = _wait(queue.submit(spec))
+        assert resumed.state is JobState.DONE
+        assert resumed.cached_count == checkpointed
+        assert resumed.executed_count == 24 - checkpointed
+    finally:
+        queue.close()
+        store.close()
