@@ -915,7 +915,16 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    try:
+        return _COMMANDS[args.command](args, out or sys.stdout)
+    except BrokenPipeError:
+        # The reader went away (``repro faultlist -o /dev/stdout | head``).
+        # Point stdout at the null device so the flush at interpreter
+        # exit has nowhere to fail, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

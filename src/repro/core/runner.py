@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..nt.machine import Machine
-from ..sim import derive_seed
+from ..sim import collector_paused, derive_seed
 from ..trace import TraceLevel, Tracer
 from .collector import RunResult, collect
 from .faults import FaultSpec, IoFault, ResourceFault
@@ -94,7 +94,23 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                 fault: Optional[FaultSpec],
                 config: Optional[RunConfig] = None) -> RunResult:
     """Run one fault injection (or a fault-free profiling run when
-    ``fault`` is None) and return the collected result."""
+    ``fault`` is None) and return the collected result.
+
+    The cyclic collector is paused for the whole run (see
+    :class:`repro.sim.collector_paused`).  The pause encloses the call
+    to the run's body rather than a block inside it, so the frame that
+    holds the machine is gone before collection resumes: a collection
+    triggered while that frame's locals are being released would find
+    the machine graph still reachable and promote it to an older
+    generation.
+    """
+    with collector_paused():
+        return _execute_run(workload, middleware, fault, config)
+
+
+def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
+                 fault: Optional[FaultSpec],
+                 config: Optional[RunConfig]) -> RunResult:
     config = config or RunConfig()
     level = TraceLevel.parse(config.trace_level)
     tracer = Tracer(level) if level is not TraceLevel.OFF else None

@@ -18,6 +18,7 @@ from typing import Optional
 from ..nt.machine import Machine
 from ..core.runner import RunConfig, _graceful_shutdown, arm_fault
 from ..core.workload import WORKLOADS, WorkloadSpec
+from ..sim import collector_paused
 from ..trace import TraceLevel, Tracer
 from .client import LoadClient
 from .result import ClientStats, LoadRunResult
@@ -32,7 +33,17 @@ _DRAIN_STEP = 5.0
 
 def execute_load_run(spec: LoadSpec, rep: int = 0,
                      config: Optional[RunConfig] = None) -> LoadRunResult:
-    """Run one repetition of a load spec and return the result."""
+    """Run one repetition of a load spec and return the result.
+
+    The collector pause spans the whole run, for the reason given in
+    :func:`repro.core.runner.execute_run`.
+    """
+    with collector_paused():
+        return _execute_load_run(spec, rep, config)
+
+
+def _execute_load_run(spec: LoadSpec, rep: int,
+                      config: Optional[RunConfig]) -> LoadRunResult:
     config = config or RunConfig()
     workload = resolve_workload(spec.workload)
     # Same tracing contract as execute_run: a run traced at any level

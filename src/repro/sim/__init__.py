@@ -3,6 +3,7 @@
 Public surface:
 
 - :class:`Engine` — virtual clock + event queue.
+- :class:`collector_paused` — the run-scoped garbage-collector pause.
 - :class:`SimProcess` — generator-based processes.
 - Commands processes may yield: :class:`Sleep`, :class:`Wait`,
   :class:`WaitAny`, :class:`Hang`.
@@ -16,6 +17,7 @@ from .engine import (
     ScheduleInPastError,
     SimulationError,
     Timer,
+    collector_paused,
 )
 from .primitives import (
     TIMED_OUT,
@@ -34,6 +36,7 @@ from .rng import RandomStreams, derive_seed
 __all__ = [
     "Engine",
     "Timer",
+    "collector_paused",
     "SimulationError",
     "ScheduleInPastError",
     "Command",

@@ -21,6 +21,17 @@ Hot-path notes (the engine dominates multi-client load runs):
   the heap without bound.  In-place compaction (slice assignment plus
   re-heapify) keeps the list object identical, so the run loop may
   alias it.
+- The cyclic collector is paused (:class:`collector_paused`) for a
+  whole run, not per :meth:`run` burst.  A run's machine graph
+  (processes, handles, generators, timers) is cyclic and lives for the
+  whole run, while the runner drives the engine in short polling
+  bursts.  With collection resumed between bursts, gen-0 passes
+  promote that live graph into the older generations, where only
+  gen-1/gen-2 passes reclaim it once the run is over — and each gen-2
+  pass also walks every result a campaign holds in memory.  Paused for
+  the run, the graph dies young and one gen-0 pass after the run
+  reclaims it.  :meth:`run` still pauses itself, so callers that drive
+  the engine directly get the same loop.
 - :meth:`run` inlines the dispatch loop rather than paying a
   :meth:`step` call per event; :meth:`step` remains the single-event
   API.
@@ -50,6 +61,34 @@ from typing import Any, Callable, Optional
 # cheap to scan and re-heapifying them constantly would cost more
 # than the tombstones they carry.
 _COMPACT_MIN = 64
+
+
+class collector_paused:
+    """Pause the cyclic garbage collector for a ``with`` block.
+
+    The one collector pause in the simulator: :meth:`Engine.run` holds
+    it around its dispatch loop, and ``execute_run`` and
+    ``execute_load_run`` hold it around a whole run, from boot to
+    teardown.  It disables the collector only if it was enabled on
+    entry and re-enables it on every exit, raising or not; when a
+    caller has already paused it (an enclosing run, or code that
+    manages the collector itself), entry and exit leave it alone, so
+    pauses nest.
+
+    A class rather than a generator-based context manager: the engine
+    enters it once per polling burst.
+    """
+
+    __slots__ = ("_resume",)
+
+    def __enter__(self) -> None:
+        self._resume = gc.isenabled()
+        if self._resume:
+            gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._resume:
+            gc.enable()
 
 
 class SimulationError(Exception):
@@ -239,6 +278,14 @@ class Engine:
         Returns the final clock value.  ``max_events`` is a safety net
         against accidental infinite self-rescheduling loops.
         """
+        # The dispatch loop allocates heavily (timers, events, frames).
+        # Runs already hold this pause for their whole length; taking it
+        # here too gives code that drives an engine directly the same
+        # loop.
+        with collector_paused():
+            return self._run(until, max_events)
+
+    def _run(self, until: Optional[float], max_events: int) -> float:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -251,14 +298,6 @@ class Engine:
         # ``inf`` stands in for "no limit" so the loop pays one float
         # compare instead of a None test plus a compare per event.
         limit = float("inf") if until is None else until
-        # The dispatch loop allocates heavily (timers, events, frames)
-        # but creates almost no cycles; pausing generational collection
-        # for the duration avoids repeated gen-0 sweeps over objects
-        # that are about to die anyway.  Anything cyclic is collected
-        # when the caller's world resumes.
-        gc_paused = gc.isenabled()
-        if gc_paused:
-            gc.disable()
         try:
             while queue and not self._stopped:
                 time, _seq, timer = queue[0]
@@ -342,8 +381,6 @@ class Engine:
         finally:
             self._running = False
             self._events_processed += executed
-            if gc_paused:
-                gc.enable()
         return self._now
 
     def _requeue(self, batch: list, index: int) -> None:

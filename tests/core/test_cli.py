@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,22 @@ class TestFaultlist:
                            "--functions", "SetEvent,ReadFile"])
         assert code == 0
         assert "wrote 18 faults" in text  # 1*3 + 5*3
+
+    def test_closed_stdout_pipe_exits_1_without_a_traceback(self):
+        """``repro faultlist -o /dev/stdout | head -1``: the listing
+        (about 120 kB) overflows the pipe, the reader closes it after
+        one line, and the writer gets a broken pipe."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "faultlist",
+             "-o", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert process.stdout.readline().startswith(b"#")
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode == 1
+        assert stderr == b""
 
 
 class TestProfile:

@@ -4,6 +4,8 @@ These are golden-path checks of the run pipeline: specific faults with
 known mechanisms must land in specific outcome classes.
 """
 
+import gc
+
 import pytest
 
 from repro.core.collector import RunResult
@@ -11,6 +13,9 @@ from repro.core.faults import FaultSpec, FaultType
 from repro.core.outcomes import FailureMode, Outcome
 from repro.core.runner import RunConfig, execute_run
 from repro.core.workload import MiddlewareKind, get_workload
+from repro.net.transport import ConnectionLeakError
+from repro.nt.machine import Machine
+from repro.nt.process_manager import NTProcess
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +175,61 @@ class TestDeterminism:
         b = config.seed_for(get_workload("IIS"), MiddlewareKind.NONE,
                             FaultSpec("ReadFile", 1, FaultType.ZERO))
         assert a != b
+
+
+def live_run_objects():
+    """Every live simulated machine and NT process."""
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, (Machine, NTProcess))]
+
+
+class TestCollectorPause:
+    """A run holds the collector pause from boot through teardown and
+    gives the collector back on every exit path, so a pool worker or a
+    daemon thread is never left with it off."""
+
+    POISON = FaultSpec("NoSuchExport", 0, FaultType.ZERO, 1)
+
+    def test_unknown_export_restores_the_collector(self, config):
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="NoSuchExport"):
+            _run("IIS", MiddlewareKind.NONE, self.POISON, config)
+        assert gc.isenabled()
+
+    def test_hygiene_failure_restores_the_collector(self, config,
+                                                    monkeypatch):
+        seen = []
+
+        def leaky(machine):
+            seen.append(gc.isenabled())
+            raise ConnectionLeakError([])
+
+        monkeypatch.setattr(Machine, "check_connection_hygiene", leaky)
+        with pytest.raises(ConnectionLeakError):
+            _run("IIS", MiddlewareKind.NONE, None, config)
+        assert seen == [False]  # still paused at teardown
+        assert gc.isenabled()
+
+    def test_a_caller_paused_collector_stays_paused(self, config):
+        gc.disable()
+        try:
+            with pytest.raises(ValueError, match="NoSuchExport"):
+                _run("IIS", MiddlewareKind.NONE, self.POISON, config)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_finished_run_leaves_no_machine_behind(self, config):
+        """The result holds nothing of the machine, so once the run
+        returns its whole object graph is garbage: a campaign keeping
+        every result in memory does not keep every run's machine.  The
+        graph is still in the youngest generation (the pause kept it
+        from being promoted), so a gen-0 pass reclaims it."""
+        before = live_run_objects()
+        fault = FaultSpec("CreateFileA", 0, FaultType.ZERO)
+        result = _run("IIS", MiddlewareKind.WATCHD, fault, config)
+        assert result.restarts_detected >= 1
+        gc.collect(0)  # the youngest generation only
+        held = {id(obj) for obj in before}
+        assert [obj for obj in live_run_objects()
+                if id(obj) not in held] == []

@@ -1,13 +1,17 @@
 """Single load runs: determinism, arrival models, hygiene."""
 
+import gc
 import json
 
 import pytest
 
+from repro.core.faults import FaultSpec, FaultType
 from repro.core.runner import RunConfig
 from repro.load.result import load_result_to_dict
 from repro.load.runner import execute_load_run, resolve_workload
 from repro.load.spec import ArrivalMode, LoadSpec
+from repro.net.transport import ConnectionLeakError
+from repro.nt.machine import Machine
 from repro.trace import trace_to_jsonl
 
 
@@ -122,3 +126,52 @@ def test_load_run_trace_levels_nest():
         == [(e.time, e.category, e.name, e.data) for e in filtered]
     for line in trace_to_jsonl(full.trace).splitlines():
         json.loads(line)  # every record is valid JSONL
+
+
+def live_machines():
+    return [obj for obj in gc.get_objects() if isinstance(obj, Machine)]
+
+
+class TestCollectorPause:
+    """Same contract as a single injection run: the pause spans the
+    whole load run and is given back on every exit path."""
+
+    POISON = FaultSpec("NoSuchExport", 0, FaultType.ZERO, 1)
+
+    def test_unknown_export_restores_the_collector(self):
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="NoSuchExport"):
+            execute_load_run(small_spec(fault=self.POISON), 0, RunConfig())
+        assert gc.isenabled()
+
+    def test_hygiene_failure_restores_the_collector(self, monkeypatch):
+        seen = []
+
+        def leaky(machine):
+            seen.append(gc.isenabled())
+            raise ConnectionLeakError([])
+
+        monkeypatch.setattr(Machine, "check_connection_hygiene", leaky)
+        with pytest.raises(ConnectionLeakError):
+            execute_load_run(small_spec(), 0, RunConfig())
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_caller_paused_collector_stays_paused(self):
+        gc.disable()
+        try:
+            with pytest.raises(ValueError, match="NoSuchExport"):
+                execute_load_run(small_spec(fault=self.POISON), 0,
+                                 RunConfig())
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_finished_load_run_leaves_no_machine_behind(self):
+        before = live_machines()
+        result = execute_load_run(small_spec(), 0, RunConfig())
+        assert result.completed_clients == 3
+        gc.collect(0)  # the youngest generation only
+        held = {id(obj) for obj in before}
+        assert [obj for obj in live_machines()
+                if id(obj) not in held] == []

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.sim import Engine, ScheduleInPastError, SimulationError
@@ -140,15 +142,42 @@ def test_reschedule_from_callback():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-def test_livelock_guard_raises():
+def _livelocked_engine():
     engine = Engine()
 
     def loop():
         engine.schedule(0.0, loop)
 
     engine.schedule(0.0, loop)
+    return engine
+
+
+def test_livelock_guard_raises():
+    assert gc.isenabled()
     with pytest.raises(SimulationError):
-        engine.run(max_events=100)
+        _livelocked_engine().run(max_events=100)
+    # The collector pause is given back on the raising path.
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_caller_paused_collector_paused():
+    engine = _livelocked_engine()
+    gc.disable()
+    try:
+        with pytest.raises(SimulationError):
+            engine.run(max_events=100)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_is_paused_while_callbacks_run():
+    engine = Engine()
+    seen = []
+    engine.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    engine.run()
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_pending_count_excludes_cancelled():
