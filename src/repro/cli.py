@@ -14,6 +14,7 @@ same configuration files and campaign machinery:
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import sys
 import time
@@ -41,6 +42,18 @@ from .trace import (
     render_metrics,
     render_timeline,
 )
+
+
+def _jobs(text: str) -> int:
+    """argparse type of every ``--jobs`` option: a worker count >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-baseline", action="store_true",
                       help="regenerate the active baseline file in place "
                            "(deterministic: sorted keys, stable counts)")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
+    lint.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                       help="analyse files through a process pool of N "
                            "workers (default: 1, serial)")
     lint.add_argument("--rules", "--select", default=None, dest="rules",
@@ -227,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8642)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
+    serve.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                        help="process-pool workers shared by all jobs "
                             "(default: 1, serial)")
     serve.add_argument("--segments", type=int, default=None, metavar="N",
@@ -242,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_execution_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=int, default=None, metavar="N",
+    sub.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                      help="run injections through a process pool of N "
                           "workers (default: [execution] jobs, else 1)")
     sub.add_argument("--store", default=None, metavar="PATH",
@@ -375,7 +388,15 @@ def cmd_inject(args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    config = DtsConfig.from_file(args.config)
+    try:
+        config = DtsConfig.from_file(args.config)
+        config.workload_spec()  # an unknown workload fails here, not mid-run
+    except (OSError, ValueError, KeyError, configparser.Error) as exc:
+        # configparser messages span lines; the report is one line.
+        reason = str(exc.args[0] if isinstance(exc, KeyError) else exc)
+        print(f"bad --config {args.config}: {' '.join(reason.split())}",
+              file=out)
+        return 2
     if args.trace_level is not None:
         config.trace_level = TraceLevel.parse(args.trace_level)
     functions = args.functions.split(",") if args.functions else None
@@ -528,6 +549,10 @@ def cmd_trace(args, out) -> int:
                         if result.trace else "untraced")
                 print(f"  {fp}  {key:<40} {mark}", file=out)
             print(f"{len(store)} stored runs", file=out)
+            if store.corrupt_lines:
+                print(f"{store.corrupt_lines} corrupt mid-file line(s) "
+                      f"ignored", file=out)
+                return 1
             return 0
 
         result, error = _lookup_traced_run(store, args.key,
@@ -700,9 +725,6 @@ def cmd_load(args, out) -> int:
 def cmd_serve(args, out) -> int:
     from .serve import serve_forever
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
     return serve_forever(args.store, host=args.host, port=args.port,
                          jobs=args.jobs, segments=args.segments,
                          durable=not args.no_durable,
@@ -735,9 +757,6 @@ def cmd_lint(args, out) -> int:
         print("--update-baseline and --write-baseline are mutually "
               "exclusive (the former rewrites the active baseline file)",
               file=out)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
         return 2
     if args.census_store and not args.census_diff:
         print("--census-store requires --census-diff", file=out)

@@ -99,6 +99,9 @@ class DtsConfig:
                      if parser.has_section("execution") else {})
         trace = parser["trace"] if parser.has_section("trace") else {}
         middleware = MiddlewareKind(dts.get("middleware", "none").lower())
+        jobs = int(execution.get("jobs", 1))
+        if jobs < 1:
+            raise ValueError(f"[execution] jobs must be >= 1, got {jobs}")
         return cls(
             workload=dts.get("workload", "Apache1"),
             middleware=middleware,
@@ -112,7 +115,7 @@ class DtsConfig:
             reply_timeout=float(timeouts.get("reply", 15.0)),
             retry_wait=float(timeouts.get("retry_wait", 15.0)),
             cpu_mhz=int(machine.get("cpu_mhz", 100)),
-            jobs=int(execution.get("jobs", 1)),
+            jobs=jobs,
             store=execution.get("store") or None,
             trace_level=trace.get("level", "off"),
         )

@@ -8,9 +8,14 @@ Reproduces the paper's request targets:
 
 All content is deterministic, so its checksums — the client-side
 correctness criteria — are computable without running a server.
+Every machine boot installs the same run-invariant bytes, so the
+zero-argument generators are memoised with ``functools.cache``: one
+generation per process serves all runs, and ``bytes`` is immutable.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..net.http import content_checksum
 from .sql import Database
@@ -43,19 +48,9 @@ SQL_DATA_FILE = f"{SQL_ROOT}\\data\\master.dat"
 SQL_QUERY = "SELECT item_id, name, quantity FROM inventory WHERE quantity > 20"
 
 
-_STATIC_PAGE: bytes | None = None
-
-
+@functools.cache
 def static_page() -> bytes:
-    """The 115 kB static HTML document, byte-for-byte deterministic.
-
-    Memoized: every Machine boot installs it into a fresh simulated
-    filesystem, and ``bytes`` is immutable, so one generation serves
-    all runs in the process.
-    """
-    global _STATIC_PAGE
-    if _STATIC_PAGE is not None:
-        return _STATIC_PAGE
+    """The 115 kB static HTML document, byte-for-byte deterministic."""
     header = (b"<html><head><title>DTS workload: large static page</title>"
               b"</head><body>\n")
     footer = b"</body></html>\n"
@@ -69,8 +64,7 @@ def static_page() -> bytes:
     body += b"x" * (STATIC_PAGE_SIZE - len(body) - len(footer))
     body += footer
     assert len(body) == STATIC_PAGE_SIZE
-    _STATIC_PAGE = bytes(body)
-    return _STATIC_PAGE
+    return bytes(body)
 
 
 def cgi_script_source() -> bytes:
@@ -126,6 +120,7 @@ def iis_config() -> bytes:
             b"LogType=0\n")
 
 
+@functools.cache
 def iis_metabase() -> bytes:
     """Opaque binary blob the IIS startup parses."""
     header = b"MBIN" + (2).to_bytes(4, "little")
@@ -142,6 +137,7 @@ def sql_config() -> bytes:
             b"Recovery=simple\n")
 
 
+@functools.cache
 def sql_data_script() -> bytes:
     """The SQL script the server loads its single table from."""
     lines = ["CREATE TABLE inventory "
@@ -178,15 +174,10 @@ class ExpectedResults:
         self.sql_checksum = result.checksum()
 
 
-_EXPECTED: ExpectedResults | None = None
-
-
+@functools.cache
 def expected_results() -> ExpectedResults:
-    """Cached expected values (content generation is deterministic)."""
-    global _EXPECTED
-    if _EXPECTED is None:
-        _EXPECTED = ExpectedResults()
-    return _EXPECTED
+    """The expected values (content generation is deterministic)."""
+    return ExpectedResults()
 
 
 def install_apache_content(fs) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import Optional
 
@@ -18,6 +19,13 @@ from .ast_nodes import (
 )
 from .parser import parse
 from .table import SqlRuntimeError, Table
+
+# Statement text -> AST, private to the executor.  SQL Server replays
+# the same master.dat statements on every boot, so each distinct
+# statement is parsed once per process.  Sharing trees is safe because
+# execution only reads them (rows and results are built fresh), and a
+# SqlSyntaxError is never cached, so a torn statement raises every time.
+_parse = functools.lru_cache(maxsize=256)(parse)
 
 
 class ResultSet:
@@ -58,7 +66,7 @@ class Database:
         Returns a :class:`ResultSet` for SELECT, None for DDL/DML.
         Raises :class:`SqlSyntaxError` or :class:`SqlRuntimeError`.
         """
-        statement = parse(sql)
+        statement = _parse(sql)
         if isinstance(statement, CreateTable):
             return self._create(statement)
         if isinstance(statement, Insert):

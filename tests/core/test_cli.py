@@ -114,6 +114,41 @@ class TestRun:
         assert "activated faults : 3" in text
 
 
+class TestRunBadConfig:
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file"),
+        ("workload = IIS\n", "no section headers"),
+        ("[dts]\nworkload = Nope\n", "unknown workload 'Nope'"),
+        ("[dts]\nbase_seed = abc\n", "invalid literal"),
+        ("[execution]\njobs = 0\n", "jobs must be >= 1"),
+    ], ids=["missing", "no-section", "workload", "seed", "jobs"])
+    def test_bad_config_is_one_line_exit_2(self, tmp_path, text, reason):
+        path = tmp_path / "dts.ini"
+        if text is not None:
+            path.write_text(text)
+        code, out = _run(["run", "--config", str(path),
+                          "--functions", "SetErrorMode"])
+        assert code == 2
+        assert out.startswith(f"bad --config {path}: ")
+        assert reason in out
+        assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "dts.ini"],
+    ["reproduce"],
+    ["load", "--workload", "apache"],
+    ["lint"],
+    ["serve", "--store", "store.d"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_must_be_a_count_of_at_least_one(argv, jobs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(argv + ["--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
 class TestRunExecutionOptions:
     def _config_path(self, tmp_path):
         from repro.core.config import DtsConfig

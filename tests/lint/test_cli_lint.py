@@ -390,7 +390,8 @@ class TestJobs:
         assert serial_code == parallel_code == 1
         assert json.loads(serial_text) == json.loads(parallel_text)
 
-    def test_zero_jobs_exits_two(self):
-        code, text = run_cli("--jobs", "0", FIXTURES)
-        assert code == 2
-        assert "--jobs" in text
+    def test_zero_jobs_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--jobs", "0", FIXTURES)
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

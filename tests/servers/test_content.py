@@ -1,5 +1,7 @@
 """Tests for the workload content (documents, configs, databases)."""
 
+import pytest
+
 from repro.net.http import content_checksum
 from repro.servers import content
 
@@ -42,6 +44,14 @@ def test_expected_results_consistent_with_generators():
     result = content.reference_database().execute(content.SQL_QUERY)
     assert expected.sql_rows == result.row_count
     assert expected.sql_checksum == result.checksum()
+
+
+@pytest.mark.parametrize("generator", [
+    content.sql_data_script, content.iis_metabase, content.static_page])
+def test_run_invariant_content_is_generated_once(generator):
+    first = generator()
+    assert generator() is first
+    assert first == generator.__wrapped__()
 
 
 def test_expected_results_cached():

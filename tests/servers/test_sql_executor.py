@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.servers.sql import Database, SqlRuntimeError, SqlSyntaxError
+from repro.servers.content import SQL_QUERY, sql_data_script
+from repro.servers.sql import (
+    Database,
+    SqlRuntimeError,
+    SqlSyntaxError,
+    parse,
+)
+from repro.servers.sql import executor
 
 
 @pytest.fixture
@@ -150,6 +157,70 @@ class TestLoadScript:
         with pytest.raises((SqlSyntaxError, SqlRuntimeError)):
             database.load_script(
                 "CREATE TABLE t (x INTEGER); INSERT INTO t VAL")
+
+
+def _statements():
+    script = sql_data_script().decode("latin-1")
+    return [p for p in script.split(";") if p.strip()] + [SQL_QUERY]
+
+
+def _structure(node):
+    """Every field of an AST, recursively (statement nodes have no
+    structural repr of their own)."""
+    if isinstance(node, list):
+        return [_structure(item) for item in node]
+    slots = getattr(type(node), "__slots__", None)
+    if not slots:
+        return node
+    return (type(node).__name__,
+            {name: _structure(getattr(node, name)) for name in slots})
+
+
+class TestParseMemo:
+    """The executor parses each distinct statement once per process and
+    shares the tree between databases; execution must only read it."""
+
+    def test_memoised_trees_are_shared_and_never_mutated(self):
+        statements = _statements()
+        first = Database()
+        first_result = [first.execute(s) for s in statements][-1]
+        second = Database()
+        second_result = [second.execute(s) for s in statements][-1]
+
+        for text in statements:
+            shared = executor._parse(text)
+            assert executor._parse(text) is shared
+            assert repr(_structure(shared)) == repr(_structure(parse(text)))
+        assert first.tables.keys() == second.tables.keys() == {"inventory"}
+        assert first.table("inventory").rows == \
+            second.table("inventory").rows
+        assert len(first.table("inventory")) == 40
+        assert first_result.rows == second_result.rows
+        assert first_result.checksum() == second_result.checksum()
+
+    def test_syntax_errors_raise_on_every_call(self, db):
+        for _attempt in range(2):
+            with pytest.raises(SqlSyntaxError):
+                db.execute("INSERT INTO inventory VAL")
+
+    def test_public_parse_returns_a_fresh_tree(self):
+        assert parse(SQL_QUERY) is not parse(SQL_QUERY)
+
+    def test_truncated_script_recovery_unchanged_by_a_warm_memo(self):
+        script = sql_data_script().decode("latin-1")
+        torn = script[:script.index("'part-021'")]
+
+        def recover():
+            database = Database()
+            with pytest.raises(SqlSyntaxError):
+                database.load_script(torn)
+            return database.table("inventory").rows
+
+        executor._parse.cache_clear()
+        cold = recover()
+        Database().load_script(script)
+        assert recover() == cold
+        assert len(cold) == 20
 
 
 # ----------------------------------------------------------------------

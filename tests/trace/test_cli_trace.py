@@ -39,6 +39,18 @@ def test_trace_listing_names_every_stored_run(small_store):
     assert "outcome" in text and "untraced" not in text
 
 
+def test_trace_listing_reports_corrupt_lines(small_store, tmp_path):
+    lines = small_store.read_text().splitlines()
+    assert len(lines) >= 3
+    lines[1] = "garbage"  # an interior line, not a torn tail
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text("\n".join(lines) + "\n")
+    code, text = run_cli("trace", str(damaged))
+    assert code == 1
+    assert f"{len(lines) - 1} stored runs" in text
+    assert "1 corrupt mid-file line(s) ignored" in text
+
+
 def test_trace_timeline_renders_schema_events(small_store):
     code, text = run_cli("trace", str(small_store), KEY)
     assert code == 0
