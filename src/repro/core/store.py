@@ -24,6 +24,7 @@ replacement everywhere a store is accepted.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -331,6 +332,10 @@ def _open_append(path: Path):
     return open(path, "a", encoding="utf-8")
 
 
+def _entry_line(fingerprint: str, key: str, data: dict) -> str:
+    return json.dumps({"fp": fingerprint, "key": key, "run": data}) + "\n"
+
+
 class _StoreIndex:
     """The shared in-memory half of both store flavours: the
     ``(fingerprint, fault key) -> serialized run`` map plus a
@@ -344,6 +349,8 @@ class _StoreIndex:
         self._by_key: Optional[dict[str, list[str]]] = None
         # Interior corrupt lines seen while loading (see _load_jsonl).
         self.corrupt_lines = 0
+        # Open append handles by file path (see _append).
+        self._handles: dict[Path, object] = {}
 
     # ------------------------------------------------------------------
     def _remember(self, fingerprint: str, key: str, data: dict) -> None:
@@ -420,8 +427,43 @@ class _StoreIndex:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def close(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    def _append(self, path: Path, fingerprint: str, key: str,
+                data: dict) -> None:
+        """Append one entry to the store file ``path``, then index it.
+
+        The line is flushed, and fsynced too when the store is
+        ``durable``.  If any of that raises ``OSError`` (a full disk,
+        EIO), the file is cut back to its length before the write and
+        the error propagates with the index untouched, so any entry the
+        key already had stays: a failed put leaves no partial line for
+        the next put to glue onto, and no entry the file lacks.
+        """
+        handle = self._handles.get(path)
+        if handle is None:
+            self.create()  # the subclass's on-disk layout
+            handle = self._handles[path] = _open_append(path)
+        start = handle.tell()
+        try:
+            handle.write(_entry_line(fingerprint, key, data))
+            handle.flush()
+            if self.durable:
+                os.fsync(handle.fileno())
+        except OSError:
+            # The handle may still buffer the unwritten tail; closing it
+            # (whose flush may fail again) keeps that tail from landing
+            # after the cut.  The next put reopens the file.
+            del self._handles[path]
+            with contextlib.suppress(OSError):
+                handle.close()
+            os.truncate(path, start)
+            raise
+        self._remember(fingerprint, key, data)
+
+    def close(self) -> None:
+        for handle in self._handles.values():
+            handle.close()
+        self._handles = {}
 
 
 class RunStore(_StoreIndex):
@@ -440,7 +482,6 @@ class RunStore(_StoreIndex):
         super().__init__()
         self.path = Path(path)
         self.durable = durable
-        self._handle = None
         self._load()
 
     # ------------------------------------------------------------------
@@ -454,21 +495,12 @@ class RunStore(_StoreIndex):
         """Checkpoint one completed run (flushed immediately; fsynced
         too when the store is ``durable``)."""
         key = fault if isinstance(fault, str) else fault_key_str(fault)
-        data = serialize_result(result)
-        self._remember(fingerprint, key, data)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = _open_append(self.path)
-        self._handle.write(json.dumps({"fp": fingerprint, "key": key,
-                                       "run": data}) + "\n")
-        self._handle.flush()
-        if self.durable:
-            os.fsync(self._handle.fileno())
+        self._append(self.path, fingerprint, key, serialize_result(result))
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def create(self) -> None:
+        """Create the store file (and its parent directories)."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.touch()
 
     def __repr__(self) -> str:
         return f"<RunStore {self.path} entries={len(self._index)}>"
@@ -517,7 +549,6 @@ class ShardedRunStore(_StoreIndex):
         self.path = Path(path)
         self.durable = durable
         self.segments = segments
-        self._handles: dict[int, object] = {}
         self._load()
 
     # ------------------------------------------------------------------
@@ -536,14 +567,39 @@ class ShardedRunStore(_StoreIndex):
         for segment in sorted(self.path.glob(SEGMENT_GLOB)):
             self.corrupt_lines += _load_jsonl(segment, self._index)
 
-    def _ensure_manifest(self) -> None:
+    def create(self) -> None:
+        """Create the store directory and its manifest, atomically: a
+        crash mid-write leaves no ``MANIFEST.json`` at all."""
         if self._manifest_path.exists():
             return
         self.path.mkdir(parents=True, exist_ok=True)
         payload = {"format": STORE_FORMAT, "segments": self.segments}
-        with open(self._manifest_path, "w", encoding="utf-8") as handle:
+
+        def write(handle):
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
+
+        self._write_replace(self._manifest_path, write)
+
+    def _write_replace(self, target: Path, write) -> None:
+        """Rewrite ``target`` atomically: ``write(handle)`` fills a
+        ``.tmp`` sibling, which is flushed (and fsynced when the store
+        is ``durable``) and then moved over ``target``; a durable store
+        also fsyncs the containing directory, so the rename itself
+        survives power loss."""
+        replacement = target.with_name(target.name + ".tmp")
+        with open(replacement, "w", encoding="utf-8") as handle:
+            write(handle)
+            handle.flush()
+            if self.durable:
+                os.fsync(handle.fileno())
+        os.replace(replacement, target)
+        if self.durable:
+            directory = os.open(target.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def segment_for(self, fingerprint: str, key: str) -> int:
         """Stable routing: built-in ``hash`` is salted per process, so
@@ -556,19 +612,8 @@ class ShardedRunStore(_StoreIndex):
         """Checkpoint one completed run into its segment (flushed
         immediately; fsynced too when the store is ``durable``)."""
         key = fault if isinstance(fault, str) else fault_key_str(fault)
-        data = serialize_result(result)
-        self._remember(fingerprint, key, data)
-        number = self.segment_for(fingerprint, key)
-        handle = self._handles.get(number)
-        if handle is None:
-            self._ensure_manifest()
-            handle = _open_append(self.path / _segment_name(number))
-            self._handles[number] = handle
-        handle.write(json.dumps({"fp": fingerprint, "key": key,
-                                 "run": data}) + "\n")
-        handle.flush()
-        if self.durable:
-            os.fsync(handle.fileno())
+        segment = self.path / _segment_name(self.segment_for(fingerprint, key))
+        self._append(segment, fingerprint, key, serialize_result(result))
 
     # ------------------------------------------------------------------
     def compact(self) -> None:
@@ -586,17 +631,8 @@ class ShardedRunStore(_StoreIndex):
         existing = {int(segment.stem.split("-", 1)[1])
                     for segment in self.path.glob(SEGMENT_GLOB)}
         for number in sorted(existing | set(by_segment)):
-            segment = self.path / _segment_name(number)
-            replacement = segment.with_name(segment.name + ".tmp")
-            with open(replacement, "w", encoding="utf-8") as handle:
-                for fingerprint, key in by_segment.get(number, ()):
-                    handle.write(json.dumps(
-                        {"fp": fingerprint, "key": key,
-                         "run": self._index[(fingerprint, key)]}) + "\n")
-                handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
-            os.replace(replacement, segment)
+            self._write_replace(self.path / _segment_name(number),
+                                self._writer(by_segment.get(number, ())))
         self.corrupt_lines = 0
 
     def merge_to(self, path: Union[str, Path]) -> Path:
@@ -606,22 +642,17 @@ class ShardedRunStore(_StoreIndex):
         byte-deterministic whatever order the runs arrived in."""
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        replacement = target.with_name(target.name + ".tmp")
-        with open(replacement, "w", encoding="utf-8") as handle:
-            for fingerprint, key in sorted(self._index):
-                handle.write(json.dumps(
-                    {"fp": fingerprint, "key": key,
-                     "run": self._index[(fingerprint, key)]}) + "\n")
-            handle.flush()
-            if self.durable:
-                os.fsync(handle.fileno())
-        os.replace(replacement, target)
+        self._write_replace(target, self._writer(sorted(self._index)))
         return target
 
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles = {}
+    def _writer(self, pairs):
+        """A :meth:`_write_replace` body writing the entries of
+        ``pairs`` (``(fingerprint, key)``, in the order given)."""
+        def write(handle):
+            for fingerprint, key in pairs:
+                handle.write(_entry_line(fingerprint, key,
+                                         self._index[(fingerprint, key)]))
+        return write
 
     def __repr__(self) -> str:
         return (f"<ShardedRunStore {self.path} "

@@ -10,8 +10,8 @@ calling thread::
                                             OPEN_EXISTING, 0, None)
     status = yield from ctx.k32.WaitForSingleObject(child, 5000)
 
-Every call runs a flattened per-signature *handler* built by
-:func:`build_call_handler` the first time a process touches an export:
+Every call runs a flattened per-export *handler* built by
+:func:`build_call_handler`:
 
 1. semantic arguments are lowered to raw 32-bit words,
 2. the interception layer lets hooks (the fault injector) rewrite them,
@@ -22,13 +22,15 @@ Step 2/3 is exactly where a corrupted word changes meaning: a zeroed
 string pointer decodes as NULL, a flipped handle stops resolving, an
 all-ones size means four gigabytes.
 
-The handler is a single generator frame with everything the four steps
-need — the implementation, its blocking-ness, the hook list, the
-invocation counters, the tracer, the per-parameter pointer flags —
-pre-bound at registration instead of re-resolved per call.  The hook
-list and return-hook list are bound *by object identity*, so hooks
-added or removed after registration (``InterceptionLayer.add_hook``
-mutates the list in place) are still honoured on the next call.
+There is one handler per export, not per process — DTS's import-table
+thunk, which is code per export that finds its calling process at run
+time.  The handler is a single generator frame: what is fixed per
+export (the implementation, its blocking-ness, the per-parameter
+pointer flags) is bound when it is compiled, and the per-process state
+(machine, process, hook lists, invocation counters, tracer) is read
+from the calling context on every call, so hooks added after
+compilation are honoured on the next call.  The handler is cached on
+the signature, in ``FunctionSig._dispatch``.
 
 The builder is the only call path, on NT and on the Linux port alike:
 the context class supplies the one system-dependent piece, its
@@ -38,6 +40,7 @@ is_blocking)`` pair — kernel32 here, libc in :mod:`repro.posix.context`.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import TYPE_CHECKING, Any
 
 from ..sim import Sleep
@@ -54,73 +57,48 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UnknownExportError(AttributeError):
     """A program referenced a function kernel32 does not export."""
 
+    library = "KERNEL32.dll"
+
 
 def _resolve_impl(sig: FunctionSig):
-    """The (implementation, is_blocking) pair for one export, cached on
-    the signature — the registry is import-time-complete by the time
-    any process makes its first call."""
-    try:
-        return sig._dispatch
-    except AttributeError:
-        impl = runtime.lookup(sig.name)
-        blocking = runtime.is_blocking(sig.name)
-        if impl is None:
-            impl = runtime.generic_implementation
-            blocking = False
-        sig._dispatch = (impl, blocking)
-        return sig._dispatch
+    """The (implementation, is_blocking) pair for one kernel32 export;
+    exports without a specific implementation get the generic one."""
+    impl = runtime.lookup(sig.name)
+    if impl is None:
+        return runtime.generic_implementation, False
+    return impl, runtime.is_blocking(sig.name)
 
 
-def build_call_handler(ctx, sig: FunctionSig):
-    """Compile the flattened call handler for one (process, export).
+def build_call_handler(resolve, sig: FunctionSig):
+    """Compile the flattened call handler for one export.
 
-    ``ctx`` is a :class:`Win32Context` or a
-    :class:`repro.posix.context.PosixContext`; its ``resolve`` names the
-    implementation behind ``sig``.
-
-    Everything resolvable at registration time is captured in the
-    closure: per-call work is the encode loop, the invocation-counter
-    bump, the (usually empty) hook scan, the decode loop, and the
-    implementation itself.  Mutable collaborators — the hook lists, the
-    per-pid invocation dict, the per-role called set, the machine-wide
-    trace — are captured by identity, so registration-time binding
-    observes later mutation.
+    ``resolve`` names the implementation behind ``sig`` (a context
+    class's ``resolve``).  The handler is shared by every process that
+    calls the export: it takes the calling context — a
+    :class:`Win32Context` or a :class:`repro.posix.context.PosixContext`
+    — as its first argument.  Per call it reads the context's machine
+    and process and, through them, the hook lists, the per-pid
+    invocation dict, the per-role called set and the tracer; per-call
+    work is those reads, the encode loop, the invocation-counter bump,
+    the (usually empty) hook scan, the decode loop, and the
+    implementation itself.
     """
-    machine = ctx.machine
-    process = ctx.process
-    interception = machine.interception
-    space = machine.address_space
-    encode = space.encode
-    decode = space.decode
-    int_args = space._int_args
-    engine = machine.engine
-    tracer = machine.tracer  # fixed at Machine construction
     name = sig.name
     nparams = len(sig.params)
     pointer_flags = sig.pointer_flags
     has_pointers = any(pointer_flags)
-    impl, blocking = ctx.resolve(sig)
-    hooks = interception.hooks
-    return_hooks = interception.return_hooks
-    per_pid = interception._invocations.get(process.pid)
-    if per_pid is None:
-        per_pid = interception._invocations[process.pid] = {}
-    called = interception._called_by_role.get(process.role)
-    if called is None:
-        called = interception._called_by_role[process.role] = set()
-    called_add = called.add
-    call_counts = interception._call_counts
-    keep_full_trace = interception.keep_full_trace
-    trace_append = interception.trace.append
-    pid = process.pid
-    role = process.role
+    impl, blocking = resolve(sig)
     Frame = runtime.Frame
 
-    def call(*sem_args: Any):
+    def call(ctx, *sem_args: Any):
         if len(sem_args) != nparams:
             raise TypeError(
                 f"{name} takes {nparams} arguments, got {len(sem_args)}"
             )
+        machine = ctx.machine
+        process = ctx.process
+        space = machine.address_space
+        interception = machine.interception
         # --- 1. encode: semantic arguments to raw 32-bit words -------
         # (left-to-right, like the interning order corrupted-address
         # determinism depends on; plain ints — handles, sizes, flags —
@@ -132,15 +110,20 @@ def build_call_handler(ctx, sig: FunctionSig):
             elif value is None:
                 raw_list.append(0)
             else:
-                raw_list.append(encode(value))
+                raw_list.append(space.encode(value))
         raw_args = tuple(raw_list)
         # --- 2. interception: hooks may rewrite the raw words, or ----
         # preempt the call outright (a CallOverride: I/O and resource
         # faults fail or delay the call without touching its arguments)
+        pid = process.pid
+        per_pid = interception._invocations.get(pid)
+        if per_pid is None:
+            per_pid = interception._invocations[pid] = {}
         invocation = per_pid.get(name, 0) + 1
         per_pid[name] = invocation
         injected = False
         override = None
+        hooks = interception.hooks
         if hooks:
             for hook in hooks:
                 replacement = hook.on_call(process, sig, invocation, raw_args)
@@ -150,15 +133,21 @@ def build_call_handler(ctx, sig: FunctionSig):
                     else:
                         raw_args = replacement
                     injected = True
-        called_add(name)
+        role = process.role
+        called = interception._called_by_role.get(role)
+        if called is None:
+            called = interception._called_by_role[role] = set()
+        called.add(name)
+        call_counts = interception._call_counts
         call_counts[name] = call_counts.get(name, 0) + 1
+        tracer = machine.tracer
         if tracer is not None and tracer.calls_enabled:
-            tracer.emit(engine.now, "call", "enter",
+            tracer.emit(machine.engine.now, "call", "enter",
                         pid=pid, role=role, func=name,
                         invocation=invocation, injected=injected)
-        if keep_full_trace:
-            trace_append(CallRecord(
-                engine.now, pid, role, name, invocation, injected,
+        if interception.keep_full_trace:
+            interception.trace.append(CallRecord(
+                machine.engine.now, pid, role, name, invocation, injected,
             ))
         if override is not None:
             if override.delay > 0.0:
@@ -166,16 +155,17 @@ def build_call_handler(ctx, sig: FunctionSig):
             if override.skip:
                 process.last_error = override.last_error
                 result = override.result
-                if not return_hooks:
+                if not interception.return_hooks:
                     if tracer is None or not tracer.calls_enabled:
                         return result
                 return interception.dispatch_return(process, sig, result)
         # --- 3. decode: raw words back against the declared types ----
+        int_args = space._int_args
         decoded = []
         if has_pointers:
             for raw, pointer_like in zip(raw_args, pointer_flags):
                 if pointer_like:
-                    decoded.append(decode(raw, True))
+                    decoded.append(space.decode(raw, True))
                 else:
                     raw &= MASK32
                     arg = int_args.get(raw)
@@ -195,7 +185,7 @@ def build_call_handler(ctx, sig: FunctionSig):
             result = yield from impl(frame)
         else:
             result = impl(frame)
-        if not return_hooks:
+        if not interception.return_hooks:
             if tracer is None or not tracer.calls_enabled:
                 return result  # nothing observes returns on this run
         return interception.dispatch_return(process, sig, result)
@@ -205,23 +195,34 @@ def build_call_handler(ctx, sig: FunctionSig):
     return call
 
 
-class _K32Proxy:
-    """Attribute-style access to the export table: ``ctx.k32.ReadFile``.
+class ExportProxy:
+    """Attribute-style access to one library's exports:
+    ``ctx.k32.ReadFile``, ``ctx.libc.open``.
 
-    Resolution compiles the flattened handler (see
-    :func:`build_call_handler`) and memoises it into the instance dict,
-    so each export pays the ``__getattr__`` + compilation cost once per
-    process rather than once per call.
+    ``registry`` maps export names to signatures; a name it lacks
+    raises ``error`` (an ``AttributeError`` subclass naming its
+    ``library``).  The first touch of an export compiles its handler
+    (see :func:`build_call_handler`) unless the signature already holds
+    one in ``_dispatch``, and memoises the handler bound to this
+    context in the instance dict, so a process pays ``__getattr__``
+    once per export and the interpreter pays one compile per export.
     """
 
-    def __init__(self, ctx: "Win32Context"):
+    def __init__(self, ctx, registry: dict[str, FunctionSig], error: type):
         self._ctx = ctx
+        self._registry = registry
+        self._error = error
 
     def __getattr__(self, name: str):
-        sig = REGISTRY.get(name)
+        sig = self._registry.get(name)
         if sig is None:
-            raise UnknownExportError(f"KERNEL32.dll has no export {name!r}")
-        call = build_call_handler(self._ctx, sig)
+            raise self._error(f"{self._error.library} has no export {name!r}")
+        try:
+            handler = sig._dispatch
+        except AttributeError:
+            handler = sig._dispatch = build_call_handler(
+                self._ctx.resolve, sig)
+        call = MethodType(handler, self._ctx)
         setattr(self, name, call)
         return call
 
@@ -234,7 +235,7 @@ class Win32Context:
     def __init__(self, machine: "Machine", process: "NTProcess"):
         self.machine = machine
         self.process = process
-        self.k32 = _K32Proxy(self)
+        self.k32 = ExportProxy(self, REGISTRY, UnknownExportError)
 
     # ------------------------------------------------------------------
     # Conveniences for program code (not part of the Win32 surface)

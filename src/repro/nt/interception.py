@@ -109,8 +109,9 @@ class InterceptionLayer:
         self.keep_full_trace = keep_full_trace
         self.trace: list[CallRecord] = []
         # Per-pid invocation counters, nested rather than keyed by
-        # (pid, name) tuples: handlers bind their process's inner dict
-        # once, so a call needs no key allocation.
+        # (pid, name) tuples, so a call needs no key allocation.  A
+        # process gets its inner dict (and its role a called set) on
+        # its first call, not before.
         self._invocations: dict[int, dict[str, int]] = {}
         self._called_by_role: dict[str, set[str]] = {}
         self._call_counts: dict[str, int] = {}

@@ -105,10 +105,13 @@ class ParamSpec:
 class FunctionSig:
     """A kernel32 export: name plus ordered parameter specs."""
 
-    # ``_dispatch`` is a lazily-filled ``(impl, is_blocking)`` pair the
-    # call layer caches after the implementation registry is complete;
-    # the slot is deliberately left unset here so first use can detect
-    # it with AttributeError.
+    # ``_dispatch`` is the export's one call handler, compiled on first
+    # use by repro.nt.context.build_call_handler and shared by every
+    # process (per-process state is read at call time).  It lives on the
+    # signature, not on a proxy class, so clearing the slot (as a
+    # profiler that wraps the builder does) recompiles through the
+    # builder; it is left unset here so first use can detect it with
+    # AttributeError.
     __slots__ = ("name", "params", "family", "pointer_flags", "_dispatch")
 
     def __init__(self, name: str, params: tuple[ParamSpec, ...], family: str):

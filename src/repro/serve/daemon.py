@@ -230,7 +230,15 @@ def serve_forever(store_path: str, host: str = "127.0.0.1",
     from ..core.store import open_store
 
     out = out or sys.stdout
-    store = open_store(store_path, durable=durable, segments=segments)
+    # Create the store before binding the socket, so an unusable path
+    # is a one-line error rather than a daemon failing its first job.
+    try:
+        store = open_store(store_path, durable=durable, segments=segments)
+        store.create()
+    except (OSError, ValueError) as exc:
+        print(f"repro serve: cannot open store {store_path}: {exc}",
+              file=out, flush=True)
+        return 2
     resumed = (f" ({len(store)} checkpointed run(s) adopted)"
                if len(store) else "")
     server = ReproServer((host, port), store, jobs=jobs, verbose=verbose)

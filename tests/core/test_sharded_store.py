@@ -251,6 +251,8 @@ def test_durable_sharded_store_fsyncs_every_append(tmp_path, monkeypatch):
     result = _synthetic_result(Outcome.NORMAL_SUCCESS)
     with ShardedRunStore(tmp_path / "store.d", segments=2,
                          durable=True) as store:
+        store.create()  # the manifest's own fsyncs are tested below
+        synced.clear()
         store.put("fp", result.fault, result)
         store.put("fp2", result.fault, result)
     assert len(synced) == 2

@@ -2,9 +2,10 @@
 
 Per-syscall dispatch is one kind of *pre-bound handler closure*
 (``repro.nt.context.build_call_handler``): a generator function nested
-inside a plain function, compiled once per (process, export), for NT
-and POSIX contexts alike.  These tests pin the properties that keep
-that shape inside the analyzer's field of view:
+inside a plain function, one handler per export, cached on the
+signature, with per-process state read at call time — for NT and POSIX
+contexts alike.  These tests pin the properties that keep that shape
+inside the analyzer's field of view:
 
 - nested handler closures are indexed, so sim-hang and yield-race
   findings inside a pre-bound handler are still reported;

@@ -168,6 +168,28 @@ def _spawn_daemon(store_path):
     return process, url
 
 
+@pytest.mark.parametrize("name", ["x.d", "x.jsonl"])
+def test_serve_with_an_unusable_store_exits_2(tmp_path, name):
+    """The store is created before the socket is bound: a path under a
+    regular file is one line and exit 2, never a listening daemon."""
+    (tmp_path / "f").write_text("")
+    store_path = tmp_path / "f" / name
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[2]
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--store",
+         str(store_path), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env, cwd=str(root), timeout=60)
+    assert done.returncode == 2, done.stdout
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1, done.stdout
+    assert lines[0].startswith(
+        f"repro serve: cannot open store {store_path}: ")
+    assert "listening" not in done.stdout
+
+
 def _live_group_members(pgid):
     """Pids in process group ``pgid`` that have not exited (zombies
     awaiting a reaper have)."""
