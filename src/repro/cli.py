@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import os
 import sys
 import time
@@ -34,6 +35,7 @@ from .load.spec import (
     DEFAULT_STAGGER,
     DEFAULT_THINK_TIME,
 )
+from .nt.kernel32.signatures import REGISTRY
 from .trace import (
     TRACE_LEVEL_NAMES,
     TraceLevel,
@@ -348,8 +350,22 @@ def _open_store(path: Optional[str], resume: bool, out,
 # ----------------------------------------------------------------------
 def cmd_faultlist(args, out) -> int:
     functions = args.functions.split(",") if args.functions else None
-    faults = generate_fault_list(functions)
-    write_fault_list_file(args.output, faults)
+    try:
+        faults = generate_fault_list(functions)
+    except KeyError as exc:
+        name = exc.args[0]
+        close = difflib.get_close_matches(name, REGISTRY, n=1)
+        hint = f" (did you mean {close[0]!r}?)" if close else ""
+        print(f"repro faultlist: unknown export {name!r}{hint}", file=out)
+        return 2
+    try:
+        write_fault_list_file(args.output, faults)
+    except BrokenPipeError:
+        raise  # a closed reader: main() ends the CLI with exit 1
+    except OSError as exc:
+        print(f"repro faultlist: cannot write {args.output}: "
+              f"{exc.strerror or exc}", file=out)
+        return 2
     print(f"wrote {len(faults)} faults to {args.output}", file=out)
     return 0
 

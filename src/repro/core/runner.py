@@ -30,7 +30,10 @@ from .workload import MiddlewareKind, WorkloadSpec
 DEFAULT_SERVER_UP_TIMEOUT = 90.0
 DEFAULT_CLIENT_TIMEOUT = 240.0
 SHUTDOWN_GRACE = 3.0
+# Virtual seconds per polling step (Machine.run_while) while the
+# server comes up and while the client runs.
 _POLL_STEP = 0.5
+_CLIENT_STEP = 2.0
 
 
 class RunConfig:
@@ -154,10 +157,9 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
         machine, middleware, watchd_version=config.watchd_version)
 
     # --- Wait for the server to be up ---------------------------------
-    deadline = config.server_up_timeout
-    while machine.now < deadline and \
-            not machine.transport.is_listening(workload.port):
-        machine.run(until=min(machine.now + _POLL_STEP, deadline))
+    machine.run_while(
+        lambda: not machine.transport.is_listening(workload.port),
+        config.server_up_timeout, _POLL_STEP)
     server_came_up = machine.transport.is_listening(workload.port)
     if tracer is not None:
         tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
@@ -167,9 +169,8 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     if tracer is not None:
         tracer.emit(machine.now, "run", "client-start")
     client_process = machine.processes.spawn(client, role="dts-client")
-    client_deadline = machine.now + config.client_timeout
-    while client_process.alive and machine.now < client_deadline:
-        machine.run(until=min(machine.now + 2.0, client_deadline))
+    machine.run_while(lambda: client_process.alive,
+                      machine.now + config.client_timeout, _CLIENT_STEP)
     if tracer is not None:
         tracer.emit(machine.now, "run", "client-end",
                     completed=not client_process.alive)

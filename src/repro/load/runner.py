@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..nt.machine import Machine
-from ..core.runner import RunConfig, _graceful_shutdown, arm_fault
+from ..core.runner import _POLL_STEP, RunConfig, _graceful_shutdown, arm_fault
 from ..core.workload import WORKLOADS, WorkloadSpec
 from ..sim import collector_paused
 from ..trace import TraceLevel, Tracer
@@ -24,7 +24,6 @@ from .client import LoadClient
 from .result import ClientStats, LoadRunResult
 from .spec import LoadSpec
 
-_POLL_STEP = 0.5
 # Virtual seconds per engine burst while the client population drains.
 # Coarser than execute_run's 2.0s: with 100 clients in flight the
 # alive-scan between bursts is the overhead worth amortizing.
@@ -64,10 +63,9 @@ def _execute_load_run(spec: LoadSpec, rep: int,
                                watchd_version=config.watchd_version)
 
     # --- Wait for the server to be up ---------------------------------
-    deadline = config.server_up_timeout
-    while machine.now < deadline and \
-            not machine.transport.is_listening(workload.port):
-        machine.run(until=min(machine.now + _POLL_STEP, deadline))
+    machine.run_while(
+        lambda: not machine.transport.is_listening(workload.port),
+        config.server_up_timeout, _POLL_STEP)
     server_came_up = machine.transport.is_listening(workload.port)
 
     # --- Release the client population ---------------------------------
@@ -84,10 +82,9 @@ def _execute_load_run(spec: LoadSpec, rep: int,
     processes = [machine.processes.spawn(client, role="load-client")
                  for client in load_clients]
 
-    horizon = machine.now + spec.run_horizon(config.client_timeout)
-    while machine.now < horizon and \
-            any(process.alive for process in processes):
-        machine.run(until=min(machine.now + _DRAIN_STEP, horizon))
+    machine.run_while(lambda: any(process.alive for process in processes),
+                      machine.now + spec.run_horizon(config.client_timeout),
+                      _DRAIN_STEP)
 
     # --- Workload termination -------------------------------------------
     for role in ("mscs", "watchd"):

@@ -107,16 +107,16 @@ def _read_common(frame: Frame, h_index: int, buf_index: int, count_index: int,
         raise AccessViolation(frame.args[buf_index].raw + len(buffer.data),
                               "write")
     chunk = file_obj.read(count)
-    buffer.data[:len(chunk)] = chunk
-    if len(chunk) < len(buffer.data):
-        # Bytes beyond the read are unspecified; zero them so a short
-        # (corrupted-length) read visibly changes the content checksum.
-        for i in range(len(chunk), len(buffer.data)):
-            buffer.data[i] = 0
+    read = len(chunk)
+    data = buffer.data
+    data[:read] = chunk
+    # Bytes beyond the read are unspecified; zero them so a short
+    # (corrupted-length) read visibly changes the content checksum.
+    data[read:] = bytes(len(data) - read)
     if read_cell_index is not None:
         cell = frame.opt_out_cell(read_cell_index)
         if cell is not None:
-            cell.value = len(chunk)
+            cell.value = read
     return frame.succeed(1)
 
 

@@ -107,9 +107,58 @@ class Machine:
         """Advance the machine's clock (convenience for tests/harness)."""
         return self.engine.run(until=until)
 
+    def run_while(self, pending: Callable[[], bool], deadline: float,
+                  step: float) -> float:
+        """Poll the machine until ``pending()`` is false or the clock
+        reaches ``deadline``; returns the final clock value.
+
+        The runners' one polling loop.  It behaves exactly like
+
+            while now < deadline and pending():
+                run(until=min(now + step, deadline))
+
+        — same boundaries, same arithmetic, so the clock and the events
+        fired are identical — but it calls :meth:`Engine.run` only for
+        a boundary at or after the next event.  ``pending()`` must
+        depend on machine state alone: with no event between two
+        boundaries it cannot change, so skipping the idle boundaries
+        skips nothing observable.  With nothing left to fire the clock
+        goes straight to ``deadline``.
+        """
+        engine = self.engine
+        now = engine.now
+        while now < deadline and pending():
+            next_time = engine.next_time()
+            if next_time is None:
+                return engine.run(until=deadline)
+            boundary = min(now + step, deadline)
+            while boundary < next_time and boundary < deadline:
+                boundary = min(boundary + step, deadline)
+            now = engine.run(until=boundary)
+        return now
+
     def shutdown(self) -> None:
-        """Kill all processes (end-of-run teardown)."""
+        """End-of-run teardown: kill all processes, then break every
+        link that would keep the dead machine cyclic, so refcounting
+        frees the whole run the moment its last reference goes and the
+        cyclic collector never has to.  Nothing may run on the machine
+        afterwards; what a caller reads of it (the transport's leak
+        list, a process's exit code) stays readable.
+
+        The links: pending timers (each holds the engine and whatever
+        it would have woken), each process's upward links (see
+        :meth:`NTProcess.release`), call hooks that hold the machine
+        (the sustained-fault injectors), and the subsystems' own
+        ``machine`` attributes.
+        """
         self.processes.terminate_all()
+        self.engine.clear()
+        for process in self.processes.processes:
+            process.release()
+        self.interception.hooks.clear()
+        self.processes.machine = None
+        self.scm.machine = None
+        self.transport.machine = None
 
     def check_connection_hygiene(self) -> None:
         """Raise if any client finished a run while leaking connections.

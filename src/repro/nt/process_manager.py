@@ -103,6 +103,8 @@ class NTProcess:
         self._default_heap_handle = 0
         self._ending = False
         self._thread_seq = itertools.count(1)
+        # The main thread's context (kept for end-of-run teardown).
+        self.context = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,7 +126,7 @@ class NTProcess:
         # Programs may declare an alternative context class (the Linux
         # port's programs use PosixContext); the default is Win32.
         context_class = getattr(self.program, "context_class", Win32Context)
-        ctx = context_class(self.machine, self)
+        ctx = self.context = context_class(self.machine, self)
         self._spawn_thread(self.program.main(ctx), "main", is_main=True)
 
     def spawn_thread(self, generator) -> SimProcess:
@@ -208,6 +210,22 @@ class NTProcess:
         # the SCM and must not see a stale RUNNING state.
         self.exit_event.succeed(exit_code)
         self.machine.on_process_exit(self)
+
+    def release(self) -> None:
+        """End-of-run teardown of a dead process: drop the links that
+        point back up the machine graph (to the machine, the parent,
+        the context and the process's own kernel object), so that
+        refcounting frees the process with its machine."""
+        ctx, self.context = self.context, None
+        if ctx is not None:
+            # The context holds the machine, the process, and its export
+            # proxy, whose memoised handlers are bound to the context.
+            vars(ctx).clear()
+        for thread in self.threads:
+            thread.release()
+        self.machine = None
+        self.parent = None
+        self.kernel_object.process = None
 
 
 class ProcessManager:

@@ -34,7 +34,9 @@ class InitSupervisor:
     """The machine's init(8) stand-in."""
 
     def __init__(self, machine):
-        self.machine = machine
+        # The process manager, not the machine: the machine holds this
+        # supervisor, and a link back would keep a finished run cyclic.
+        self.processes = machine.processes
         self.services: dict[str, InitService] = {}
 
     def register(self, name: str, image_name: str) -> InitService:
@@ -49,7 +51,7 @@ class InitSupervisor:
         service = self.services.get(name)
         if service is None or service.running:
             return False
-        process = self.machine.processes.create_from_image(
+        process = self.processes.create_from_image(
             service.image_name, command_line=service.image_name)
         if process is None:
             return False

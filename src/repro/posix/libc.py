@@ -198,10 +198,11 @@ def libc_read(frame):
     if count > len(buffer.data):
         raise AccessViolation(frame.args[1].raw + len(buffer.data), "write")
     chunk = file_obj.read(count)
-    buffer.data[:len(chunk)] = chunk
-    for index in range(len(chunk), len(buffer.data)):
-        buffer.data[index] = 0
-    return len(chunk)
+    read = len(chunk)
+    data = buffer.data
+    data[:read] = chunk
+    data[read:] = bytes(len(data) - read)
+    return read
 
 
 @libc_impl("write")

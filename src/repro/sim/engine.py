@@ -23,15 +23,16 @@ Hot-path notes (the engine dominates multi-client load runs):
   alias it.
 - The cyclic collector is paused (:class:`collector_paused`) for a
   whole run, not per :meth:`run` burst.  A run's machine graph
-  (processes, handles, generators, timers) is cyclic and lives for the
-  whole run, while the runner drives the engine in short polling
-  bursts.  With collection resumed between bursts, gen-0 passes
-  promote that live graph into the older generations, where only
-  gen-1/gen-2 passes reclaim it once the run is over — and each gen-2
-  pass also walks every result a campaign holds in memory.  Paused for
-  the run, the graph dies young and one gen-0 pass after the run
-  reclaims it.  :meth:`run` still pauses itself, so callers that drive
-  the engine directly get the same loop.
+  (processes, handles, generators, timers) lives for the whole run,
+  while the runner drives the engine in polling bursts.  With
+  collection resumed between bursts, gen-0 passes would walk that live
+  graph and promote it into the older generations.  Paused for the
+  run, and made acyclic by the machine's teardown, the graph is freed
+  by refcounting when the run returns.  :meth:`run` still pauses
+  itself, so callers that drive the engine directly get the same loop.
+- :meth:`next_time` lets a poller skip boundaries with nothing to fire
+  (``Machine.run_while``); :meth:`clear` drops the pending timers at
+  teardown.
 - :meth:`run` inlines the dispatch loop rather than paying a
   :meth:`step` call per event; :meth:`step` remains the single-event
   API.
@@ -400,6 +401,38 @@ class Engine:
     def stop(self) -> None:
         """Stop :meth:`run` after the currently-executing callback."""
         self._stopped = True
+
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest live timer, or None when none is pending.
+
+        Cancelled heap heads are dropped exactly as :meth:`run` drops
+        them, so the tombstone count stays exact and a later
+        :meth:`run` sees the same heap it would have seen anyway.
+        """
+        queue = self._queue
+        while queue:
+            time, _seq, timer = queue[0]
+            if not timer.cancelled:
+                return time
+            heapq.heappop(queue)
+            self._tombstones -= 1
+        return None
+
+    def clear(self) -> None:
+        """Drop every pending timer without firing it.
+
+        End-of-run teardown: a pending timer's callback holds whatever
+        it would have woken (a process, a kernel object), and the timer
+        holds the engine, so a queue left standing keeps a finished
+        machine cyclic.
+        """
+        for _time, _seq, timer in self._queue:
+            timer.cancelled = True
+            timer.callback = None
+            timer.args = ()
+            timer.engine = None
+        self._queue.clear()
+        self._tombstones = 0
 
     @property
     def pending_count(self) -> int:

@@ -144,8 +144,14 @@ class SimProcess:
         self.state = ProcState.KILLED
         try:
             self.generator.throw(Killed(reason))
-        except (Killed, StopIteration):
-            pass
+        except (Killed, StopIteration) as unwound:
+            # Nothing reads the unwinding exception's traceback.  Drop
+            # it: a frame the kill unwound through that kept the
+            # exception in a local (``except ... as exc: error = exc``)
+            # would close the cycle exception -> traceback -> frame ->
+            # exception and pin the dead process's whole machine until
+            # the cyclic collector ran.
+            unwound.__traceback__ = None
         except BaseException as exc:  # generator raised something else while dying
             self.error = exc
         else:
@@ -349,6 +355,14 @@ class SimProcess:
         self.ended_at = self.engine.now
         self._clear_pending()
         self.done.succeed(self)
+
+    def release(self) -> None:
+        """End-of-run teardown of an ended process: drop its two
+        references to itself — the pre-bound resume and the ``done``
+        latch, which holds the process as its value — so that
+        refcounting frees it."""
+        self._resume_bound = None
+        self.done = None
 
     def __repr__(self) -> str:
         return f"<SimProcess {self.name} {self.state.value}>"

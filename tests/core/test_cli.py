@@ -33,6 +33,22 @@ class TestFaultlist:
         assert code == 0
         assert "wrote 18 faults" in text  # 1*3 + 5*3
 
+    def test_unknown_export_is_one_line_exit_2(self, tmp_path):
+        path = tmp_path / "faults.lst"
+        code, text = _run(["faultlist", "-o", str(path),
+                           "--functions", "SetEvent,ReadFil"])
+        assert code == 2
+        assert text == ("repro faultlist: unknown export 'ReadFil' "
+                        "(did you mean 'ReadFile'?)\n")
+        assert not path.exists()
+
+    def test_unwritable_output_is_one_line_exit_2(self, tmp_path):
+        path = tmp_path / "missing" / "faults.lst"
+        code, text = _run(["faultlist", "-o", str(path)])
+        assert code == 2
+        assert text == (f"repro faultlist: cannot write {path}: "
+                        "No such file or directory\n")
+
     def test_closed_stdout_pipe_exits_1_without_a_traceback(self):
         """``repro faultlist -o /dev/stdout | head -1``: the listing
         (about 120 kB) overflows the pipe, the reader closes it after

@@ -69,6 +69,21 @@ class TestLibcBehaviour:
         _, program = self._run(machine, body)
         assert program.result == b"welcome"
 
+    def test_short_read_zeroes_the_rest_of_the_buffer(self):
+        machine = Machine(seed=2)
+        machine.fs.write_file("/etc/motd", b"abc")
+
+        def body(ctx):
+            from repro.nt.memory import Buffer
+
+            fd = yield from ctx.libc.open("/etc/motd", 0, 0)
+            buffer = Buffer(b"\xff" * 8)
+            got = yield from ctx.libc.read(fd, buffer, 8)
+            return got, bytes(buffer.data)
+
+        _, program = self._run(machine, body)
+        assert program.result == (3, b"abc" + b"\0" * 5)
+
     def test_errno_convention(self):
         machine = Machine(seed=2)
 

@@ -92,6 +92,21 @@ class TestFileApi:
         _, program = run_program(body)
         assert program.result == (1, 0, b"\0\0\0\0")
 
+    def test_short_read_zeroes_the_rest_of_the_buffer(self, machine,
+                                                      run_program):
+        machine.fs.write_file("c:\\data.txt", b"abc")
+
+        def body(ctx):
+            handle = yield from ctx.k32.CreateFileA(
+                "c:\\data.txt", k.GENERIC_READ, 0, None, k.OPEN_EXISTING, 0, None)
+            buffer = Buffer(b"\xff" * 8)
+            read = OutCell()
+            ok = yield from ctx.k32.ReadFile(handle, buffer, 8, read, None)
+            return ok, read.value, bytes(buffer.data)
+
+        _, program = run_program(body)
+        assert program.result == (1, 3, b"abc" + b"\0" * 5)
+
     def test_write_persists_on_close(self, machine, run_program):
         def body(ctx):
             handle = yield from ctx.k32.CreateFileA(

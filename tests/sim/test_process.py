@@ -1,5 +1,8 @@
 """Unit tests for generator-based simulated processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -252,6 +255,55 @@ def test_kill_runs_finally_blocks():
     engine.schedule(1.0, proc.kill)
     engine.run()
     assert cleaned == [True]
+
+
+def test_kill_drops_the_unwinding_exceptions_traceback():
+    """A frame that keeps the kill's exception in a local (a driver
+    that re-throws what it caught, as a profiler's wrapper does) must
+    not close a cycle through the exception's traceback."""
+    engine = Engine()
+    held = []
+
+    def driver(inner):
+        error = None
+        while True:
+            try:
+                command = inner.send(None) if error is None \
+                    else inner.throw(error)
+            except StopIteration:
+                return
+            try:
+                yield command
+            except BaseException as exc:
+                held.append(exc)
+                error = exc
+
+    def prog():
+        yield Sleep(100.0)
+
+    proc = SimProcess(engine, driver(prog())).start()
+    engine.schedule(1.0, proc.kill)
+    engine.run()
+    assert proc.state is ProcState.KILLED
+    assert [type(exc) for exc in held] == [Killed]
+    assert held[0].__traceback__ is None
+
+
+def test_a_released_process_is_freed_by_refcounting():
+    engine = Engine()
+
+    def prog():
+        yield Sleep(1.0)
+
+    proc = run_to_completion(engine, prog())
+    proc.release()
+    ref = weakref.ref(proc)
+    gc.disable()
+    try:
+        del proc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_kill_before_first_step():
