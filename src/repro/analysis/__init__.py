@@ -8,7 +8,6 @@ from .availability import (
 )
 from .coverage import CoverageSummary, build_coverage
 from .fault_families import (
-    FAMILY_MECHANISMS,
     FAMILY_ORDER,
     FamilyComparison,
     build_family_comparison,
@@ -66,7 +65,6 @@ __all__ = [
     "response_times_by_class",
     "CoverageSummary",
     "build_coverage",
-    "FAMILY_MECHANISMS",
     "FAMILY_ORDER",
     "FamilyComparison",
     "build_family_comparison",

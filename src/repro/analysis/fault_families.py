@@ -15,42 +15,16 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from ..core.campaign import WorkloadSetResult
-from ..core.faults import IoFault, ResourceFault
+from ..core.faults import FAMILY_SPECS, fault_family
 from .figures import OutcomeDistribution
 
-# CLI family name → campaign mechanism.
-FAMILY_MECHANISMS = {
-    "param": "parameter",
-    "return": "return",
-    "io": "io",
-    "resource": "resource",
-}
-
 # Canonical presentation order (the paper's mechanism first).
-FAMILY_ORDER = ("param", "return", "io", "resource")
-
-_FAMILY_LABELS = {
-    "param": "parameter corruption",
-    "return": "return-value corruption",
-    "io": "I/O-path faults",
-    "resource": "resource exhaustion",
-}
+FAMILY_ORDER = tuple(spec.family for spec in FAMILY_SPECS)
 
 
 def family_of(fault) -> Optional[str]:
     """The family name a fault spec belongs to (None for profile)."""
-    if fault is None:
-        return None
-    if isinstance(fault, IoFault):
-        return "io"
-    if isinstance(fault, ResourceFault):
-        return "resource"
-    # Late import: return_injector pulls in the runner stack.
-    from ..core.return_injector import ReturnFaultSpec
-
-    if isinstance(fault, ReturnFaultSpec):
-        return "return"
-    return "param"
+    return None if fault is None else fault.family
 
 
 class FamilyComparison:
@@ -82,7 +56,7 @@ def build_family_comparison(
     """``results`` maps family name → its workload-set result."""
     distributions = {
         family: OutcomeDistribution.from_result(
-            _FAMILY_LABELS.get(family, family), result)
+            fault_family(family).label, result)
         for family, result in results.items()
     }
     return FamilyComparison(label, distributions)
@@ -108,5 +82,5 @@ def build_family_comparison_from_runs(label: str,
     for family, group in split_runs_by_family(runs).items():
         activated = [r for r in group if r.counts_for_statistics]
         distributions[family] = OutcomeDistribution.from_runs(
-            _FAMILY_LABELS.get(family, family), activated)
+            fault_family(family).label, activated)
     return FamilyComparison(label, distributions)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import difflib
 import os
 import sys
 import time
@@ -27,7 +26,13 @@ from .analysis.report import generate_experiments_report, shape_checks
 from .core.campaign import Campaign, profile_workload
 from .core.config import DtsConfig
 from .core.faultlist import generate_fault_list, write_fault_list_file
-from .core.faults import FaultSpec
+from .core.faults import (
+    FAMILY_SPECS,
+    FaultSpec,
+    FaultType,
+    ReturnFaultSpec,
+    fault_family,
+)
 from .core.runner import RunConfig, execute_run
 from .core.workload import WORKLOADS, MiddlewareKind, get_workload
 from .load.spec import (
@@ -92,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--functions", default=None,
                      help="restrict to a comma-separated function subset")
     run.add_argument("--fault-family", default="param",
-                     choices=("param", "return", "io", "resource", "all"),
+                     choices=(*(spec.family for spec in FAMILY_SPECS),
+                              "all"),
                      help="fault family to inject: parameter corruption "
                           "(default), return-value corruption, sustained "
                           "I/O-path faults, resource exhaustion, or "
@@ -351,13 +357,11 @@ def _open_store(path: Optional[str], resume: bool, out,
 def cmd_faultlist(args, out) -> int:
     functions = args.functions.split(",") if args.functions else None
     try:
-        faults = generate_fault_list(functions)
-    except KeyError as exc:
-        name = exc.args[0]
-        close = difflib.get_close_matches(name, REGISTRY, n=1)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        print(f"repro faultlist: unknown export {name!r}{hint}", file=out)
+        FaultSpec.check_functions(functions, REGISTRY)
+    except ValueError as exc:
+        print(f"repro faultlist: {exc}", file=out)
         return 2
+    faults = generate_fault_list(functions)
     try:
         write_fault_list_file(args.output, faults)
     except BrokenPipeError:
@@ -415,7 +419,22 @@ def cmd_run(args, out) -> int:
         return 2
     if args.trace_level is not None:
         config.trace_level = TraceLevel.parse(args.trace_level)
+    from .analysis.fault_families import FAMILY_ORDER, build_family_comparison
+
+    families = ([f for f in FAMILY_ORDER if f != "return"]
+                if args.fault_family == "all" else [args.fault_family])
+    # --functions names kernel32 exports; it only restricts the
+    # parameter/return spaces (io/resource enumerate their own axes).
+    spec_types = {family: fault_family(family) for family in families}
     functions = args.functions.split(",") if args.functions else None
+    try:
+        for spec_type in spec_types.values():
+            if spec_type.takes_functions:
+                spec_type.check_functions(functions,
+                                          config.workload_spec().registry)
+    except ValueError as exc:
+        print(f"bad --functions: {exc}", file=out)
+        return 2
     jobs = args.jobs if args.jobs is not None else config.jobs
     store, error = _open_store(args.store or config.store, args.resume, out)
     if error is not None:
@@ -434,34 +453,18 @@ def cmd_run(args, out) -> int:
                 store.close()
             return 2
 
-    from .analysis.fault_families import (
-        FAMILY_MECHANISMS,
-        FAMILY_ORDER,
-        build_family_comparison,
-    )
-
-    if args.fault_family == "all":
-        families = [f for f in FAMILY_ORDER if f != "return"]
-    else:
-        families = [args.fault_family]
-
     label = f"{config.workload} / {config.middleware.label}"
     results = {}
     progress = CliProgress(out)
     try:
-        for family in families:
-            mechanism = FAMILY_MECHANISMS[family]
+        for family, spec_type in spec_types.items():
             campaign = Campaign(
                 config.workload, config.middleware,
-                # --functions names kernel32 exports; it only restricts
-                # the parameter/return spaces (io/resource enumerate
-                # their own op/resource axes).
-                functions=(functions if mechanism in ("parameter", "return")
-                           else None),
+                functions=functions if spec_type.takes_functions else None,
                 config=config.run_config(),
                 jobs=jobs, store=store,
-                progress=progress, mechanism=mechanism,
-                prune=prune if mechanism == "parameter" else None)
+                progress=progress, mechanism=spec_type.mechanism,
+                prune=prune)
             results[family] = campaign.run()
     finally:
         progress.finish()
@@ -649,21 +652,16 @@ def _parse_fault(line: str, workload, out, returns: bool = False):
     With ``returns``, a 3-token line is a return fault.  Returns the
     fault, or None after printing a one-line ``bad --fault`` error.
     """
-    from .core.faults import FaultType
-    from .core.injector import Injector
-    from .core.return_injector import ReturnFaultSpec, ReturnInjector
-
     parts = line.split()
     try:
         if returns and len(parts) == 3:
             function, fault_type, invocation = parts
             fault = ReturnFaultSpec(function, FaultType(fault_type),
                                     int(invocation))
-            ReturnInjector(fault, workload.target_role)
         else:
             fault = FaultSpec.from_line(line)
-            # Arming checks the export and the parameter index.
-            Injector(fault, workload.target_role, workload.registry)
+        # Arming checks the export (and the parameter index).
+        fault.injector(workload.target_role, workload.registry)
     except ValueError as exc:
         print(f"bad --fault: {exc}", file=out)
         return None

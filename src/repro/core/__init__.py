@@ -41,13 +41,9 @@ from .faultlist import (
     read_fault_list_file,
     write_fault_list_file,
 )
-from .faults import DEFAULT_FAULT_TYPES, FaultSpec, FaultType
+from .faults import DEFAULT_FAULT_TYPES, FaultSpec, FaultType, ReturnFaultSpec
 from .injector import Injector
-from .return_injector import (
-    ReturnFaultSpec,
-    ReturnInjector,
-    generate_return_fault_list,
-)
+from .return_injector import ReturnInjector, generate_return_fault_list
 from .outcomes import (
     ORDERED_OUTCOMES,
     FailureMode,

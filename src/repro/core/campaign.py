@@ -28,8 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .collector import RunResult
 from .exec import ExecutionBackend, backend_for, run_plan
-from .faultlist import generate_fault_list
-from .faults import DEFAULT_FAULT_TYPES, FaultSpec, FaultType
+from .faults import DEFAULT_FAULT_TYPES, FaultType, fault_family
 from .outcomes import Outcome
 from .plan import plan_campaign
 from .runner import RunConfig, execute_run
@@ -123,8 +122,7 @@ class Campaign:
                  store=None,
                  prune=None,
                  on_stage=None):
-        if mechanism not in ("parameter", "return", "io", "resource"):
-            raise ValueError(f"unknown injection mechanism {mechanism!r}")
+        spec_type = fault_family(mechanism)
         if backend is not None and jobs is not None:
             raise ValueError("pass either backend or jobs, not both")
         self.workload = (get_workload(workload)
@@ -136,7 +134,8 @@ class Campaign:
         self.config = config or RunConfig()
         self.profile_first = profile_first
         self.progress = progress
-        self.mechanism = mechanism
+        self.spec_type = spec_type
+        self.mechanism = spec_type.mechanism
         self.backend = backend
         self.jobs = jobs
         self.store = store
@@ -149,25 +148,11 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def fault_list(self) -> list:
-        """The campaign's fault space (what the planner consumes)."""
-        if self.mechanism == "return":
-            from .return_injector import generate_return_fault_list
-
-            return generate_return_fault_list(
-                self.functions, self.fault_types, self.invocations)
-        if self.mechanism == "io":
-            from .windowed import generate_io_fault_list
-
-            # ``functions`` restricts the op set here, mirroring how it
-            # restricts the export set for parameter faults.
-            return generate_io_fault_list(ops=self.functions)
-        if self.mechanism == "resource":
-            from .windowed import generate_resource_fault_list
-
-            return generate_resource_fault_list(resources=self.functions)
-        return generate_fault_list(self.functions, self.fault_types,
-                                   self.invocations,
-                                   registry=self.workload.registry)
+        """The campaign's fault space (what the planner consumes);
+        ``functions`` restricts the family's own axis."""
+        return self.spec_type.fault_space(self.functions, self.fault_types,
+                                          self.invocations,
+                                          self.workload.registry)
 
     def plan(self):
         """The wave-scheduled task DAG for this campaign."""

@@ -345,12 +345,11 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
         called = set(execution.profile_run.called_functions)
 
         def gated(name: str) -> bool:
-            # A fault may name the export whose presence in the profile
+            # Each fault names the export whose presence in the profile
             # run's called set gates its probe (``profile_gate``); None
             # means always probe — transport ops and resource pressure
-            # have no kernel32 footprint to gate on.  Parameter faults
-            # gate on their own function name, as before.
-            gate = getattr(plan.probes[name].fault, "profile_gate", name)
+            # have no kernel32 footprint to gate on.
+            gate = plan.probes[name].fault.profile_gate
             return gate is None or gate in called
 
         eligible = [name for name in plan.functions if gated(name)]

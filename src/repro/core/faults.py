@@ -23,11 +23,19 @@ Unlike a parameter fault, which corrupts one invocation, both carry a
 :class:`FaultWindow`: the fault is *sustained* over a span of the
 target role's call sequence (``[start_call, end_call)``) or of sim
 time (``[start, end)`` seconds).
+
+Each spec class is one row of the family table (:data:`FAMILIES`);
+code that handles faults looks the family up instead of branching on
+the spec type.
 """
 
 from __future__ import annotations
 
+import difflib
 import enum
+from typing import Iterable, Optional, Sequence
+
+from ..nt.kernel32.signatures import REGISTRY
 
 MASK32 = 0xFFFFFFFF
 
@@ -55,10 +63,74 @@ class FaultType(enum.Enum):
 DEFAULT_FAULT_TYPES = (FaultType.ZERO, FaultType.ONES, FaultType.FLIP)
 
 
-class FaultSpec:
-    """One injectable fault."""
+class FaultFamily:
+    """One row of the family table, declared by each spec class.
+
+    A subclass sets ``family`` (``--fault-family``, store-key prefix),
+    ``mechanism`` (JSON, fingerprints) and ``label``; lists its fields
+    as ``__slots__`` in constructor order, from which the store key and
+    JSON codec are built; and defines ``injector`` and ``fault_space``.
+    A ``functions`` entry names an ``axis`` value (``axis_names``, or
+    the workload's registry); ``takes_functions``: ``repro run
+    --functions`` applies; ``prunable``: equivalence manifests apply.
+    """
+
+    __slots__ = ()
+    axis = "export"
+    axis_names = None
+    takes_functions = False
+    prunable = False
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    @property
+    def store_key(self) -> str:
+        return ":".join([self.family, *(_key_token(getattr(self, name))
+                                        for name in self.__slots__)])
+
+    def to_dict(self) -> dict:
+        return {"mechanism": self.mechanism,
+                **{name: _json_field(getattr(self, name))
+                   for name in self.__slots__}}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**{name: _decode_field(name, data[name])
+                      for name in cls.__slots__})
+
+    @property
+    def profile_gate(self):
+        """The export whose absence from the profile run's called set
+        skips this fault's probe (None: always probe)."""
+        return self.function
+
+    @classmethod
+    def check_functions(cls, functions, registry) -> None:
+        """Raise ValueError for the first of ``functions`` (None: the
+        whole space) off this family's axis, with a close-match hint."""
+        legal = cls.axis_names or (registry if registry is not None
+                                   else REGISTRY)
+        for name in functions or ():
+            if name not in legal:
+                close = difflib.get_close_matches(name, legal, n=1)
+                hint = f" (did you mean {close[0]!r}?)" if close else ""
+                raise ValueError(f"unknown {cls.axis} {name!r}{hint}")
+
+
+class FaultSpec(FaultFamily):
+    """One injectable parameter fault."""
 
     __slots__ = ("function", "param_index", "fault_type", "invocation")
+
+    family = "param"
+    mechanism = "parameter"
+    label = "parameter corruption"
+    takes_functions = True
+    prunable = True
 
     def __init__(self, function: str, param_index: int,
                  fault_type: FaultType, invocation: int = 1):
@@ -76,15 +148,40 @@ class FaultSpec:
         return (self.function, self.param_index,
                 self.fault_type.value, self.invocation)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaultSpec) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     def __repr__(self) -> str:
         return (f"<Fault {self.function}[{self.param_index}] "
                 f"{self.fault_type.value}@{self.invocation}>")
+
+    def injector(self, target_role: str, registry):
+        from .injector import Injector
+
+        return Injector(self, target_role, registry)
+
+    @staticmethod
+    def fault_space(functions: Optional[Iterable[str]] = None,
+                    fault_types: Sequence[FaultType] = DEFAULT_FAULT_TYPES,
+                    invocations: Sequence[int] = (1,),
+                    registry: Optional[dict] = None) -> list[FaultSpec]:
+        """Enumerate the parameter fault space (``generate_fault_list``).
+
+        ``functions`` defaults to every injectable export of ``registry``
+        (KERNEL32 when None); names with no parameters are skipped (they
+        are "not candidates for function parameter corruption").  Unknown
+        names raise ``KeyError``.
+        """
+        table = registry if registry is not None else REGISTRY
+        if functions is None:
+            signatures = [sig for sig in table.values() if sig.injectable]
+        else:
+            signatures = [table[name] for name in functions]
+        faults = []
+        for sig in signatures:
+            for param in sig.params:
+                for invocation in invocations:
+                    for fault_type in fault_types:
+                        faults.append(FaultSpec(sig.name, param.index,
+                                                fault_type, invocation))
+        return faults
 
     # ------------------------------------------------------------------
     # Fault-list line format (see core.faultlist)
@@ -101,6 +198,55 @@ class FaultSpec:
         function, param_index, fault_type, invocation = parts
         return cls(function, int(param_index), FaultType(fault_type),
                    int(invocation))
+
+
+class ReturnFaultSpec(FaultFamily):
+    """One injectable return-value fault (see
+    :mod:`repro.core.return_injector`)."""
+
+    __slots__ = ("function", "fault_type", "invocation")
+
+    family = "return"
+    mechanism = "return"
+    label = "return-value corruption"
+    axis_names = REGISTRY
+    takes_functions = True
+
+    def __init__(self, function: str, fault_type: FaultType,
+                 invocation: int = 1):
+        if invocation < 1:
+            raise ValueError(f"invocation index must be >= 1, got {invocation}")
+        self.function = function
+        self.fault_type = fault_type
+        self.invocation = invocation
+
+    @property
+    def key(self) -> tuple:
+        return (self.function, self.fault_type.value, self.invocation)
+
+    def __repr__(self) -> str:
+        return (f"<ReturnFault {self.function}() -> "
+                f"{self.fault_type.value}@{self.invocation}>")
+
+    def injector(self, target_role: str, registry):
+        from .return_injector import ReturnInjector
+
+        return ReturnInjector(self, target_role)
+
+    @staticmethod
+    def fault_space(functions, fault_types, invocations,
+                    registry=None) -> list[ReturnFaultSpec]:
+        """One fault per function × invocation × type (parameters are
+        irrelevant here); unknown names raise ``KeyError``."""
+        names = list(functions) if functions is not None else list(REGISTRY)
+        for name in names:
+            if name not in REGISTRY:
+                raise KeyError(name)
+        fault_types = tuple(fault_types or DEFAULT_FAULT_TYPES)
+        return [ReturnFaultSpec(name, fault_type, invocation)
+                for name in names
+                for invocation in invocations
+                for fault_type in fault_types]
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +278,9 @@ class FaultWindow:
             raise ValueError(f"unknown window unit {unit!r} "
                              f"(legal: {', '.join(WINDOW_UNITS)})")
         if unit == "calls":
+            if not (float(start).is_integer() and float(end).is_integer()):
+                raise ValueError(f"call window bounds must be whole "
+                                 f"numbers, got {start}-{end}")
             start, end = int(start), int(end)
             if start < 1:
                 raise ValueError(f"call window must start at >= 1, "
@@ -160,6 +309,13 @@ class FaultWindow:
     def __repr__(self) -> str:
         return f"<Window {self.unit} {self.start}..{self.end}>"
 
+    def to_dict(self) -> dict:
+        return {"unit": self.unit, "start": self.start, "end": self.end}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultWindow":
+        return cls(data["unit"], data["start"], data["end"])
+
     def to_token(self) -> str:
         """Canonical text form: ``calls@1-100``, ``time@5-60``."""
         return (f"{self.unit}@{_number_token(self.start)}"
@@ -173,6 +329,30 @@ class FaultWindow:
         except ValueError:
             raise ValueError(f"malformed window token {token!r}") from None
         return cls(unit, float(start), float(end))
+
+
+# ----------------------------------------------------------------------
+# Field codecs: the store key and JSON form of one spec field
+# ----------------------------------------------------------------------
+def _json_field(value):
+    if isinstance(value, FaultWindow):
+        return value.to_dict()
+    return value.value if isinstance(value, FaultType) else value
+
+
+def _key_token(value) -> str:
+    if isinstance(value, FaultWindow):
+        return value.to_token()
+    value = _json_field(value)
+    return _number_token(value) if isinstance(value, float) else str(value)
+
+
+_FIELD_DECODERS = {"fault_type": FaultType, "window": FaultWindow.from_dict}
+
+
+def _decode_field(name: str, value):
+    decoder = _FIELD_DECODERS.get(name)
+    return value if decoder is None else decoder(value)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +385,7 @@ IO_ERROR_CHOICES = {
 SHORT_IO_OPS = ("ReadFile", "WriteFile")
 
 
-class IoFault:
+class IoFault(FaultFamily):
     """One sustained I/O-path fault.
 
     ``mode="error"``: every targeted op inside the window fails with
@@ -217,6 +397,12 @@ class IoFault:
     """
 
     __slots__ = ("op", "mode", "value", "window")
+
+    family = "io"
+    mechanism = "io"
+    label = "I/O-path faults"
+    axis = "io op"
+    axis_names = IO_OPS
 
     def __init__(self, op: str, mode: str, value,
                  window: "FaultWindow" = None):
@@ -230,14 +416,12 @@ class IoFault:
             if value not in IO_ERRNOS:
                 raise ValueError(f"unknown errno {value!r} "
                                  f"(legal: {', '.join(IO_ERRNOS)})")
-            legal = IO_ERROR_CHOICES.get(op)
-            if legal is not None and value not in legal:
+            # Each op's choices hold only errnos of its own kind (file
+            # or network).
+            legal = IO_ERROR_CHOICES[op]
+            if value not in legal:
                 raise ValueError(f"{op} cannot fail with {value} "
                                  f"(legal: {', '.join(legal)})")
-            if op in NET_IO_OPS and value not in NET_ERRNOS:
-                raise ValueError(f"{op} needs a network errno, got {value}")
-            if op not in NET_IO_OPS and value in NET_ERRNOS:
-                raise ValueError(f"{op} cannot raise network errno {value}")
         elif mode == "short":
             if op not in SHORT_IO_OPS:
                 raise ValueError(f"short I/O applies to "
@@ -263,25 +447,27 @@ class IoFault:
 
     @property
     def profile_gate(self):
-        """The kernel32 export whose presence in the profile run's
-        called set gates this fault's probe (None: always probe).
-        Transport ops have no kernel32 footprint, so they probe
-        unconditionally."""
+        """Transport ops have no kernel32 footprint: always probe."""
         return None if self.op in NET_IO_OPS else self.op
 
     @property
     def key(self) -> tuple:
         return ("io", self.op, self.mode, self.value) + self.window.key
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IoFault) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     def __repr__(self) -> str:
         return (f"<IoFault {self.op} {self.mode}={self.value} "
                 f"{self.window.to_token()}>")
+
+    def injector(self, target_role: str, registry):
+        from .windowed import IoInjector
+
+        return IoInjector(self, target_role)
+
+    @staticmethod
+    def fault_space(functions, fault_types, invocations, registry) -> list:
+        from .windowed import generate_io_fault_list
+
+        return generate_io_fault_list(ops=functions)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +476,7 @@ class IoFault:
 RESOURCE_KINDS = ("memory", "handles", "cpu")
 
 
-class ResourceFault:
+class ResourceFault(FaultFamily):
     """One sustained resource-exhaustion fault.
 
     ``resource="memory"``: a fraction ``severity`` of the target
@@ -309,6 +495,12 @@ class ResourceFault:
     """
 
     __slots__ = ("resource", "severity", "window")
+
+    family = "resource"
+    mechanism = "resource"
+    label = "resource exhaustion"
+    axis = "resource"
+    axis_names = RESOURCE_KINDS
 
     def __init__(self, resource: str, severity, window: "FaultWindow" = None):
         if resource not in RESOURCE_KINDS:
@@ -331,22 +523,45 @@ class ResourceFault:
         """Planner grouping name (synthetic — not a kernel32 export)."""
         return f"resource:{self.resource}"
 
-    @property
-    def profile_gate(self):
-        """Resource pressure has no single gating export: probe
-        unconditionally and let activation decide."""
-        return None
+    # Resource pressure has no single gating export: probe
+    # unconditionally and let activation decide.
+    profile_gate = None
 
     @property
     def key(self) -> tuple:
         return ("resource", self.resource, self.severity) + self.window.key
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResourceFault) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     def __repr__(self) -> str:
         return (f"<ResourceFault {self.resource} x{self.severity:g} "
                 f"{self.window.to_token()}>")
+
+    def injector(self, target_role: str, registry):
+        from .windowed import ResourceInjector
+
+        return ResourceInjector(self, target_role)
+
+    @staticmethod
+    def fault_space(functions, fault_types, invocations, registry) -> list:
+        from .windowed import generate_resource_fault_list
+
+        return generate_resource_fault_list(resources=functions)
+
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+# Every family in presentation order (the paper's mechanism first),
+# keyed by family name (``param``) and mechanism name (``parameter``).
+FAMILY_SPECS = (FaultSpec, ReturnFaultSpec, IoFault, ResourceFault)
+FAMILIES = {name: spec for spec in FAMILY_SPECS
+            for name in (spec.family, spec.mechanism)}
+
+
+def fault_family(name: str) -> type:
+    """The spec class of a family or mechanism name."""
+    spec = FAMILIES.get(name)
+    if spec is None:
+        legal = ", ".join(spec.mechanism for spec in FAMILY_SPECS)
+        raise ValueError(f"unknown mechanism {name!r} (want one of {legal})")
+    return spec
+

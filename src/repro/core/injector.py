@@ -60,6 +60,9 @@ class Injector(CallHook):
         self.corrupted_raw: Optional[int] = None
         self._seen_invocations = 0
 
+    def install(self, machine) -> None:
+        machine.interception.add_hook(self)
+
     # ------------------------------------------------------------------
     def on_call(self, process, sig: FunctionSig, invocation: int,
                 raw_args: tuple[int, ...]):

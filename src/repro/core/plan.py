@@ -184,7 +184,7 @@ def plan_campaign(faults: Sequence, profile_first: bool = True,
             if prune is not None:
                 class_key = prune.group_key(fault)
                 if class_key is not None:
-                    class_key += (getattr(fault, "invocation", None),)
+                    class_key += (fault.invocation,)
             if position == 0:
                 task = RunTask(f"probe:{function}", TaskKind.PROBE, fault,
                                function, order, deps=probe_deps)

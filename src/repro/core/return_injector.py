@@ -19,35 +19,9 @@ from typing import Optional
 
 from ..nt.interception import ReturnHook
 from ..nt.kernel32.signatures import REGISTRY, FunctionSig
-from .faults import FaultType
-
-
-class ReturnFaultSpec:
-    """One injectable return-value fault."""
-
-    __slots__ = ("function", "fault_type", "invocation")
-
-    def __init__(self, function: str, fault_type: FaultType,
-                 invocation: int = 1):
-        if invocation < 1:
-            raise ValueError(f"invocation index must be >= 1, got {invocation}")
-        self.function = function
-        self.fault_type = fault_type
-        self.invocation = invocation
-
-    @property
-    def key(self) -> tuple:
-        return (self.function, self.fault_type.value, self.invocation)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReturnFaultSpec) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(("return",) + self.key)
-
-    def __repr__(self) -> str:
-        return (f"<ReturnFault {self.function}() -> "
-                f"{self.fault_type.value}@{self.invocation}>")
+# ReturnFaultSpec lives with the other specs; importing it from here
+# keeps working.
+from .faults import ReturnFaultSpec
 
 
 class ReturnInjector(ReturnHook):
@@ -67,6 +41,9 @@ class ReturnInjector(ReturnHook):
         self.original_result: Optional[int] = None
         self.corrupted_result: Optional[int] = None
         self._seen_invocations = 0
+
+    def install(self, machine) -> None:
+        machine.interception.add_return_hook(self)
 
     def on_return(self, process, sig: FunctionSig, invocation: int,
                   result: int) -> Optional[int]:
@@ -109,18 +86,6 @@ class ReturnInjector(ReturnHook):
 
 def generate_return_fault_list(functions=None, fault_types=None,
                                invocations=(1,)) -> list[ReturnFaultSpec]:
-    """Enumerate the return-value fault space (one fault per function ×
-    type × invocation — parameters are irrelevant here)."""
-    from .faults import DEFAULT_FAULT_TYPES
-
-    names = list(functions) if functions is not None else list(REGISTRY)
-    for name in names:
-        if name not in REGISTRY:
-            raise KeyError(name)
-    fault_types = tuple(fault_types or DEFAULT_FAULT_TYPES)
-    return [
-        ReturnFaultSpec(name, fault_type, invocation)
-        for name in names
-        for invocation in invocations
-        for fault_type in fault_types
-    ]
+    """Enumerate the return-value fault space (see
+    :meth:`ReturnFaultSpec.fault_space`)."""
+    return ReturnFaultSpec.fault_space(functions, fault_types, invocations)

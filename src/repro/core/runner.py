@@ -19,10 +19,7 @@ from ..nt.machine import Machine
 from ..sim import collector_paused, derive_seed
 from ..trace import TraceLevel, Tracer
 from .collector import RunResult, collect
-from .faults import FaultSpec, IoFault, ResourceFault
-from .injector import Injector
-from .return_injector import ReturnFaultSpec, ReturnInjector
-from .windowed import IoInjector, ResourceInjector
+from .faults import FaultSpec
 from .workload import MiddlewareKind, WorkloadSpec
 
 # Operational timeouts (virtual seconds), from the main config file in
@@ -75,21 +72,8 @@ def arm_fault(machine: Machine, workload: WorkloadSpec, fault):
     """
     if fault is None:
         return None
-    if isinstance(fault, ReturnFaultSpec):
-        injector = ReturnInjector(fault,
-                                  target_role=workload.target_role)
-        machine.interception.add_return_hook(injector)
-    elif isinstance(fault, IoFault):
-        injector = IoInjector(fault, target_role=workload.target_role)
-        injector.install(machine)
-    elif isinstance(fault, ResourceFault):
-        injector = ResourceInjector(fault,
-                                    target_role=workload.target_role)
-        injector.install(machine)
-    else:
-        injector = Injector(fault, target_role=workload.target_role,
-                            registry=workload.registry)
-        machine.interception.add_hook(injector)
+    injector = fault.injector(workload.target_role, workload.registry)
+    injector.install(machine)
     return injector
 
 
@@ -127,27 +111,10 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                     middleware=middleware.value, seed=machine.seed,
                     watchd_version=config.watchd_version)
         if fault is not None:
-            armed = {"function": fault.function}
-            if isinstance(fault, IoFault):
-                armed.update(mechanism="io", op=fault.op,
-                             mode=fault.mode, value=fault.value)
-            elif isinstance(fault, ResourceFault):
-                armed.update(mechanism="resource", resource=fault.resource,
-                             severity=fault.severity)
-            elif isinstance(fault, ReturnFaultSpec):
-                armed.update(mechanism="return",
-                             fault_type=fault.fault_type.value,
-                             invocation=fault.invocation)
-            else:
-                armed.update(mechanism="parameter",
-                             param_index=fault.param_index,
-                             fault_type=fault.fault_type.value,
-                             invocation=fault.invocation)
-            window = getattr(fault, "window", None)
-            if window is not None:
-                armed.update(window_unit=window.unit,
-                             window_start=window.start,
-                             window_end=window.end)
+            armed = {"function": fault.function, **fault.to_dict()}
+            window = armed.pop("window", {})
+            armed.update((f"window_{name}", value)
+                         for name, value in window.items())
             tracer.emit(0.0, "fault", "armed", **armed)
     workload.setup(machine)
 

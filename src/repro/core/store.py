@@ -35,10 +35,8 @@ from typing import Iterator, Optional, Union
 from ..clients.record import AttemptResult, ClientRecord, RequestRecord
 from ..trace import TraceLevel, trace_from_lists, trace_to_lists
 from .collector import RunResult
-from .faults import (FaultSpec, FaultType, FaultWindow, IoFault,
-                     ResourceFault, _number_token)
+from .faults import fault_family
 from .outcomes import FailureMode, Outcome
-from .return_injector import ReturnFaultSpec
 from .runner import RunConfig
 from .workload import MiddlewareKind
 
@@ -55,68 +53,18 @@ PROFILE_KEY = "profile"
 # ----------------------------------------------------------------------
 def fault_key_str(fault) -> str:
     """Canonical store key for a fault (``profile`` for fault-free)."""
-    if fault is None:
-        return PROFILE_KEY
-    if isinstance(fault, ReturnFaultSpec):
-        return (f"return:{fault.function}:{fault.fault_type.value}"
-                f":{fault.invocation}")
-    if isinstance(fault, IoFault):
-        value = (fault.value if isinstance(fault.value, str)
-                 else _number_token(fault.value))
-        return (f"io:{fault.op}:{fault.mode}:{value}"
-                f":{fault.window.to_token()}")
-    if isinstance(fault, ResourceFault):
-        return (f"resource:{fault.resource}:{_number_token(fault.severity)}"
-                f":{fault.window.to_token()}")
-    return (f"param:{fault.function}:{fault.param_index}"
-            f":{fault.fault_type.value}:{fault.invocation}")
-
-
-def _window_to_dict(window: FaultWindow) -> dict:
-    return {"unit": window.unit, "start": window.start, "end": window.end}
-
-
-def _window_from_dict(data: dict) -> FaultWindow:
-    return FaultWindow(data["unit"], data["start"], data["end"])
+    return PROFILE_KEY if fault is None else fault.store_key
 
 
 def fault_to_dict(fault) -> Optional[dict]:
-    if fault is None:
-        return None
-    if isinstance(fault, ReturnFaultSpec):
-        return {"mechanism": "return", "function": fault.function,
-                "fault_type": fault.fault_type.value,
-                "invocation": fault.invocation}
-    if isinstance(fault, IoFault):
-        return {"mechanism": "io", "op": fault.op, "mode": fault.mode,
-                "value": fault.value,
-                "window": _window_to_dict(fault.window)}
-    if isinstance(fault, ResourceFault):
-        return {"mechanism": "resource", "resource": fault.resource,
-                "severity": fault.severity,
-                "window": _window_to_dict(fault.window)}
-    return {"mechanism": "parameter", "function": fault.function,
-            "param_index": fault.param_index,
-            "fault_type": fault.fault_type.value,
-            "invocation": fault.invocation}
+    return None if fault is None else fault.to_dict()
 
 
 def fault_from_dict(data: Optional[dict]):
+    """Decode a fault; an unknown mechanism raises ValueError."""
     if data is None:
         return None
-    mechanism = data["mechanism"]
-    if mechanism == "io":
-        return IoFault(data["op"], data["mode"], data["value"],
-                       _window_from_dict(data["window"]))
-    if mechanism == "resource":
-        return ResourceFault(data["resource"], data["severity"],
-                             _window_from_dict(data["window"]))
-    fault_type = FaultType(data["fault_type"])
-    if mechanism == "return":
-        return ReturnFaultSpec(data["function"], fault_type,
-                               data["invocation"])
-    return FaultSpec(data["function"], data["param_index"], fault_type,
-                     data["invocation"])
+    return fault_family(data["mechanism"]).from_dict(data)
 
 
 def client_record_to_dict(record: ClientRecord) -> dict:

@@ -42,6 +42,7 @@ from ..nt.kernel32.signatures import REGISTRY, FunctionSig
 from .faults import (
     FaultWindow,
     IO_ERROR_CHOICES,
+    IO_OPS,
     IoFault,
     NET_IO_OPS,
     RESOURCE_KINDS,
@@ -144,9 +145,12 @@ class WindowedInjector(CallHook):
         if tracer is None or not tracer.outcome_enabled:
             return
         window = self.fault.window
-        data = dict(mechanism=self.mechanism, function=self.fault.function,
+        spec = self.fault.to_dict()
+        del spec["window"]
+        data = dict(mechanism=spec.pop("mechanism"),
+                    function=self.fault.function,
                     window_unit=window.unit, window_start=window.start,
-                    window_end=window.end, **self._spec_fields(), **extra)
+                    window_end=window.end, **spec, **extra)
         if call_index is not None:
             data["call_index"] = call_index
         tracer.emit(self.machine.engine.now, "fault", name, **data)
@@ -204,11 +208,6 @@ class WindowedInjector(CallHook):
     # ------------------------------------------------------------------
     # Family-specific behaviour
     # ------------------------------------------------------------------
-    mechanism = "windowed"
-
-    def _spec_fields(self) -> dict:
-        return {}
-
     def _apply(self) -> None:
         """Window opened: publish effect state."""
 
@@ -236,17 +235,6 @@ class IoInjector(WindowedInjector):
     (:class:`repro.net.transport.Transport`) applies the effect where
     the connection state lives.
     """
-
-    mechanism = "io"
-
-    def __init__(self, fault: IoFault, target_role: str):
-        super().__init__(fault, target_role)
-        if fault.op not in NET_IO_OPS and fault.op not in REGISTRY:
-            raise ValueError(f"unknown export {fault.op!r}")
-
-    def _spec_fields(self) -> dict:
-        return {"op": self.fault.op, "mode": self.fault.mode,
-                "value": self.fault.value}
 
     def _apply(self) -> None:
         if self.fault.op in NET_IO_OPS:
@@ -306,12 +294,6 @@ class ResourceInjector(WindowedInjector):
     exports with ``ERROR_NO_SYSTEM_RESOURCES``.
     """
 
-    mechanism = "resource"
-
-    def _spec_fields(self) -> dict:
-        return {"resource": self.fault.resource,
-                "severity": self.fault.severity}
-
     def _apply(self) -> None:
         pressure = self.machine.pressure
         if self.fault.resource == "memory":
@@ -368,8 +350,6 @@ DEFAULT_IO_DELAY = 1.0
 DEFAULT_SEVERITIES = {"memory": (1.0, 0.5),
                       "handles": (1.0, 0.5),
                       "cpu": (8.0, 3.0)}
-DEFAULT_IO_OPS = ("CreateFileA", "ReadFile", "WriteFile",
-                  "net.connect", "net.send", "net.recv")
 
 
 def generate_io_fault_list(ops=None, windows=None) -> list[IoFault]:
@@ -377,7 +357,7 @@ def generate_io_fault_list(ops=None, windows=None) -> list[IoFault]:
     errno, then a short-I/O ratio where the op has a byte count, then a
     per-call delay.  Order is canonical — the planner and the census
     rely on it."""
-    ops = tuple(ops) if ops is not None else DEFAULT_IO_OPS
+    ops = tuple(ops) if ops is not None else IO_OPS
     windows = tuple(windows) if windows is not None else DEFAULT_WINDOWS
     faults = []
     for op in ops:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from ..core.faults import FaultType, FaultWindow, IoFault, ResourceFault
+from ..core.faults import FaultSpec, FaultType, FaultWindow, IoFault, ResourceFault
 from ..nt.kernel32.signatures import REGISTRY
 from .core import FaultListFile, Finding, ParsedModule, Rule, iter_functions, suggest, walk_in_scope
 
@@ -32,13 +32,10 @@ RULE = "fault-space"
 _FAULT_TYPE_VALUES = {fault_type.value for fault_type in FaultType}
 _FAULT_TYPE_NAMES = {fault_type.name for fault_type in FaultType}
 
-# Sustained-fault literals the rule validates by construction: the spec
-# type plus its positional parameter names.
-_FAMILY_SPECS = {
-    "IoFault": (IoFault, ("op", "mode", "value", "window")),
-    "ResourceFault": (ResourceFault, ("resource", "severity", "window")),
-    "FaultWindow": (FaultWindow, ("unit", "start", "end")),
-}
+# Sustained-fault literals the rule validates by construction; each
+# constructor's positional parameters are its class's ``__slots__``.
+_FAMILY_SPECS = {spec.__name__: spec
+                 for spec in (IoFault, ResourceFault, FaultWindow)}
 
 
 def _validate_fault(path: str, line: int, function: str,
@@ -79,6 +76,27 @@ def _validate_fault(path: str, line: int, function: str,
                       symbol=symbol)
 
 
+def _validate_line(path: str, line: int, text: str,
+                   symbol: str = "") -> Iterator[Finding]:
+    """Checks for one fault-list line (a file line or a
+    ``FaultSpec.from_line`` literal)."""
+    parts = text.split()
+    if len(parts) != 4:
+        yield Finding(RULE, path, line,
+                      f"malformed fault line (expected 4 fields, got "
+                      f"{len(parts)}): {text!r}", symbol=symbol)
+        return
+    try:
+        param_index, invocation = int(parts[1]), int(parts[3])
+    except ValueError:
+        yield Finding(RULE, path, line,
+                      f"non-integer index field in fault line: {text!r}",
+                      symbol=symbol)
+        return
+    yield from _validate_fault(path, line, parts[0], param_index, parts[2],
+                               invocation, symbol=symbol)
+
+
 class FaultSpaceRule(Rule):
     name = RULE
     description = ("fault-list files and inline FaultSpecs must describe "
@@ -92,27 +110,9 @@ class FaultSpaceRule(Rule):
         for line_number, raw_line in enumerate(
                 fault_file.text.splitlines(), start=1):
             line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                findings.append(Finding(
-                    RULE, fault_file.path, line_number,
-                    f"malformed fault line (expected 4 fields, got "
-                    f"{len(parts)}): {line!r}"))
-                continue
-            function, index_text, fault_type, invocation_text = parts
-            try:
-                param_index = int(index_text)
-                invocation = int(invocation_text)
-            except ValueError:
-                findings.append(Finding(
-                    RULE, fault_file.path, line_number,
-                    f"non-integer index field in fault line: {line!r}"))
-                continue
-            findings.extend(_validate_fault(
-                fault_file.path, line_number, function, param_index,
-                fault_type, invocation))
+            if line and not line.startswith("#"):
+                findings.extend(
+                    _validate_line(fault_file.path, line_number, line))
         return findings
 
     # ------------------------------------------------------------------
@@ -147,7 +147,7 @@ class FaultSpaceRule(Rule):
     def _check_constructor(self, module: ParsedModule, symbol: str,
                            call: ast.Call) -> Iterator[Finding]:
         args: dict[str, ast.AST] = {}
-        names = ("function", "param_index", "fault_type", "invocation")
+        names = FaultSpec.__slots__
         for position, arg in enumerate(call.args):
             if position < len(names):
                 args[names[position]] = arg
@@ -171,29 +171,9 @@ class FaultSpaceRule(Rule):
 
     def _check_from_line(self, module: ParsedModule, symbol: str,
                          call: ast.Call) -> Iterator[Finding]:
-        if not call.args:
-            return
-        text = self._const(call.args[0], str)
-        if text is None:
-            return
-        parts = text.split()
-        if len(parts) != 4:
-            yield Finding(
-                RULE, module.path, call.lineno,
-                f"malformed fault line (expected 4 fields, got "
-                f"{len(parts)}): {text!r}", symbol=symbol)
-            return
-        try:
-            param_index, invocation = int(parts[1]), int(parts[3])
-        except ValueError:
-            yield Finding(
-                RULE, module.path, call.lineno,
-                f"non-integer index field in fault line: {text!r}",
-                symbol=symbol)
-            return
-        yield from _validate_fault(module.path, call.lineno, parts[0],
-                                   param_index, parts[2], invocation,
-                                   symbol=symbol)
+        text = self._const(call.args[0], str) if call.args else None
+        if text is not None:
+            yield from _validate_line(module.path, call.lineno, text, symbol)
 
     # ------------------------------------------------------------------
     # Sustained fault families (IoFault / ResourceFault / FaultWindow)
@@ -205,8 +185,8 @@ class FaultSpaceRule(Rule):
         the real spec: the spec constructors already encode every rule
         (legal op/errno combinations, window bounds, severity ranges),
         so lint defers to them instead of duplicating the table."""
-        spec_type, param_names = _FAMILY_SPECS[name]
-        values, dynamic = self._literal_arguments(call, param_names)
+        spec_type = _FAMILY_SPECS[name]
+        values, dynamic = self._literal_arguments(call, spec_type.__slots__)
         if dynamic:
             return  # dynamic arguments: runtime validation owns them
         try:
@@ -241,7 +221,7 @@ class FaultSpaceRule(Rule):
                     and isinstance(node.func, ast.Name) \
                     and node.func.id == "FaultWindow":
                 inner, dynamic = self._literal_arguments(
-                    node, _FAMILY_SPECS["FaultWindow"][1])
+                    node, FaultWindow.__slots__)
                 if dynamic:
                     return {}, True
                 try:

@@ -771,20 +771,18 @@ class EquivalenceManifest:
     def group_key(self, fault) -> Optional[tuple]:
         """(function, param, class index) for a prunable fault spec.
 
-        Return-value faults (no ``param_index``) and fault types
-        outside every class map to None — they are always scheduled.
+        Faults of other families and fault types outside every class
+        map to None — they are always scheduled.
         """
-        param = getattr(fault, "param_index", None)
-        fault_type = getattr(fault, "fault_type", None)
-        if param is None or fault_type is None:
+        if not fault.prunable:
             return None
-        slot = self._lookup.get((fault.function, param))
+        slot = self._lookup.get((fault.function, fault.param_index))
         if not slot:
             return None
-        position = slot.get(fault_type.value)
+        position = slot.get(fault.fault_type.value)
         if position is None:
             return None
-        return (fault.function, param, position)
+        return (fault.function, fault.param_index, position)
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:

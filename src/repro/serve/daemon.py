@@ -48,14 +48,22 @@ MAX_SPEC_BYTES = 1 << 20  # a campaign spec has no business being 1 MiB
 
 
 def _validate_registered(spec) -> None:
-    """Bounce unknown workloads at submission time, not execution."""
+    """Bounce unknown workloads, and campaign functions outside the
+    family's fault space, at submission time, not execution."""
+    from ..core.faults import fault_family
     from ..core.workload import WORKLOADS
 
-    workload = (spec.workload if isinstance(spec, CampaignJobSpec)
-                else spec.load.workload)
+    campaign = isinstance(spec, CampaignJobSpec)
+    workload = spec.workload if campaign else spec.load.workload
     if workload not in WORKLOADS:
         raise SpecError(f"unknown workload {workload!r} "
                         f"(known: {', '.join(sorted(WORKLOADS))})")
+    if campaign:
+        try:
+            fault_family(spec.mechanism).check_functions(
+                spec.functions, WORKLOADS[workload].registry)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
 
 
 class ServeHandler(BaseHTTPRequestHandler):

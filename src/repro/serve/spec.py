@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core.faults import fault_family
 from ..core.runner import RunConfig
 from ..core.store import config_fingerprint
 from ..core.workload import MiddlewareKind
 from ..trace import TRACE_LEVEL_NAMES as TRACE_LEVELS
-
-# Campaign mechanisms, plus the CLI's --fault-family aliases.
-MECHANISMS = ("parameter", "return", "io", "resource")
-_MECHANISM_ALIASES = {"param": "parameter"}
 
 
 class SpecError(ValueError):
@@ -58,12 +55,13 @@ class CampaignJobSpec:
                  functions: Optional[Sequence[str]] = None,
                  base_seed: int = 2000,
                  trace_level: str = "off"):
-        mechanism = _MECHANISM_ALIASES.get(mechanism, mechanism)
         _require(isinstance(workload, str) and bool(workload),
                  "workload must be a non-empty string")
-        _require(mechanism in MECHANISMS,
-                 f"unknown mechanism {mechanism!r} "
-                 f"(want one of {', '.join(MECHANISMS)})")
+        try:
+            # A family name (the CLI's --fault-family) is accepted too.
+            mechanism = fault_family(str(mechanism)).mechanism
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         _require(watchd_version in (1, 2, 3),
                  f"watchd_version must be 1, 2 or 3, got {watchd_version}")
         _require(trace_level in TRACE_LEVELS,
@@ -201,6 +199,7 @@ class LoadJobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoadJobSpec":
+        from ..core.workload import WORKLOADS
         from ..load import LoadSpec
 
         _require(isinstance(data.get("spec"), dict),
@@ -208,6 +207,11 @@ class LoadJobSpec:
                  "(LoadSpec.to_dict shape)")
         try:
             load = LoadSpec.from_dict(data["spec"])
+            workload = WORKLOADS.get(load.workload)
+            if load.fault is not None and workload is not None:
+                # The check ``repro load --fault`` makes: arming needs
+                # the export (and parameter) in the workload's registry.
+                load.fault.injector(workload.target_role, workload.registry)
         except (KeyError, ValueError, TypeError) as exc:
             raise SpecError(f"bad load spec: {exc}") from None
         return cls(load=load,

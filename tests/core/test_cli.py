@@ -130,6 +130,21 @@ class TestRun:
         assert "activated faults : 3" in text
 
 
+@pytest.mark.parametrize("family", ["param", "return"])
+def test_run_with_an_unknown_function_is_one_line_exit_2(tmp_path, family):
+    from repro.core.config import DtsConfig
+
+    config_path = tmp_path / "dts.ini"
+    config_path.write_text(DtsConfig(workload="IIS").to_text())
+    for name, hint in [("NoSuchExport", ""),
+                       ("ReadFil", " (did you mean 'ReadFile'?)")]:
+        code, out = _run(["run", "--config", str(config_path),
+                          "--fault-family", family,
+                          "--functions", f"SetErrorMode,{name}"])
+        assert code == 2
+        assert out == f"bad --functions: unknown export {name!r}{hint}\n"
+
+
 class TestRunBadConfig:
     @pytest.mark.parametrize("text, reason", [
         (None, "No such file"),

@@ -9,6 +9,7 @@ may read back faults written by a future (or past) enumeration.
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from repro.core.faults import (
     FaultWindow,
     IoFault,
     ResourceFault,
+    ReturnFaultSpec,
+    fault_family,
 )
 from repro.core.runner import RunConfig
 from repro.core.store import (
@@ -88,7 +91,14 @@ param_faults = st.builds(
     fault_type=st.sampled_from(list(FaultType)),
     invocation=st.integers(min_value=1, max_value=5),
 )
-any_fault = st.one_of(io_faults, resource_faults, param_faults)
+return_faults = st.builds(
+    ReturnFaultSpec,
+    function=st.sampled_from(("CreateFileA", "GetACP", "SetEvent")),
+    fault_type=st.sampled_from(list(FaultType)),
+    invocation=st.integers(min_value=1, max_value=5),
+)
+any_fault = st.one_of(io_faults, resource_faults, param_faults,
+                      return_faults)
 
 
 def _json_round_trip(fault):
@@ -125,6 +135,39 @@ def test_resource_round_trip_preserves_every_field(fault):
 def test_none_fault_round_trips():
     assert fault_to_dict(None) is None
     assert fault_from_dict(None) is None
+
+
+def test_unknown_mechanism_does_not_decode():
+    data = fault_to_dict(FaultSpec("ReadFile", 0, FaultType.ZERO))
+    with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
+        fault_from_dict(dict(data, mechanism="bogus"))
+
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+@given(any_fault)
+def test_each_fault_is_its_own_family_row(fault):
+    assert fault_family(fault.family) is type(fault)
+    assert fault_family(fault.mechanism) is type(fault)
+    assert fault_to_dict(fault)["mechanism"] == fault.mechanism
+    assert fault_key_str(fault).startswith(f"{fault.family}:")
+
+
+# ----------------------------------------------------------------------
+# Windows
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("start, end", [(1.7, 3.9), (1, 3.5), (0.5, 2)])
+def test_call_window_bounds_must_be_whole_numbers(start, end):
+    with pytest.raises(ValueError, match="whole numbers"):
+        FaultWindow("calls", start, end)
+
+
+def test_call_window_tokens_reject_fractions_but_take_integral_floats():
+    with pytest.raises(ValueError, match="whole numbers"):
+        FaultWindow.from_token("calls@1.7-3.9")
+    assert FaultWindow.from_token("calls@1.0-3").key == ("calls", 1, 3)
+    assert FaultWindow("time", 1.7, 3.9).key == ("time", 1.7, 3.9)
 
 
 # ----------------------------------------------------------------------

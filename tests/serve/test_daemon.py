@@ -25,6 +25,7 @@ from repro.core.exec import SerialBackend
 from repro.core.runner import RunConfig
 from repro.core.store import RunStore, ShardedRunStore
 from repro.core.workload import MiddlewareKind
+from repro.load import LoadSpec
 from repro.serve import ReproServer
 
 FUNCTIONS = ["SetErrorMode", "CreateEventA", "CreateFileA", "ReadFile"]
@@ -131,6 +132,21 @@ def test_cancel_over_http(server):
     ("GET", "/nope", None, 404, "endpoint"),
     ("DELETE", "/campaigns", None, 404, "endpoint"),
     ("DELETE", "/campaigns/job-9", None, 404, "no such job"),
+    ("POST", "/campaigns", {"workload": "IIS", "mechanism": "io",
+                            "functions": ["NoSuchOp"]},
+     400, "unknown io op 'NoSuchOp'"),
+    ("POST", "/campaigns", {"workload": "IIS",
+                            "functions": ["ReadFil"]},
+     400, "unknown export 'ReadFil' (did you mean 'ReadFile'?)"),
+    ("POST", "/campaigns", {"workload": "IIS", "mechanism": "resource",
+                            "functions": ["disk"]},
+     400, "unknown resource 'disk'"),
+    ("POST", "/campaigns",
+     {"kind": "load", "spec": dict(
+         LoadSpec("IIS").to_dict(),
+         fault={"mechanism": "parameter", "function": "NoSuch",
+                "param_index": 9, "fault_type": "zero", "invocation": 1})},
+     400, "bad load spec: unknown export 'NoSuch'"),
 ])
 def test_http_error_paths(server, method, path, body, code, fragment):
     with pytest.raises(urllib.error.HTTPError) as excinfo:

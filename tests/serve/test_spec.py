@@ -133,6 +133,36 @@ def test_bad_submissions_raise_spec_error(body, fragment):
         spec_from_dict(body)
 
 
+def _load_with_fault(fault: dict) -> dict:
+    return {"kind": "load",
+            "spec": dict(LoadSpec("IIS").to_dict(), fault=fault)}
+
+
+PARAM_FAULT = {"mechanism": "parameter", "function": "ReadFile",
+               "param_index": 0, "fault_type": "zero", "invocation": 1}
+
+
+@pytest.mark.parametrize("fault, fragment", [
+    (dict(PARAM_FAULT, mechanism="bogus"), "unknown mechanism 'bogus'"),
+    (dict(PARAM_FAULT, function="NoSuch", param_index=9),
+     "unknown export 'NoSuch'"),
+    (dict(PARAM_FAULT, param_index=9), "cannot corrupt index 9"),
+    ({"mechanism": "return", "function": "NoSuch", "fault_type": "zero",
+      "invocation": 1}, "unknown export 'NoSuch'"),
+    ({"mechanism": "io", "op": "ReadFile", "mode": "delay", "value": 1.0,
+      "window": {"unit": "calls", "start": 1.7, "end": 3.9}},
+     "whole numbers"),
+], ids=["mechanism", "export", "param-index", "return-export", "window"])
+def test_load_fault_is_checked_against_the_registry(fault, fragment):
+    with pytest.raises(SpecError, match=f"bad load spec: .*{fragment}"):
+        spec_from_dict(_load_with_fault(fault))
+
+
+def test_valid_load_fault_is_accepted():
+    spec = spec_from_dict(_load_with_fault(PARAM_FAULT))
+    assert spec.load.to_dict()["fault"] == PARAM_FAULT
+
+
 def test_unregistered_workload_rejected_at_campaign_time(tmp_path):
     spec = spec_from_dict({"workload": "NotAServer"})
     with pytest.raises(SpecError, match="unknown workload"):
