@@ -16,8 +16,9 @@ trending, and gates against the committed trend
 The gate fails when events/sec drops more than 10% below the
 committed trend; re-record the trend when the machine class changes.
 ``--acceptance`` additionally enforces the 1.5x speedup target of the
-batched loop over the legacy one-at-a-time kernel's recorded 95k
-events/s — meaningful only on a machine class comparable to the
+current loop over the legacy kernel's recorded 95k events/s (the kernel
+before the tuple heap, tombstone compaction and the inlined resume
+path) — meaningful only on a machine class comparable to the
 recording machine, so it is not part of the CI smoke gate.
 
 Under pytest it runs a small population and asserts behavioural
@@ -41,8 +42,8 @@ ITERATIONS = 2
 DEFAULT_REPEATS = 5
 REGRESSION_TOLERANCE = 0.10  # CI gate: >10% below trend fails
 
-# events/sec recorded for the pre-batching, one-event-at-a-time kernel
-# (the committed trend before this refactor).  The recording machine
+# events/sec recorded for the legacy kernel, before the engine and
+# resume hot-path work (the committed trend of that time).  The recording machine
 # has strong CPU-frequency phases (~30% wall-clock swings), so honest
 # comparisons are paired A/B subprocess alternation, and committed
 # trend values are recorded at the slow-phase floor.

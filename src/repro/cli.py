@@ -341,7 +341,11 @@ def _open_store(path: Optional[str], resume: bool, out,
         print(f"run store {path} already exists; pass --resume to reuse "
               f"its checkpointed runs, or choose a new path", file=out)
         return None, 2
-    store = open_store(path, durable=durable)
+    try:
+        store = open_store(path, durable=durable)
+    except (OSError, ValueError) as exc:
+        print(f"cannot open store {path}: {exc}", file=out)
+        return None, 2
     if resume and len(store):
         corrupt = (f"; {store.corrupt_lines} corrupt mid-file line(s) "
                    f"ignored, the runs they held will re-execute"
@@ -558,7 +562,12 @@ def cmd_trace(args, out) -> int:
         print(f"no such run store: {args.store}", file=out)
         return 2
 
-    with open_store(args.store) as store:
+    try:
+        store = open_store(args.store)
+    except (OSError, ValueError) as exc:
+        print(f"cannot open store {args.store}: {exc}", file=out)
+        return 2
+    with store:
         if args.key is None:
             # Listing mode: every stored run, traced ones annotated.
             for fp, key in store.keys():

@@ -41,7 +41,6 @@ class RunConfig:
                  client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
                  watchd_version: int = 3,
                  cpu_mhz: int = 100,
-                 keep_full_trace: bool = False,
                  scm_lock_enabled: bool = True,
                  trace_level="off"):
         self.base_seed = base_seed
@@ -49,7 +48,6 @@ class RunConfig:
         self.client_timeout = client_timeout
         self.watchd_version = watchd_version
         self.cpu_mhz = cpu_mhz
-        self.keep_full_trace = keep_full_trace
         self.scm_lock_enabled = scm_lock_enabled
         # Deliberately excluded from the store's config fingerprint:
         # tracing observes a run without influencing it, so results
@@ -103,7 +101,6 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     tracer = Tracer(level) if level is not TraceLevel.OFF else None
     machine = Machine(seed=config.seed_for(workload, middleware, fault),
                       cpu_mhz=config.cpu_mhz,
-                      keep_full_trace=config.keep_full_trace,
                       scm_lock_enabled=config.scm_lock_enabled,
                       tracer=tracer)
     if tracer is not None:

@@ -208,7 +208,9 @@ def config_fingerprint(workload_name: str, middleware: MiddlewareKind,
         "client_timeout": config.client_timeout,
         "watchd_version": config.watchd_version,
         "cpu_mhz": config.cpu_mhz,
-        "keep_full_trace": config.keep_full_trace,
+        # A removed knob that was always False; kept as a literal so
+        # every stored fingerprint stays valid.
+        "keep_full_trace": False,
         "scm_lock_enabled": config.scm_lock_enabled,
     }
     digest = hashlib.sha256(
@@ -510,8 +512,20 @@ class ShardedRunStore(_StoreIndex):
         manifest = self._manifest_path
         if manifest.exists():
             with open(manifest, "r", encoding="utf-8") as handle:
-                recorded = json.load(handle)
-            self.segments = int(recorded["segments"])
+                try:
+                    recorded = json.load(handle)
+                except ValueError as exc:
+                    raise ValueError(f"{manifest}: not JSON ({exc})") from None
+            segments = (recorded.get("segments")
+                        if isinstance(recorded, dict) else None)
+            # The constructor's rule for its argument, applied to the
+            # recorded count that overrides it.
+            if (not isinstance(segments, int) or isinstance(segments, bool)
+                    or segments < 1):
+                raise ValueError(
+                    f"{manifest}: needs a JSON object with an integer "
+                    f"\"segments\" >= 1")
+            self.segments = segments
         for segment in sorted(self.path.glob(SEGMENT_GLOB)):
             self.corrupt_lines += _load_jsonl(segment, self._index)
 

@@ -53,7 +53,6 @@ def _execute_load_run(spec: LoadSpec, rep: int,
     machine = Machine(
         seed=spec.seed(config.base_seed, config.watchd_version, rep),
         cpu_mhz=config.cpu_mhz,
-        keep_full_trace=config.keep_full_trace,
         scm_lock_enabled=config.scm_lock_enabled,
         tracer=tracer)
     workload.setup(machine)

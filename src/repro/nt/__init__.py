@@ -20,7 +20,7 @@ from .errors import (
 from .eventlog import EventLog, EventRecord, EventType
 from .filesystem import FileSystem
 from .handles import HandleTable, KernelObject
-from .interception import CallHook, CallRecord, InterceptionLayer
+from .interception import CallHook, InterceptionLayer
 from .machine import Machine
 from .memory import AddressSpace, Buffer, CString, OutCell, WordArray
 from .objects import (
@@ -63,7 +63,6 @@ __all__ = [
     "KernelObject",
     "InterceptionLayer",
     "CallHook",
-    "CallRecord",
     "AddressSpace",
     "Buffer",
     "CString",

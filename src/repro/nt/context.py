@@ -44,7 +44,7 @@ from types import MethodType
 from typing import TYPE_CHECKING, Any
 
 from ..sim import Sleep
-from .interception import CallOverride, CallRecord
+from .interception import CallOverride
 from .kernel32 import runtime
 from .kernel32.signatures import REGISTRY, FunctionSig
 from .memory import MASK32, ArgKind, DecodedArg
@@ -145,10 +145,6 @@ def build_call_handler(resolve, sig: FunctionSig):
             tracer.emit(machine.engine.now, "call", "enter",
                         pid=pid, role=role, func=name,
                         invocation=invocation, injected=injected)
-        if interception.keep_full_trace:
-            interception.trace.append(CallRecord(
-                machine.engine.now, pid, role, name, invocation, injected,
-            ))
         if override is not None:
             if override.delay > 0.0:
                 yield Sleep(override.delay)

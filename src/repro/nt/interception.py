@@ -7,7 +7,9 @@ dispatched through this layer, which gives registered hooks the same
 power: observe the call, and rewrite its raw argument words before the
 implementation sees them.
 
-The layer also keeps the *call trace* the rest of DTS relies on:
+The layer also keeps the call bookkeeping the rest of DTS relies on
+(a per-call record is the ``call``-level tracer's ``call enter``
+event, see :mod:`repro.trace`):
 
 - which functions each process role has called (Table 1 counts and the
   fault-activation skip heuristic), and
@@ -80,34 +82,13 @@ class ReturnHook(Protocol):
         """
 
 
-class CallRecord:
-    """One intercepted call, as kept in the machine-wide trace."""
-
-    __slots__ = ("time", "pid", "role", "func", "invocation", "injected")
-
-    def __init__(self, time: float, pid: int, role: str, func: str,
-                 invocation: int, injected: bool):
-        self.time = time
-        self.pid = pid
-        self.role = role
-        self.func = func
-        self.invocation = invocation
-        self.injected = injected
-
-    def __repr__(self) -> str:
-        mark = " INJ" if self.injected else ""
-        return f"<Call t={self.time:.3f} {self.role}/{self.pid} {self.func}#{self.invocation}{mark}>"
-
-
 class InterceptionLayer:
-    """Hooks and call trace shared by every handler between program code
-    and the kernel32 (or libc) implementations."""
+    """Hooks and call bookkeeping shared by every handler between
+    program code and the kernel32 (or libc) implementations."""
 
-    def __init__(self, keep_full_trace: bool = True):
+    def __init__(self):
         self.hooks: list[CallHook] = []
         self.return_hooks: list[ReturnHook] = []
-        self.keep_full_trace = keep_full_trace
-        self.trace: list[CallRecord] = []
         # Per-pid invocation counters, nested rather than keyed by
         # (pid, name) tuples, so a call needs no key allocation.  A
         # process gets its inner dict (and its role a called set) on

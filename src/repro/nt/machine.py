@@ -34,8 +34,7 @@ class Machine:
     """One simulated Windows NT 4.0 Enterprise Server box."""
 
     def __init__(self, seed: int = 0, cpu_mhz: int = DEFAULT_CPU_MHZ,
-                 keep_full_trace: bool = True, scm_lock_enabled: bool = True,
-                 tracer=None):
+                 scm_lock_enabled: bool = True, tracer=None):
         self.seed = seed
         self.cpu_mhz = cpu_mhz
         # The structured run tracer (repro.trace.Tracer), or None when
@@ -46,7 +45,7 @@ class Machine:
         self.address_space = AddressSpace()
         self.handles = HandleTable()
         self.fs = FileSystem()
-        self.interception = InterceptionLayer(keep_full_trace=keep_full_trace)
+        self.interception = InterceptionLayer()
         self.processes = ProcessManager(self)
         self.scm = ServiceControlManager(self, lock_enabled=scm_lock_enabled)
         self.eventlog = EventLog()

@@ -33,19 +33,13 @@ Hot-path notes (the engine dominates multi-client load runs):
 - :meth:`next_time` lets a poller skip boundaries with nothing to fire
   (``Machine.run_while``); :meth:`clear` drops the pending timers at
   teardown.
-- :meth:`run` inlines the dispatch loop rather than paying a
-  :meth:`step` call per event; :meth:`step` remains the single-event
-  API.
-- :meth:`run` pops the heap in *batches*: all entries at the current
-  quantum are drained in one pass and dispatched from a flat list, in
-  seq (FIFO) order.  A timer cancelled by an earlier event in the same
-  batch is skipped at dispatch, and drained entries are marked
-  off-heap (``timer.engine = None``) so such cancellations do not
-  count as heap tombstones — compaction triggered mid-batch therefore
-  sees an exact tombstone census.  Events scheduled *during* a batch
-  at the same quantum carry higher seq values than everything drained,
-  so they land in the next batch and overall dispatch order is
-  identical to one-at-a-time popping.
+- :meth:`run` is one pop-and-fire loop: it pops the earliest live
+  timer, consumes it inline and fires it, one event at a time.
+  ``(time, seq)`` heap order gives FIFO ties, a zero-delay timer
+  scheduled mid-quantum gets a higher seq than every pending one, and
+  a timer cancelled by an earlier same-time event is an ordinary
+  tombstone — so :meth:`stop` and the livelock guard leave every
+  unfired timer on the heap for the next :meth:`run`.
 
 This is the simulator's only event loop: every
 :class:`repro.nt.machine.Machine` runs on an :class:`Engine`.
@@ -240,44 +234,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _consume(self, timer: Timer) -> None:
-        """Mark a popped timer consumed so ``.active`` is False after it
-        fires — without touching the tombstone count (the entry is
-        already off the heap)."""
-        timer.cancelled = True
-        timer.callback = None
-        timer.args = ()
-
-    def step(self) -> bool:
-        """Execute the next pending callback.
-
-        Returns ``False`` when the queue is empty (nothing ran).
-        """
-        queue = self._queue
-        while queue:
-            _time, _seq, timer = heapq.heappop(queue)
-            if timer.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = timer.time
-            callback, args = timer.callback, timer.args
-            self._consume(timer)
-            self._events_processed += 1
-            tracer = self.tracer
-            if tracer is not None and tracer.full_enabled:
-                from ..trace import callback_label
-
-                tracer.emit(self._now, "engine", "fire",
-                            callback=callback_label(callback))
-            callback(*args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Returns the final clock value.  ``max_events`` is a safety net
-        against accidental infinite self-rescheduling loops.
+        Returns the final clock value: ``until`` when the run was not
+        stopped and ``until`` is ahead of the clock, otherwise the clock
+        as the last fired event left it — it never runs backwards.
+        ``max_events`` is a safety net against accidental infinite
+        self-rescheduling loops.
         """
         # The dispatch loop allocates heavily (timers, events, frames).
         # Runs already hold this pause for their whole length; taking it
@@ -299,6 +263,7 @@ class Engine:
         # ``inf`` stands in for "no limit" so the loop pays one float
         # compare instead of a None test plus a compare per event.
         limit = float("inf") if until is None else until
+        now = self._now
         try:
             while queue and not self._stopped:
                 time, _seq, timer = queue[0]
@@ -307,96 +272,39 @@ class Engine:
                     self._tombstones -= 1
                     continue
                 if time > limit:
-                    self._now = until
                     break
                 pop(queue)
-                self._now = time
-                if not queue or queue[0][0] != time:
-                    # Fast path — no same-quantum tie: dispatch without
-                    # touching a batch list.  _consume, inlined: this
-                    # runs once per event.  The events-processed counter
-                    # is batched into ``executed`` and folded back in
-                    # the ``finally`` below.
-                    callback, args = timer.callback, timer.args
-                    timer.cancelled = True
-                    timer.callback = None
-                    timer.args = ()
-                    if tracing:
-                        from ..trace import callback_label
+                if time != now:
+                    # Events of one quantum share one clock object, so
+                    # results that keep ``engine.now`` (load runs keep
+                    # thousands of timestamps) hold a float per quantum,
+                    # not one per event.
+                    now = self._now = time
+                # Consume inline, so ``.active`` is False once it fires
+                # and a late cancel() is a no-op.  The events-processed
+                # counter accumulates in ``executed`` and is folded back
+                # in the ``finally`` below.
+                callback, args = timer.callback, timer.args
+                timer.cancelled = True
+                timer.callback = None
+                timer.args = ()
+                if tracing:
+                    from ..trace import callback_label
 
-                        tracer.emit(time, "engine", "fire",
-                                    callback=callback_label(callback))
-                    callback(*args)
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely a livelock"
-                        )
-                    continue
-                # Batched path: drain every live entry at this quantum,
-                # then dispatch from the flat list in seq order.  Marking
-                # drained timers off-heap (engine = None) keeps tombstone
-                # accounting exact when an earlier batch event cancels a
-                # later one: the entry is no longer on the heap, so its
-                # cancellation must not count toward compaction.
-                batch = [timer]
-                append = batch.append
-                while queue and queue[0][0] == time:
-                    entry = pop(queue)
-                    drained = entry[2]
-                    if drained.cancelled:
-                        self._tombstones -= 1
-                        continue
-                    drained.engine = None
-                    append(drained)
-                index = 0
-                batch_len = len(batch)
-                while index < batch_len:
-                    fired = batch[index]
-                    index += 1
-                    if fired.cancelled:
-                        # Cancelled by an earlier event in this batch.
-                        continue
-                    callback, args = fired.callback, fired.args
-                    fired.cancelled = True
-                    fired.callback = None
-                    fired.args = ()
-                    if tracing:
-                        from ..trace import callback_label
-
-                        tracer.emit(time, "engine", "fire",
-                                    callback=callback_label(callback))
-                    callback(*args)
-                    executed += 1
-                    if executed > max_events:
-                        self._requeue(batch, index)
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely a livelock"
-                        )
-                    if self._stopped:
-                        self._requeue(batch, index)
-                        break
-            else:
-                if until is not None and not self._stopped:
-                    self._now = max(self._now, until)
+                    tracer.emit(time, "engine", "fire",
+                                callback=callback_label(callback))
+                callback(*args)
+                executed += 1
+                if executed > max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely a livelock"
+                    )
+            if until is not None and until > now and not self._stopped:
+                self._now = until
         finally:
             self._running = False
             self._events_processed += executed
         return self._now
-
-    def _requeue(self, batch: list, index: int) -> None:
-        """Push unfired batch entries back onto the heap.
-
-        Used when :meth:`stop` (or the max-events guard) interrupts a
-        batch mid-dispatch: the remaining timers were drained but never
-        fired, and a later :meth:`run` must still deliver them at their
-        original (time, seq) positions.
-        """
-        queue = self._queue
-        for timer in batch[index:]:
-            if not timer.cancelled:
-                timer.engine = self
-                heapq.heappush(queue, (timer.time, timer.seq, timer))
 
     def stop(self) -> None:
         """Stop :meth:`run` after the currently-executing callback."""

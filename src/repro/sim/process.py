@@ -108,7 +108,7 @@ class SimProcess:
         if self.state is not ProcState.RUNNING:
             return  # killed before it ever ran
         self.started_at = self.engine.now
-        self._step_send(None)
+        self._resume(None)
 
     @property
     def alive(self) -> bool:
@@ -163,7 +163,8 @@ class SimProcess:
     # Stepping machinery
     # ------------------------------------------------------------------
     def _advance(self, step) -> None:
-        """Run one resume of the generator and arm its next wait."""
+        """Run ``step`` (a throw into the generator) and arm the command
+        it yields — the non-command path of :meth:`_arm`."""
         tracer = self.engine.tracer
         if tracer is not None and tracer.full_enabled:
             tracer.emit(self.engine.now, "proc", "switch", name=self.name)
@@ -185,38 +186,17 @@ class SimProcess:
             return
         self._arm(command)
 
-    def _step_send(self, value: Any) -> None:
-        """:meth:`_advance` specialised to ``generator.send`` — the path
-        every ordinary resume takes, with no per-step closure."""
-        tracer = self.engine.tracer
-        if tracer is not None and tracer.full_enabled:
-            tracer.emit(self.engine.now, "proc", "switch", name=self.name)
-        try:
-            command = self.generator.send(value)
-        except StopIteration as stop:
-            self.state = ProcState.FINISHED
-            self.result = stop.value
-            self._end(None)
-            return
-        except Killed:
-            self.state = ProcState.KILLED
-            self._end(None)
-            return
-        except BaseException as exc:
-            self.state = ProcState.FAILED
-            self.error = exc
-            self._end(exc)
-            return
-        self._arm(command)
-
     def _arm(self, command: Command) -> None:
         """Register resumption for the yielded command.
 
-        Dispatch is on the exact command type — the four leaf commands
-        are final by design (see :mod:`repro.sim.primitives`) — so the
-        hot path pays pointer comparisons, not ``isinstance`` walks.
+        The one arm for every command kind: :meth:`_resume` inlines the
+        hot Sleep and single-event Wait arms and falls back here, and
+        :meth:`_advance` arms here after a throw.  Both callers have
+        already cleared ``_resumed``.  Dispatch is on the exact command
+        type — the four leaf commands are final by design (see
+        :mod:`repro.sim.primitives`) — so it pays pointer comparisons,
+        not ``isinstance`` walks.
         """
-        self._resumed = False
         command_type = type(command)
         if command_type is Sleep:
             self._pending_timer = self.engine.schedule(
@@ -233,15 +213,7 @@ class SimProcess:
                     command.timeout, self._resume_bound, TIMED_OUT
                 )
             event.add_waiter(self._resume_bound)
-        else:
-            self._arm_cold(command)
-
-    def _arm_cold(self, command: Command) -> None:
-        """The cold tail of :meth:`_arm` for the flattened resume path:
-        ``_resume`` has already cleared ``_resumed`` and handled Sleep
-        and single-event Wait inline."""
-        command_type = type(command)
-        if command_type is WaitAny:
+        elif command_type is WaitAny:
             if command.timeout is not None:
                 self._pending_timer = self.engine.schedule(
                     command.timeout, self._resume_bound, TIMED_OUT
@@ -268,13 +240,12 @@ class SimProcess:
         return waiter
 
     def _resume(self, value: Any) -> None:
-        """The flattened hot path: every ordinary wakeup (timer fire,
-        event fire, timeout) lands here, so ``_clear_pending``,
-        ``_step_send`` and ``_arm`` are inlined into one frame — the
-        engine dispatches straight into the generator ``send`` with no
-        intermediate Python calls.  The cold entry points
-        (:meth:`_first_step`, :meth:`_advance`) keep using the method
-        forms below, which must stay behaviourally identical."""
+        """The one place a process is resumed: the first step and every
+        wakeup (timer fire, event fire, timeout) land here.
+        ``_clear_pending``, the generator ``send`` and the hot Sleep /
+        single-event Wait arms are inlined into one frame, so the engine
+        dispatches straight into the generator with no intermediate
+        Python calls; every other command falls back to :meth:`_arm`."""
         state = self.state
         if self._resumed or (state is not ProcState.RUNNING
                              and state is not ProcState.CREATED):
@@ -300,7 +271,6 @@ class SimProcess:
             if value is TIMED_OUT:
                 tracer.emit(engine.now, "proc", "timeout", name=self.name)
             tracer.emit(engine.now, "proc", "switch", name=self.name)
-        # _step_send, inlined.
         try:
             command = self.generator.send(value)
         except StopIteration as stop:
@@ -317,8 +287,8 @@ class SimProcess:
             self.error = exc
             self._end(exc)
             return
-        # _arm, inlined: Sleep and single-event Wait are the hot
-        # commands; the rest fall through to the method form.
+        # _arm, inlined for the hot commands: Sleep and single-event
+        # Wait; the rest fall back to the method form.
         self._resumed = False
         command_type = type(command)
         if command_type is Sleep:
@@ -334,7 +304,7 @@ class SimProcess:
                 )
             event.add_waiter(self._resume_bound)
         else:
-            self._arm_cold(command)
+            self._arm(command)
 
     def _clear_pending(self) -> None:
         timer = self._pending_timer

@@ -165,6 +165,33 @@ class TestRunBadConfig:
         assert out.count("\n") == 1
 
 
+@pytest.mark.parametrize("manifest", [
+    '{"format": 3, "segm', '{"format": 3}', '{"format": 3, "segments": 0}',
+], ids=["torn", "no-segments", "zero"])
+@pytest.mark.parametrize("command", ["run", "trace", "load"])
+def test_a_bad_sharded_manifest_is_one_line_exit_2(tmp_path, manifest,
+                                                   command):
+    from repro.core.config import DtsConfig
+
+    store = tmp_path / "s.d"
+    store.mkdir()
+    (store / "MANIFEST.json").write_text(manifest)
+    config_path = tmp_path / "dts.ini"
+    config_path.write_text(DtsConfig(workload="IIS").to_text())
+    argv = {
+        "run": ["run", "--config", str(config_path), "--functions",
+                "SetErrorMode", "--store", str(store), "--resume"],
+        "trace": ["trace", str(store)],
+        "load": ["load", "--workload", "iis", "--clients", "2",
+                 "--store", str(store), "--resume"],
+    }[command]
+    code, out = _run(argv)
+    assert code == 2
+    assert out.startswith(f"cannot open store {store}: ")
+    assert "MANIFEST.json" in out
+    assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "dts.ini"],
     ["reproduce"],

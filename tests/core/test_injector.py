@@ -5,6 +5,7 @@ import pytest
 from repro.core.faults import FaultSpec, FaultType
 from repro.core.injector import Injector
 from repro.nt import Machine
+from repro.trace import Tracer
 
 
 class _Prog:
@@ -57,7 +58,8 @@ def test_injector_ignores_other_roles(machine):
     assert not injector.fired
 
 
-def test_injector_fires_once_only(machine):
+def test_injector_fires_once_only():
+    machine = Machine(seed=11, tracer=Tracer("calls"))
     injector = Injector(FaultSpec("Sleep", 0, FaultType.ONES), "target")
     machine.interception.add_hook(injector)
 
@@ -73,8 +75,10 @@ def test_injector_fires_once_only(machine):
     # The second process's Sleep is invocation #1 of its own counter,
     # but the injector has already fired and must not fire again.
     assert injector.fired
-    sleeps = [r for r in machine.interception.trace if r.func == "Sleep"]
-    assert [r.injected for r in sleeps] == [True, False]
+    sleeps = [event.data for event in machine.tracer.events
+              if event.category == "call" and event.name == "enter"
+              and event.data["func"] == "Sleep"]
+    assert [data["injected"] for data in sleeps] == [True, False]
 
 
 def test_invocations_counted_across_role_incarnations(machine):

@@ -77,6 +77,30 @@ def test_rejects_nonpositive_segment_count(tmp_path):
         ShardedRunStore(tmp_path / "store.d", segments=0)
 
 
+BAD_MANIFESTS = [
+    '{"format": 3, "segm',
+    '{"format": 3}',
+    '{"format": 3, "segments": 0}',
+    '{"format": 3, "segments": -2}',
+    '{"format": 3, "segments": "8"}',
+    '{"format": 3, "segments": true}',
+    '[3, 8]',
+]
+BAD_MANIFEST_IDS = ["torn", "no-segments", "zero", "negative", "string",
+                    "bool", "not-an-object"]
+
+
+@pytest.mark.parametrize("manifest", BAD_MANIFESTS, ids=BAD_MANIFEST_IDS)
+def test_rejects_a_bad_recorded_manifest(tmp_path, manifest):
+    # The recorded count overrides the argument, so it must pass the
+    # constructor's own rule; the error names the manifest file.
+    path = tmp_path / "store.d"
+    path.mkdir()
+    (path / "MANIFEST.json").write_text(manifest)
+    with pytest.raises(ValueError, match="MANIFEST.json"):
+        ShardedRunStore(path)
+
+
 # ----------------------------------------------------------------------
 # RunStore-equivalent semantics
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the interception layer (the SWIFI mechanism)."""
 
-from repro.nt import Buffer, OutCell
+from repro.nt import Buffer, Machine, OutCell
 from repro.nt.kernel32 import constants as k
 from repro.nt.kernel32.signatures import get_signature
+from repro.trace import Tracer
+
+from .conftest import ScriptedProgram
 
 
 class RecordingHook:
@@ -112,20 +115,22 @@ def test_call_counts(machine, run_program):
     assert machine.interception.call_count("GetVersion") == 0
 
 
-def test_trace_records_injection_flag(machine, run_program):
-    machine.interception.add_hook(CorruptingHook("GetTickCount", 0))
-    # GetTickCount has no parameters; use Sleep instead.
-    machine.interception.hooks.clear()
-    hook = CorruptingHook("Sleep", 0)
-    machine.interception.add_hook(hook)
+def test_trace_records_injection_flag():
+    machine = Machine(seed=42, tracer=Tracer("calls"))
+    machine.interception.add_hook(CorruptingHook("Sleep", 0))
 
     def body(ctx):
         yield from ctx.k32.Sleep(100)
         yield from ctx.k32.Sleep(100)
 
-    run_program(body)
-    sleep_records = [r for r in machine.interception.trace if r.func == "Sleep"]
-    assert [r.injected for r in sleep_records] == [True, False]
+    machine.processes.spawn(ScriptedProgram(body), role="test")
+    machine.engine.run(until=600.0)
+    sleep_enters = [event.data for event in machine.tracer.events
+                    if event.category == "call" and event.name == "enter"
+                    and event.data["func"] == "Sleep"]
+    assert [data["injected"] for data in sleep_enters] == [True, False]
+    assert [data["invocation"] for data in sleep_enters] == [1, 2]
+    assert {data["role"] for data in sleep_enters} == {"test"}
 
 
 def test_remove_hook(machine, run_program):

@@ -7,6 +7,7 @@ sharded store directory must finish with results byte-identical to an
 uninterrupted serial single-file run.
 """
 
+import io
 import json
 import os
 import signal
@@ -26,7 +27,7 @@ from repro.core.runner import RunConfig
 from repro.core.store import RunStore, ShardedRunStore
 from repro.core.workload import MiddlewareKind
 from repro.load import LoadSpec
-from repro.serve import ReproServer
+from repro.serve import ReproServer, serve_forever
 
 FUNCTIONS = ["SetErrorMode", "CreateEventA", "CreateFileA", "ReadFile"]
 CAMPAIGN = {"kind": "campaign", "workload": "IIS",
@@ -204,6 +205,28 @@ def test_serve_with_an_unusable_store_exits_2(tmp_path, name):
     assert lines[0].startswith(
         f"repro serve: cannot open store {store_path}: ")
     assert "listening" not in done.stdout
+
+
+@pytest.mark.parametrize("manifest", [
+    '{"format": 3, "segm', '{"format": 3}', '{"format": 3, "segments": 0}',
+], ids=["torn", "no-segments", "zero"])
+def test_serve_with_a_bad_manifest_exits_2_before_listening(tmp_path,
+                                                            manifest):
+    store_path = tmp_path / "s.d"
+    store_path.mkdir()
+    (store_path / "MANIFEST.json").write_text(manifest)
+    out = io.StringIO()
+
+    def ready(server):
+        server.server_close()
+        raise AssertionError("the daemon got as far as listening")
+
+    assert serve_forever(str(store_path), out=out, ready=ready) == 2
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, out.getvalue()
+    assert lines[0].startswith(
+        f"repro serve: cannot open store {store_path}: ")
+    assert "MANIFEST.json" in lines[0]
 
 
 def _live_group_members(pgid):

@@ -114,18 +114,26 @@ def test_stop_halts_run():
     assert fired == ["a", "b"]
 
 
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
-
-
-def test_step_executes_single_event():
+def test_run_until_behind_the_clock_never_moves_it_back():
     engine = Engine()
-    fired = []
-    engine.schedule(1.0, fired.append, 1)
-    engine.schedule(2.0, fired.append, 2)
-    assert engine.step() is True
-    assert fired == [1]
-    assert engine.now == 1.0
+    engine.schedule(5.0, lambda: None)
+    assert engine.run(until=3.0) == 3.0
+    assert engine.run(until=1.0) == 3.0
+    assert engine.pending_count == 1
+
+
+def test_events_of_one_quantum_share_one_clock_object():
+    # Load results keep thousands of ``engine.now`` timestamps; one
+    # float per quantum instead of one per event keeps them small.
+    engine = Engine()
+    seen = []
+    engine.schedule(1.0, lambda: seen.append(engine.now))
+    engine.schedule(1.0, lambda: seen.append(engine.now))
+    engine.schedule(1.0, lambda: engine.schedule(
+        0.0, lambda: seen.append(engine.now)))
+    engine.run()
+    assert seen == [1.0, 1.0, 1.0]
+    assert seen[0] is seen[1] is seen[2]
 
 
 def test_reschedule_from_callback():

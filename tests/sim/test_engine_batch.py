@@ -1,10 +1,13 @@
-"""Micro-tests for the batched quantum-draining dispatch loop.
+"""Micro-tests for same-quantum dispatch in the event loop.
 
-``Engine.run`` drains every live heap entry at the current quantum into
-a flat list and dispatches it in seq order.  These tests pin the edge
-cases that make batching equivalent to one-at-a-time popping — ties,
-cancellation *inside* a batch, compaction triggered mid-batch, and
-stop/livelock interruption with drained-but-unfired timers.
+``Engine.run`` pops and fires one live timer at a time in ``(time,
+seq)`` order.  These tests pin the edge cases of many timers sharing
+one quantum — ties, a timer cancelled by an earlier same-time event,
+compaction triggered while same-time entries are still pending, and
+stop/livelock interruption with same-time timers left unfired (they
+never leave the heap, so a later run delivers them).  The test names
+keep the "batch" wording of the loop that once drained a quantum into
+a list before dispatching it.
 """
 
 import pytest

@@ -394,6 +394,26 @@ def test_yielding_garbage_fails_process():
     assert isinstance(proc.error, TypeError)
 
 
+def test_process_recovers_from_yielding_garbage():
+    # The non-command TypeError is thrown into the generator; one that
+    # catches it and yields a real command must be armed as usual.
+    engine = Engine()
+
+    def prog():
+        try:
+            yield "not a command"
+        except TypeError:
+            pass
+        yield Sleep(2.0)
+        return "recovered"
+
+    proc = SimProcess(engine, prog()).start()
+    engine.run()
+    assert proc.state is ProcState.FINISHED
+    assert proc.result == "recovered"
+    assert engine.now == 2.0
+
+
 def test_non_generator_rejected():
     with pytest.raises(TypeError):
         SimProcess(Engine(), lambda: None)
