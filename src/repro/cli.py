@@ -757,7 +757,8 @@ def cmd_serve(args, out) -> int:
 def cmd_lint(args, out) -> int:
     import os
 
-    from .lint import default_rules, dump_baseline, load_baseline, run_lint
+    from .lint import (default_rules, dump_baseline, load_baseline,
+                       parse_modules, run_lint)
 
     rules = default_rules()
     if args.rules:
@@ -803,18 +804,13 @@ def cmd_lint(args, out) -> int:
     if args.emit_equivalence:
         # Manifest emission is a standalone mode: it needs the parsed
         # module set and the value-flow facts, not the findings.
-        from .lint.core import Analyzer, _lint_files
         from .lint.valueflow import valueflow_for
 
-        analyzer = Analyzer([])
         try:
-            py_files, _fault_files = analyzer.collect(paths)
+            modules = parse_modules(paths)
         except FileNotFoundError as exc:
             print(f"no such path: {exc.args[0]}", file=out)
             return 2
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
         manifest = valueflow_for(modules).manifest
         manifest.save(args.emit_equivalence)
         print(f"wrote {args.emit_equivalence}: "
@@ -888,31 +884,21 @@ def cmd_lint(args, out) -> int:
               f"{args.write_baseline}", file=out)
         return 0
 
+    # The census and the equivalence oracle read the parsed module set,
+    # not the findings: one rule-free parse serves both.
+    modules = (parse_modules(paths)
+               if args.census_diff or args.equiv_check else None)
     census_report = None
     if args.census_diff:
-        # The census needs the parsed module set, not the findings, so
-        # it re-collects with no rules attached (parse cost only).
         from .lint.censusdiff import census_diff
-        from .lint.core import Analyzer, _lint_files
 
-        analyzer = Analyzer([])
-        py_files, _fault_files = analyzer.collect(paths)
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
         census_report = census_diff(
             modules, store_paths=args.census_store or ())
 
     equiv_report = None
     if args.equiv_check:
-        from .lint.core import Analyzer, _lint_files
         from .lint.valueflow import equiv_check
 
-        analyzer = Analyzer([])
-        py_files, _fault_files = analyzer.collect(paths)
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
         sample = args.equiv_sample if args.equiv_sample is not None else 6
         equiv_report = equiv_check(modules, sample=sample)
 

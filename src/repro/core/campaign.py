@@ -210,11 +210,10 @@ def run_workload_set(workload_name: str, middleware: MiddlewareKind,
 
 
 def profile_workload(workload_name: str, middleware: MiddlewareKind,
-                     config: Optional[RunConfig] = None,
-                     watchd_version: int = 3) -> set[str]:
+                     config: Optional[RunConfig] = None) -> set[str]:
     """A single fault-free run returning the called-function set — the
     measurement behind Table 1."""
-    config = config or RunConfig(watchd_version=watchd_version)
+    config = config or RunConfig()
     run = execute_run(get_workload(workload_name), middleware, fault=None,
                       config=config)
     return set(run.called_functions)

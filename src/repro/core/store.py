@@ -648,6 +648,7 @@ def open_store(path: Union[str, Path], durable: bool = False,
     """Open the store flavour ``path`` names (see
     :func:`is_sharded_path`)."""
     if is_sharded_path(path):
-        return ShardedRunStore(path, segments=segments or DEFAULT_SEGMENTS,
-                               durable=durable)
+        if segments is None:
+            segments = DEFAULT_SEGMENTS
+        return ShardedRunStore(path, segments=segments, durable=durable)
     return RunStore(path, durable=durable)

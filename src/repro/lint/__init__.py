@@ -84,6 +84,7 @@ from .core import (
     default_rules,
     dump_baseline,
     load_baseline,
+    parse_modules,
     run_lint,
 )
 from .engine import (
@@ -133,6 +134,7 @@ __all__ = [
     "equiv_check",
     "load_baseline",
     "module_name_for_path",
+    "parse_modules",
     "render_sarif",
     "run_lint",
     "valueflow_for",

@@ -424,6 +424,17 @@ class Analyzer:
                           checked_paths=checked)
 
 
+def parse_modules(paths: Sequence[str]) -> list:
+    """Every Python module under ``paths``, parsed with no rule run —
+    the input of the census, equivalence and manifest passes, which
+    read the module set rather than the findings."""
+    analyzer = Analyzer([])
+    py_files, _fault_files = analyzer.collect(paths)
+    tasks = [(path, analyzer._display_path(path)) for path in py_files]
+    modules, _parse_findings = _lint_files(tasks, [])
+    return modules
+
+
 def default_rules() -> list[Rule]:
     """The twelve passes of the suite, in reporting order."""
     from .conformance import SignatureConformanceRule

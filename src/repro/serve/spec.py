@@ -43,6 +43,17 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _reject_unknown(data: dict, spec) -> None:
+    """A key outside ``spec.to_dict()`` is a typo or a field this daemon
+    does not have; dropping it would run a campaign other than the one
+    asked for, so it bounces."""
+    fields = spec.to_dict()
+    unknown = sorted(set(data) - set(fields))
+    _require(not unknown,
+             f"unknown field(s) {', '.join(map(repr, unknown))} "
+             f"(known: {', '.join(fields)})")
+
+
 class CampaignJobSpec:
     """One injection campaign, as submitted over the wire."""
 
@@ -75,8 +86,11 @@ class CampaignJobSpec:
         self.workload = workload
         self.watchd_version = watchd_version
         self.mechanism = mechanism
-        self.functions = (None if functions is None
-                          else [str(name) for name in functions])
+        _require(functions is None
+                 or (isinstance(functions, list)
+                     and all(isinstance(name, str) for name in functions)),
+                 "functions must be a list of strings")
+        self.functions = None if functions is None else list(functions)
         _require(self.functions is None or len(self.functions) > 0,
                  "functions must be a non-empty list, or omitted for "
                  "the full space")
@@ -131,7 +145,7 @@ class CampaignJobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignJobSpec":
-        return cls(
+        spec = cls(
             workload=data.get("workload", ""),
             middleware=data.get("middleware", "none"),
             watchd_version=data.get("watchd_version", 3),
@@ -140,6 +154,8 @@ class CampaignJobSpec:
             base_seed=data.get("base_seed", 2000),
             trace_level=data.get("trace_level", "off"),
         )
+        _reject_unknown(data, spec)
+        return spec
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CampaignJobSpec)
@@ -214,11 +230,13 @@ class LoadJobSpec:
                 load.fault.injector(workload.target_role, workload.registry)
         except (KeyError, ValueError, TypeError) as exc:
             raise SpecError(f"bad load spec: {exc}") from None
-        return cls(load=load,
+        spec = cls(load=load,
                    reps=data.get("reps", 1),
                    sweep=data.get("sweep"),
                    base_seed=data.get("base_seed", 2000),
                    watchd_version=data.get("watchd_version", 3))
+        _reject_unknown(data, spec)
+        return spec
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LoadJobSpec)

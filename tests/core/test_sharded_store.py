@@ -248,6 +248,15 @@ def test_open_store_selects_flavour_by_path(tmp_path):
     assert not is_sharded_path(tmp_path / "runs.jsonl")
 
 
+def test_open_store_rejects_zero_segments(tmp_path):
+    """Only an omitted segment count means the default: an explicit 0
+    reaches the constructor's check instead of becoming 8."""
+    with pytest.raises(ValueError, match="segments must be >= 1, got 0"):
+        open_store(tmp_path / "runs.d", segments=0)
+    assert not (tmp_path / "runs.d").exists()
+    assert open_store(tmp_path / "two.d", segments=2).segments == 2
+
+
 def test_store_exists_semantics(tmp_path):
     result = _synthetic_result(Outcome.NORMAL_SUCCESS)
     single = tmp_path / "runs.jsonl"

@@ -148,6 +148,20 @@ def test_cancel_over_http(server):
          fault={"mechanism": "parameter", "function": "NoSuch",
                 "param_index": 9, "fault_type": "zero", "invocation": 1})},
      400, "bad load spec: unknown export 'NoSuch'"),
+    # A field the spec does not have bounces instead of being dropped
+    # (which would run a campaign other than the one asked for).
+    ("POST", "/campaigns", {"workload": "IIS", "invocations": [0],
+                            "functions": ["SetErrorMode"]},
+     400, "unknown field(s) 'invocations'"),
+    ("POST", "/campaigns", {"workload": "IIS", "fault_types": ["bogus"],
+                            "functions": ["SetErrorMode"]},
+     400, "unknown field(s) 'fault_types'"),
+    ("POST", "/campaigns",
+     {"kind": "load", "spec": LoadSpec("IIS").to_dict(), "clients": 5},
+     400, "unknown field(s) 'clients'"),
+    # A bare string is not iterated one character at a time.
+    ("POST", "/campaigns", {"workload": "IIS", "functions": "SetErrorMode"},
+     400, "functions must be a list of strings"),
 ])
 def test_http_error_paths(server, method, path, body, code, fragment):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -227,6 +241,23 @@ def test_serve_with_a_bad_manifest_exits_2_before_listening(tmp_path,
     assert lines[0].startswith(
         f"repro serve: cannot open store {store_path}: ")
     assert "MANIFEST.json" in lines[0]
+
+
+def test_serve_with_zero_segments_exits_2_before_listening(tmp_path):
+    """``--segments 0`` is the constructor's error, not the default."""
+    store_path = tmp_path / "s.d"
+    out = io.StringIO()
+
+    def ready(server):
+        server.server_close()
+        raise AssertionError("the daemon got as far as listening")
+
+    assert serve_forever(str(store_path), segments=0, out=out,
+                         ready=ready) == 2
+    assert out.getvalue().splitlines() == [
+        f"repro serve: cannot open store {store_path}: "
+        "segments must be >= 1, got 0"]
+    assert not store_path.exists()
 
 
 def _live_group_members(pgid):

@@ -127,6 +127,8 @@ def test_load_submission_embeds_loadspec():
      "sweep"),
     ({"kind": "load", "spec": {"workload": "IIS", "clients": 0}},
      "load spec"),
+    ({"workload": "IIS", "functions": ["SetErrorMode", 7]},
+     "functions must be a list of strings"),
 ])
 def test_bad_submissions_raise_spec_error(body, fragment):
     with pytest.raises(SpecError, match=fragment):
