@@ -209,7 +209,6 @@ class ReturnFaultSpec(FaultFamily):
     family = "return"
     mechanism = "return"
     label = "return-value corruption"
-    axis_names = REGISTRY
     takes_functions = True
 
     def __init__(self, function: str, fault_type: FaultType,
@@ -231,16 +230,18 @@ class ReturnFaultSpec(FaultFamily):
     def injector(self, target_role: str, registry):
         from .return_injector import ReturnInjector
 
-        return ReturnInjector(self, target_role)
+        return ReturnInjector(self, target_role, registry)
 
     @staticmethod
     def fault_space(functions, fault_types, invocations,
                     registry=None) -> list[ReturnFaultSpec]:
         """One fault per function × invocation × type (parameters are
-        irrelevant here); unknown names raise ``KeyError``."""
-        names = list(functions) if functions is not None else list(REGISTRY)
+        irrelevant here) over ``registry`` (KERNEL32 when None); unknown
+        names raise ``KeyError``."""
+        table = registry if registry is not None else REGISTRY
+        names = list(functions) if functions is not None else list(table)
         for name in names:
-            if name not in REGISTRY:
+            if name not in table:
                 raise KeyError(name)
         fault_types = tuple(fault_types or DEFAULT_FAULT_TYPES)
         return [ReturnFaultSpec(name, fault_type, invocation)

@@ -29,6 +29,20 @@ def _registry_label(registry) -> str:
     return f"custom ({len(registry)} exports)"
 
 
+def lookup_export(registry, function: str) -> FunctionSig:
+    """``registry[function]``; an unknown name is a ValueError naming
+    the registry, with a close-match hint."""
+    sig = registry.get(function)
+    if sig is None:
+        message = (f"unknown export {function!r} in the "
+                   f"{_registry_label(registry)} registry")
+        close = difflib.get_close_matches(function, registry, n=1)
+        if close:
+            message += f" (did you mean {close[0]!r}?)"
+        raise ValueError(message)
+    return sig
+
+
 class Injector(CallHook):
     """Arms a single :class:`FaultSpec` against one process role.
 
@@ -38,15 +52,8 @@ class Injector(CallHook):
     """
 
     def __init__(self, fault: FaultSpec, target_role: str, registry=None):
-        registry = registry if registry is not None else REGISTRY
-        sig = registry.get(fault.function)
-        if sig is None:
-            message = (f"unknown export {fault.function!r} in the "
-                       f"{_registry_label(registry)} registry")
-            close = difflib.get_close_matches(fault.function, registry, n=1)
-            if close:
-                message += f" (did you mean {close[0]!r}?)"
-            raise ValueError(message)
+        sig = lookup_export(registry if registry is not None else REGISTRY,
+                            fault.function)
         if fault.param_index >= sig.param_count:
             raise ValueError(
                 f"{fault.function} has {sig.param_count} parameters; "

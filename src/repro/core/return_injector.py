@@ -22,6 +22,7 @@ from ..nt.kernel32.signatures import REGISTRY, FunctionSig
 # ReturnFaultSpec lives with the other specs; importing it from here
 # keeps working.
 from .faults import ReturnFaultSpec
+from .injector import lookup_export
 
 
 class ReturnInjector(ReturnHook):
@@ -29,11 +30,14 @@ class ReturnInjector(ReturnHook):
 
     Unlike parameter corruption, *every* export is a candidate — the
     130 parameter-less functions included (they still return values).
+    ``registry`` defaults to the KERNEL32 export table, as for
+    :class:`~repro.core.injector.Injector`.
     """
 
-    def __init__(self, fault: ReturnFaultSpec, target_role: str):
-        if fault.function not in REGISTRY:
-            raise ValueError(f"unknown export {fault.function!r}")
+    def __init__(self, fault: ReturnFaultSpec, target_role: str,
+                 registry=None):
+        lookup_export(registry if registry is not None else REGISTRY,
+                      fault.function)
         self.fault = fault
         self.target_role = target_role
         self.fired = False

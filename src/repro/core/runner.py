@@ -9,6 +9,11 @@ is armed against the workload's target role; the server is brought up
 (directly or through middleware); the client runs to completion; the
 workload is terminated gracefully (the DTS shutdown event) and then
 reaped; and everything the data collector needs is gathered.
+
+The boot (:func:`boot`) and the workload termination
+(:func:`terminate_workload`) are the run lifecycle shared with
+multi-client load runs (:mod:`repro.load.runner`); each run kind owns
+only its client phase and its result assembly.
 """
 
 from __future__ import annotations
@@ -62,17 +67,76 @@ class RunConfig:
         return derive_seed(self.base_seed, *parts)
 
 
-def arm_fault(machine: Machine, workload: WorkloadSpec, fault):
-    """Attach the injector for ``fault`` to a machine (None: no fault).
+def boot(workload: WorkloadSpec, middleware: MiddlewareKind, fault,
+         config: RunConfig, seed: int):
+    """Bring one run up to its client phase, for either run kind.
 
-    Shared between single-client injection runs and multi-client load
-    runs, which arm faults against the same target roles.
+    Boots a fresh machine (traced at ``config.trace_level``), installs
+    the workload, arms ``fault`` against its target role (None: no
+    fault), deploys the server (optionally under middleware) and waits
+    for it to listen.  Returns ``(machine, injector,
+    middleware_program, server_came_up)``.
     """
-    if fault is None:
-        return None
-    injector = fault.injector(workload.target_role, workload.registry)
-    injector.install(machine)
-    return injector
+    level = TraceLevel.parse(config.trace_level)
+    tracer = Tracer(level) if level is not TraceLevel.OFF else None
+    machine = Machine(seed=seed, cpu_mhz=config.cpu_mhz,
+                      scm_lock_enabled=config.scm_lock_enabled,
+                      tracer=tracer)
+    if tracer is not None:
+        tracer.emit(0.0, "run", "start", workload=workload.name,
+                    middleware=middleware.value, seed=machine.seed,
+                    watchd_version=config.watchd_version)
+        if fault is not None:
+            armed = {"function": fault.function, **fault.to_dict()}
+            window = armed.pop("window", {})
+            armed.update((f"window_{name}", value)
+                         for name, value in window.items())
+            tracer.emit(0.0, "fault", "armed", **armed)
+    workload.setup(machine)
+
+    injector = None
+    if fault is not None:
+        injector = fault.injector(workload.target_role, workload.registry)
+        injector.install(machine)
+
+    middleware_program = workload.deploy_middleware(
+        machine, middleware, watchd_version=config.watchd_version)
+
+    machine.run_while(
+        lambda: not machine.transport.is_listening(workload.port),
+        config.server_up_timeout, _POLL_STEP)
+    server_came_up = machine.transport.is_listening(workload.port)
+    if tracer is not None:
+        tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
+    return machine, injector, middleware_program, server_came_up
+
+
+def terminate_workload(machine: Machine, injector, clients=()) -> None:
+    """Tear the workload down the way DTS does, for either run kind.
+
+    Monitoring stops first, so the middleware does not misinterpret the
+    shutdown as a failure; client processes in ``clients`` still
+    running are cut off (exit 1: cut off, not leakers); the DTS
+    shutdown event lets well-behaved servers exit their normal path
+    (this is also what completes the Table 1 call profile of the Apache
+    master); and a sustained-fault window still open is closed so its
+    activation trace event always has a deactivation pair.
+    """
+    from ..servers.apache import SHUTDOWN_EVENT
+
+    for role in ("mscs", "watchd"):
+        for process in machine.processes.processes_with_role(role):
+            if process.alive:
+                process.terminate(exit_code=0)
+    for process in clients:
+        if process.alive:
+            process.terminate(exit_code=1)
+    event = machine.named_objects.get(SHUTDOWN_EVENT)
+    if event is not None and hasattr(event, "set"):
+        event.set()
+        machine.run(until=machine.now + SHUTDOWN_GRACE)
+    if injector is not None and hasattr(injector, "finalize"):
+        injector.finalize()
 
 
 def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
@@ -97,36 +161,10 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                  fault: Optional[FaultSpec],
                  config: Optional[RunConfig]) -> RunResult:
     config = config or RunConfig()
-    level = TraceLevel.parse(config.trace_level)
-    tracer = Tracer(level) if level is not TraceLevel.OFF else None
-    machine = Machine(seed=config.seed_for(workload, middleware, fault),
-                      cpu_mhz=config.cpu_mhz,
-                      scm_lock_enabled=config.scm_lock_enabled,
-                      tracer=tracer)
-    if tracer is not None:
-        tracer.emit(0.0, "run", "start", workload=workload.name,
-                    middleware=middleware.value, seed=machine.seed,
-                    watchd_version=config.watchd_version)
-        if fault is not None:
-            armed = {"function": fault.function, **fault.to_dict()}
-            window = armed.pop("window", {})
-            armed.update((f"window_{name}", value)
-                         for name, value in window.items())
-            tracer.emit(0.0, "fault", "armed", **armed)
-    workload.setup(machine)
-
-    injector = arm_fault(machine, workload, fault)
-
-    middleware_program = workload.deploy_middleware(
-        machine, middleware, watchd_version=config.watchd_version)
-
-    # --- Wait for the server to be up ---------------------------------
-    machine.run_while(
-        lambda: not machine.transport.is_listening(workload.port),
-        config.server_up_timeout, _POLL_STEP)
-    server_came_up = machine.transport.is_listening(workload.port)
-    if tracer is not None:
-        tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
+    machine, injector, middleware_program, server_came_up = boot(
+        workload, middleware, fault, config,
+        config.seed_for(workload, middleware, fault))
+    tracer = machine.tracer
 
     # --- Run the client -------------------------------------------------
     client = workload.make_client()
@@ -139,18 +177,7 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
         tracer.emit(machine.now, "run", "client-end",
                     completed=not client_process.alive)
 
-    # --- Workload termination -------------------------------------------
-    # Monitoring stops first (as DTS tears the workload down), so the
-    # middleware does not misinterpret the shutdown as a failure.
-    for role in ("mscs", "watchd"):
-        for process in machine.processes.processes_with_role(role):
-            if process.alive:
-                process.terminate(exit_code=0)
-    _graceful_shutdown(machine)
-    # A sustained-fault window still open at teardown is closed here so
-    # its activation trace event always has a deactivation pair.
-    if injector is not None and hasattr(injector, "finalize"):
-        injector.finalize()
+    terminate_workload(machine, injector)
     result = collect(
         machine=machine,
         workload=workload,
@@ -169,22 +196,10 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                     restarts=result.restarts_detected,
                     activated=result.activated)
         result.trace = tuple(tracer.events)
-        result.trace_level = level
+        result.trace_level = tracer.level
     # A client that finished on its own while leaving connections open
     # is a harness bug (the HttpClient retry-path leak), not an
     # injection outcome — fail the run loudly.
     machine.check_connection_hygiene()
     machine.shutdown()
     return result
-
-
-def _graceful_shutdown(machine: Machine) -> None:
-    """Signal the DTS shutdown event so well-behaved servers exit their
-    normal path (this is also what completes the Table 1 call profile
-    of the Apache master)."""
-    from ..servers.apache import SHUTDOWN_EVENT
-
-    event = machine.named_objects.get(SHUTDOWN_EVENT)
-    if event is not None and hasattr(event, "set"):
-        event.set()
-        machine.run(until=machine.now + SHUTDOWN_GRACE)

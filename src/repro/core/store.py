@@ -190,28 +190,31 @@ def deserialize_result(data: dict):
 # ----------------------------------------------------------------------
 # Config fingerprint
 # ----------------------------------------------------------------------
+# The RunConfig fields that shape a run (tracing only observes one).
+RUN_CONFIG_FIELDS = ("base_seed", "server_up_timeout", "client_timeout",
+                     "watchd_version", "cpu_mhz", "scm_lock_enabled")
+
+
 def config_fingerprint(workload_name: str, middleware: MiddlewareKind,
                        config: RunConfig,
-                       mechanism: str = "parameter") -> str:
+                       mechanism: str = "parameter",
+                       shape: Optional[dict] = None) -> str:
     """Digest of everything that determines a run's behaviour.
 
     Two campaigns with the same fingerprint produce bit-identical
     results for the same fault key, so their runs are interchangeable.
+    ``shape`` holds the fields a run kind adds (a load spec's client
+    population); injection runs have none.
     """
     payload = {
         "format": STORE_FORMAT,
         "workload": workload_name,
         "middleware": middleware.value,
         "mechanism": mechanism,
-        "base_seed": config.base_seed,
-        "server_up_timeout": config.server_up_timeout,
-        "client_timeout": config.client_timeout,
-        "watchd_version": config.watchd_version,
-        "cpu_mhz": config.cpu_mhz,
-        # A removed knob that was always False; kept as a literal so
-        # every stored fingerprint stays valid.
-        "keep_full_trace": False,
-        "scm_lock_enabled": config.scm_lock_enabled,
+        **{name: getattr(config, name) for name in RUN_CONFIG_FIELDS},
+        # Injection payloads keep a removed knob that was always False
+        # as a literal, so every stored fingerprint stays valid.
+        **(shape if shape is not None else {"keep_full_trace": False}),
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("ascii"))

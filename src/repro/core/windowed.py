@@ -19,7 +19,8 @@ Window semantics (pinned by the trace test tier):
 
 Opening emits a ``fault.activated`` trace event, closing a matching
 ``fault.deactivated``; a window still open at workload teardown is
-closed by the runner (``finalize``), so the events always pair up.
+closed by :func:`repro.core.runner.terminate_workload` (``finalize``),
+which injection and load runs share, so the events always pair up.
 
 A run counts as *activated* only when the fault impacted at least one
 operation — the sustained-fault analog of the paper's rule that a

@@ -15,7 +15,7 @@ from .campaign import (
 )
 from .client import LoadClient
 from .result import ClientStats, LoadRunResult
-from .runner import execute_load_run, resolve_workload
+from .runner import execute_load_run
 from .spec import ArrivalMode, LoadSpec
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "LoadTask",
     "execute_load_run",
     "plan_load_tasks",
-    "resolve_workload",
     "run_load_tasks",
 ]

@@ -17,11 +17,13 @@ runs.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-from typing import Optional
 
-from ..core.store import STORE_FORMAT, fault_from_dict, fault_key_str, fault_to_dict
+from ..core.store import (
+    config_fingerprint,
+    fault_from_dict,
+    fault_key_str,
+    fault_to_dict,
+)
 from ..core.workload import MiddlewareKind
 from ..sim import derive_seed
 
@@ -44,7 +46,18 @@ class ArrivalMode(enum.Enum):
 
 
 class LoadSpec:
-    """One multi-client load configuration."""
+    """One multi-client load configuration.
+
+    The fields are declared once, as ``__slots__`` in constructor
+    order; the JSON codec, :meth:`replace` and the fingerprint's shape
+    fields are built from that declaration.
+    """
+
+    __slots__ = ("workload", "middleware", "clients", "mode", "iterations",
+                 "think_time", "stagger", "arrival_rate", "fault")
+    # Fields outside the client population's shape: the run identity
+    # (in config_fingerprint) and the fault (in the store key).
+    _IDENTITY = ("workload", "middleware", "fault")
 
     def __init__(self, workload: str,
                  middleware: MiddlewareKind = MiddlewareKind.NONE,
@@ -111,63 +124,34 @@ class LoadSpec:
 
     def fingerprint(self, config) -> str:
         """Store fingerprint: every parameter shaping a load run."""
-        payload = {
-            "format": STORE_FORMAT,
-            "mechanism": "load",
-            "workload": self.workload,
-            "middleware": self.middleware.value,
-            "clients": self.clients,
-            "mode": self.mode.value,
-            "iterations": self.iterations,
-            "think_time": self.think_time,
-            "stagger": self.stagger,
-            "arrival_rate": self.arrival_rate,
-            "base_seed": config.base_seed,
-            "server_up_timeout": config.server_up_timeout,
-            "client_timeout": config.client_timeout,
-            "watchd_version": config.watchd_version,
-            "cpu_mhz": config.cpu_mhz,
-            "scm_lock_enabled": config.scm_lock_enabled,
-        }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("ascii"))
-        return digest.hexdigest()[:16]
+        shape = {name: value for name, value in self.to_dict().items()
+                 if name not in self._IDENTITY}
+        return config_fingerprint(self.workload, self.middleware, config,
+                                  "load", shape)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "middleware": self.middleware.value,
-            "clients": self.clients,
-            "mode": self.mode.value,
-            "iterations": self.iterations,
-            "think_time": self.think_time,
-            "stagger": self.stagger,
-            "arrival_rate": self.arrival_rate,
-            "fault": fault_to_dict(self.fault),
-        }
+        data = {name: getattr(self, name) for name in self.__slots__}
+        data.update(middleware=self.middleware.value, mode=self.mode.value,
+                    fault=fault_to_dict(self.fault))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoadSpec":
-        return cls(
-            workload=data["workload"],
-            middleware=MiddlewareKind(data["middleware"]),
-            clients=data["clients"],
-            mode=ArrivalMode(data["mode"]),
-            iterations=data["iterations"],
-            think_time=data["think_time"],
-            stagger=data["stagger"],
-            arrival_rate=data["arrival_rate"],
-            fault=fault_from_dict(data["fault"]),
-        )
+        """Decode :meth:`to_dict`; a key outside the declared fields is
+        a ValueError rather than silently dropped."""
+        unknown = sorted(set(data) - set(cls.__slots__))
+        if unknown:
+            raise ValueError(
+                f"unknown load spec field(s) {', '.join(map(repr, unknown))}"
+                f" (known: {', '.join(cls.__slots__)})")
+        fields = {name: data[name] for name in cls.__slots__}
+        fields["fault"] = fault_from_dict(fields["fault"])
+        return cls(**fields)
 
     def replace(self, **changes) -> "LoadSpec":
         """A copy with some fields swapped (sweeps vary ``clients``)."""
-        data = dict(workload=self.workload, middleware=self.middleware,
-                    clients=self.clients, mode=self.mode,
-                    iterations=self.iterations, think_time=self.think_time,
-                    stagger=self.stagger, arrival_rate=self.arrival_rate,
-                    fault=self.fault)
+        data = {name: getattr(self, name) for name in self.__slots__}
         data.update(changes)
         return LoadSpec(**data)
 

@@ -130,7 +130,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         except SpecError as exc:
             self._error(400, str(exc))
             return
-        except (UnicodeDecodeError, ValueError):
+        except (UnicodeDecodeError, ValueError, RecursionError):
+            # Nesting deeper than the parser's recursion limit is not
+            # a ValueError, but it is no more a valid submission.
             self._error(400, "body is not valid JSON")
             return
         try:

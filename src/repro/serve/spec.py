@@ -43,6 +43,22 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _integer(name: str, value, minimum: Optional[int] = None) -> int:
+    """A JSON integer field: booleans, floats and strings bounce rather
+    than pass as ``int`` (``True``) or round (``int(2.7)``)."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{name} must be an integer, got {value!r}")
+    _require(minimum is None or value >= minimum,
+             f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _watchd_version(value) -> int:
+    _require(_integer("watchd_version", value) in (1, 2, 3),
+             f"watchd_version must be 1, 2 or 3, got {value}")
+    return value
+
+
 def _reject_unknown(data: dict, spec) -> None:
     """A key outside ``spec.to_dict()`` is a typo or a field this daemon
     does not have; dropping it would run a campaign other than the one
@@ -73,12 +89,10 @@ class CampaignJobSpec:
             mechanism = fault_family(str(mechanism)).mechanism
         except ValueError as exc:
             raise SpecError(str(exc)) from None
-        _require(watchd_version in (1, 2, 3),
-                 f"watchd_version must be 1, 2 or 3, got {watchd_version}")
+        _watchd_version(watchd_version)
         _require(trace_level in TRACE_LEVELS,
                  f"unknown trace_level {trace_level!r}")
-        _require(isinstance(base_seed, int),
-                 "base_seed must be an integer")
+        _integer("base_seed", base_seed)
         try:
             self.middleware = MiddlewareKind(middleware)
         except ValueError:
@@ -176,15 +190,14 @@ class LoadJobSpec:
                  sweep: Optional[Sequence[int]] = None,
                  base_seed: int = 2000,
                  watchd_version: int = 3):
-        _require(reps >= 1, f"reps must be >= 1, got {reps}")
-        _require(watchd_version in (1, 2, 3),
-                 f"watchd_version must be 1, 2 or 3, got {watchd_version}")
-        _require(isinstance(base_seed, int),
-                 "base_seed must be an integer")
+        _integer("reps", reps, minimum=1)
+        _watchd_version(watchd_version)
+        _integer("base_seed", base_seed)
         if sweep is not None:
-            sweep = [int(count) for count in sweep]
-            _require(len(sweep) > 0 and all(count >= 1 for count in sweep),
+            _require(isinstance(sweep, list) and len(sweep) > 0,
                      "sweep must be a non-empty list of client counts")
+            sweep = [_integer("sweep entry", count, minimum=1)
+                     for count in sweep]
         self.load = load
         self.reps = reps
         self.sweep = sweep
@@ -221,6 +234,9 @@ class LoadJobSpec:
         _require(isinstance(data.get("spec"), dict),
                  "load submissions need a 'spec' object "
                  "(LoadSpec.to_dict shape)")
+        for name in ("clients", "iterations"):
+            if name in data["spec"]:
+                _integer(f"spec.{name}", data["spec"][name])
         try:
             load = LoadSpec.from_dict(data["spec"])
             workload = WORKLOADS.get(load.workload)

@@ -130,3 +130,47 @@ class TestEndToEnd:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
             Campaign("IIS", mechanism="voodoo")
+
+
+class TestWorkloadRegistry:
+    """Return faults are armed and enumerated against the workload's
+    own export table (libc on the Linux port), as parameter faults
+    are."""
+
+    @pytest.fixture()
+    def linux(self):
+        from repro.posix.workload import APACHE1_LINUX
+
+        return APACHE1_LINUX
+
+    def test_a_libc_export_is_armable(self, linux):
+        fault = ReturnFaultSpec("read", FaultType.ZERO)
+        injector = fault.injector(linux.target_role, linux.registry)
+        assert not injector.fired
+
+    def test_a_kernel32_export_is_unknown_on_libc(self, linux):
+        fault = ReturnFaultSpec("ReadFile", FaultType.ZERO)
+        with pytest.raises(ValueError, match=r"unknown export 'ReadFile' "
+                           r"in the libc registry"):
+            fault.injector(linux.target_role, linux.registry)
+        with pytest.raises(ValueError,
+                           match=r"did you mean 'read'\?"):
+            ReturnFaultSpec("reed", FaultType.ZERO).injector(
+                linux.target_role, linux.registry)
+
+    def test_fault_space_enumerates_the_registry(self, linux):
+        faults = ReturnFaultSpec.fault_space(None, None, (1,),
+                                             linux.registry)
+        assert {fault.function for fault in faults} == set(linux.registry)
+        assert len(faults) == 3 * len(linux.registry)
+        with pytest.raises(KeyError):
+            ReturnFaultSpec.fault_space(["ReadFile"], None, (1,),
+                                        linux.registry)
+
+    @pytest.mark.parametrize("function", ["open", "read"])
+    def test_ones_on_a_libc_call_fails_the_run(self, linux, function):
+        result = execute_run(linux, MiddlewareKind.NONE,
+                             ReturnFaultSpec(function, FaultType.ONES),
+                             RunConfig(base_seed=5))
+        assert result.activated
+        assert result.outcome is Outcome.FAILURE

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from repro.core.faults import FaultSpec, FaultType
+from repro.core.faults import FaultSpec, FaultType, FaultWindow, IoFault
 from repro.core.runner import RunConfig
 from repro.load.result import load_result_to_dict
-from repro.load.runner import execute_load_run, resolve_workload
+from repro.load.runner import execute_load_run
 from repro.load.spec import ArrivalMode, LoadSpec
 from repro.net.transport import ConnectionLeakError
 from repro.nt.machine import Machine
@@ -109,7 +109,30 @@ class TestSpecValidation:
 
     def test_unknown_workload_names_the_known_ones(self):
         with pytest.raises(KeyError, match="Apache1"):
-            resolve_workload("nosuchthing")
+            execute_load_run(small_spec(workload="nosuchthing"), 0,
+                             RunConfig())
+
+
+def test_traced_load_run_has_the_injection_run_lifecycle():
+    """A load run boots and tears down like an injection run: its trace
+    carries the run start, the armed fault and the server-up event, and
+    a fault window still open at teardown is closed with a paired
+    deactivation."""
+    fault = IoFault("ReadFile", "delay", 0.5, FaultWindow("time", 1, 100000))
+    result = execute_load_run(
+        LoadSpec(workload="IIS", clients=2, fault=fault), 0,
+        RunConfig(trace_level="outcome"))
+    assert result.fault_activated
+    events = [(event.category, event.name) for event in result.trace]
+    assert events[:2] == [("run", "start"), ("fault", "armed")]
+    assert ("run", "server-up") in events
+    activated = events.index(("fault", "activated"))
+    assert events.index(("fault", "deactivated")) > activated
+    assert events.count(("fault", "activated")) == \
+        events.count(("fault", "deactivated")) == 1
+    closed = result.trace[events.index(("fault", "deactivated"))]
+    assert closed.data["reason"] == "run-end"
+    assert closed.time == result.duration
 
 
 def test_load_run_trace_levels_nest():

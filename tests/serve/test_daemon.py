@@ -179,6 +179,18 @@ def test_post_rejects_junk_bodies(server):
     assert "JSON" in excinfo.value.read().decode("utf-8")
 
 
+def test_post_answers_deeply_nested_json_with_400(server):
+    """Nesting past the parser's recursion limit raises RecursionError,
+    not ValueError; it still gets a 400, not a dropped connection."""
+    request = urllib.request.Request(
+        server.url + "/campaigns", data=b"[" * 100_000, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    assert "body is not valid JSON" in excinfo.value.read().decode("utf-8")
+    assert _request(server.url, "GET", "/healthz")[0] == 200
+
+
 # ----------------------------------------------------------------------
 # Kill -9 and restart on the same store (real subprocess)
 # ----------------------------------------------------------------------

@@ -135,6 +135,43 @@ def test_bad_submissions_raise_spec_error(body, fragment):
         spec_from_dict(body)
 
 
+def _load(**fields) -> dict:
+    return dict({"kind": "load", "spec": LoadSpec("IIS").to_dict()},
+                **fields)
+
+
+def _load_spec(**fields) -> dict:
+    return _load(spec=dict(LoadSpec("IIS").to_dict(), **fields))
+
+
+# JSON booleans are Python ints and int() rounds floats and parses
+# strings, so each of these used to be accepted as some other integer.
+@pytest.mark.parametrize("body, fragment", [
+    ({"workload": "IIS", "base_seed": True}, "base_seed must be an integer"),
+    ({"workload": "IIS", "watchd_version": True},
+     "watchd_version must be an integer"),
+    (_load(base_seed=True), "base_seed must be an integer"),
+    (_load(reps=True), "reps must be an integer"),
+    (_load(reps=2.0), "reps must be an integer"),
+    (_load(watchd_version=True), "watchd_version must be an integer"),
+    (_load(sweep=[5, 2.7]), "sweep entry must be an integer, got 2.7"),
+    (_load(sweep=["3"]), "sweep entry must be an integer, got '3'"),
+    (_load(sweep=[True]), "sweep entry must be an integer, got True"),
+    (_load(sweep="5,10"), "sweep must be a non-empty list"),
+    (_load_spec(clients=2.5), "spec.clients must be an integer, got 2.5"),
+    (_load_spec(clients=True), "spec.clients must be an integer, got True"),
+    (_load_spec(iterations="2"), "spec.iterations must be an integer"),
+    # The inner spec rejects a field it does not have, like the outer.
+    (_load_spec(cycles=10), "unknown load spec field.*'cycles'"),
+], ids=["seed-bool", "watchd-bool", "load-seed-bool",
+        "reps-bool", "reps-float", "load-watchd-bool", "sweep-float",
+        "sweep-str", "sweep-bool", "sweep-str-list", "clients-float",
+        "clients-bool", "iterations-str", "inner-unknown"])
+def test_integer_fields_are_strict(body, fragment):
+    with pytest.raises(SpecError, match=fragment):
+        spec_from_dict(body)
+
+
 def _load_with_fault(fault: dict) -> dict:
     return {"kind": "load",
             "spec": dict(LoadSpec("IIS").to_dict(), fault=fault)}
