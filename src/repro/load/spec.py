@@ -17,6 +17,7 @@ runs.
 from __future__ import annotations
 
 import enum
+import math
 
 from ..core.store import (
     config_fingerprint,
@@ -72,6 +73,11 @@ class LoadSpec:
             raise ValueError(f"clients must be >= 1, got {clients}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
+        for name, value in (("think_time", think_time), ("stagger", stagger),
+                            ("arrival_rate", arrival_rate)):
+            # nan and inf pass every range check below.
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if think_time < 0 or stagger < 0:
             raise ValueError("think_time and stagger must be >= 0")
         if arrival_rate <= 0:

@@ -13,12 +13,13 @@ calling thread::
 Every call runs a flattened per-export *handler* built by
 :func:`build_call_handler`:
 
-1. semantic arguments are lowered to raw 32-bit words,
-2. the interception layer lets hooks (the fault injector) rewrite them,
-3. the raw words are decoded back against the declared signature,
-4. the implementation (specific or generic) runs on the decoded frame.
+1. each semantic argument is lowered to its raw 32-bit word and, in the
+   same pass, decoded back against the declared signature,
+2. the interception layer lets hooks (the fault injector) rewrite the
+   raw words — the words are decoded again only if a hook did,
+3. the implementation (specific or generic) runs on the decoded frame.
 
-Step 2/3 is exactly where a corrupted word changes meaning: a zeroed
+Step 2 is exactly where a corrupted word changes meaning: a zeroed
 string pointer decodes as NULL, a flipped handle stops resolving, an
 all-ones size means four gigabytes.
 
@@ -27,19 +28,26 @@ thunk, which is code per export that finds its calling process at run
 time.  The handler is a single generator frame: what is fixed per
 export (the implementation, its blocking-ness, the per-parameter
 pointer flags) is bound when it is compiled, and the per-process state
-(machine, process, hook lists, invocation counters, tracer) is read
-from the calling context on every call, so hooks added after
-compilation are honoured on the next call.  The handler is cached on
-the signature, in ``FunctionSig._dispatch``.
+is read on every call from the calling process's export proxy, so
+hooks added after compilation are honoured on the next call.  The
+handler is cached on the signature, in ``FunctionSig._dispatch``.
+
+``ctx.k32`` is that proxy: an instance of :class:`K32Proxy`, a class
+built once per interpreter with one class-level descriptor per export.
+Reading ``ctx.k32.ReadFile`` binds the export's handler to the proxy,
+compiling it on the first read anywhere.  The proxy carries the
+machine, the process and the process's call books (its invocation
+counters and its role's called set, fetched on its first call).
 
 The builder is the only call path, on NT and on the Linux port alike:
-the context class supplies the one system-dependent piece, its
+the proxy class supplies the one system-dependent piece, its
 ``resolve`` function mapping an export to the ``(implementation,
 is_blocking)`` pair — kernel32 here, libc in :mod:`repro.posix.context`.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from types import MethodType
 from typing import TYPE_CHECKING, Any
 
@@ -47,11 +55,16 @@ from ..sim import Sleep
 from .interception import CallOverride
 from .kernel32 import runtime
 from .kernel32.signatures import REGISTRY, FunctionSig
-from .memory import MASK32, ArgKind, DecodedArg
+from .memory import (MASK32, NULL_ARG, ArgKind, CString, DecodedArg,
+                     interned_as_is)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .machine import Machine
     from .process_manager import NTProcess
+
+
+# Each decoded argument keeps the raw word it was decoded from.
+_raw_word = attrgetter("raw")
 
 
 class UnknownExportError(AttributeError):
@@ -72,56 +85,87 @@ def _resolve_impl(sig: FunctionSig):
 def build_call_handler(resolve, sig: FunctionSig):
     """Compile the flattened call handler for one export.
 
-    ``resolve`` names the implementation behind ``sig`` (a context
+    ``resolve`` names the implementation behind ``sig`` (a proxy
     class's ``resolve``).  The handler is shared by every process that
-    calls the export: it takes the calling context — a
-    :class:`Win32Context` or a :class:`repro.posix.context.PosixContext`
-    — as its first argument.  Per call it reads the context's machine
-    and process and, through them, the hook lists, the per-pid
-    invocation dict, the per-role called set and the tracer; per-call
-    work is those reads, the encode loop, the invocation-counter bump,
-    the (usually empty) hook scan, the decode loop, and the
-    implementation itself.
+    calls the export: it takes the calling process's export proxy — a
+    :class:`K32Proxy` or a :class:`repro.posix.context.LibcProxy` — as
+    its first argument, and reads the machine, the process and that
+    process's call books from it.  Per-call work is those reads, one
+    lowering-and-decoding pass over the arguments, the (usually empty)
+    hook scan, the invocation-counter commit, and the implementation
+    itself.
     """
     name = sig.name
     nparams = len(sig.params)
     pointer_flags = sig.pointer_flags
-    has_pointers = any(pointer_flags)
     impl, blocking = resolve(sig)
     Frame = runtime.Frame
+    INT = ArgKind.INT
+    OBJECT = ArgKind.OBJECT
 
-    def call(ctx, *sem_args: Any):
+    def call(proxy, *sem_args: Any):
         if len(sem_args) != nparams:
             raise TypeError(
                 f"{name} takes {nparams} arguments, got {len(sem_args)}"
             )
-        machine = ctx.machine
-        process = ctx.process
+        machine = proxy.machine
+        process = proxy.process
         space = machine.address_space
-        interception = machine.interception
-        # --- 1. encode: semantic arguments to raw 32-bit words -------
-        # (left-to-right, like the interning order corrupted-address
-        # determinism depends on; plain ints — handles, sizes, flags —
-        # take the inline path, everything else the full encoder)
-        raw_list = []
-        for value in sem_args:
-            if type(value) is int:
-                raw_list.append(value & MASK32)
+        int_args = space._int_args
+        # --- 1. lower each semantic argument to its raw 32-bit word ---
+        # and decode that word against the declared type in the same
+        # pass (left to right: corrupted-address determinism depends on
+        # the interning order).  Plain ints, None and str take inline
+        # paths, simulation objects are interned as they are, anything
+        # else goes through the full encoder; an integer parameter's
+        # word decodes to the flyweight INT argument.
+        decoded = []
+        for value, pointer_like in zip(sem_args, pointer_flags):
+            cls = value.__class__
+            if cls is int:
+                raw = value & MASK32
             elif value is None:
-                raw_list.append(0)
+                if pointer_like:
+                    decoded.append(NULL_ARG)
+                    continue
+                raw = 0
+            elif cls is str:
+                obj = CString(value)
+                raw = space.place(obj)
+                if pointer_like:
+                    decoded.append(DecodedArg(raw, OBJECT, obj))
+                    continue
+            elif interned_as_is(cls):
+                raw = space.intern(value)
+                if pointer_like:
+                    decoded.append(DecodedArg(raw, OBJECT, value))
+                    continue
             else:
-                raw_list.append(space.encode(value))
-        raw_args = tuple(raw_list)
+                raw = space.encode(value)
+            if pointer_like:
+                decoded.append(space.decode(raw, True))
+                continue
+            arg = int_args.get(raw)
+            if arg is None:
+                arg = int_args[raw] = DecodedArg(raw, INT)
+            decoded.append(arg)
+        # (through a list: tuple() over a bare iterator over-allocates
+        # and shrinks the tuple on every call, which raised the gen-0
+        # collection count of the Figure-2 grid by about 30 %)
+        raw_args = tuple([*map(_raw_word, decoded)])
         # --- 2. interception: hooks may rewrite the raw words, or ----
         # preempt the call outright (a CallOverride: I/O and resource
         # faults fail or delay the call without touching its arguments)
-        pid = process.pid
-        per_pid = interception._invocations.get(pid)
-        if per_pid is None:
-            per_pid = interception._invocations[pid] = {}
+        interception = machine.interception
+        per_pid = proxy.invocations
+        if per_pid is None:  # this process's first call
+            per_pid = proxy.invocations = \
+                interception._invocations.setdefault(process.pid, {})
+            proxy.called = \
+                interception._called_by_role.setdefault(process.role, set())
         invocation = per_pid.get(name, 0) + 1
-        per_pid[name] = invocation
         injected = False
+        rewritten = False
         override = None
         hooks = interception.hooks
         if hooks:
@@ -132,22 +176,21 @@ def build_call_handler(resolve, sig: FunctionSig):
                         override = replacement
                     else:
                         raw_args = replacement
+                        rewritten = True
                     injected = True
-        role = process.role
-        called = interception._called_by_role.get(role)
-        if called is None:
-            called = interception._called_by_role[role] = set()
-        called.add(name)
-        call_counts = interception._call_counts
-        call_counts[name] = call_counts.get(name, 0) + 1
+        # Committed after the scan: a hook's total_calls excludes the
+        # call in flight.
+        per_pid[name] = invocation
+        proxy.called.add(name)
         tracer = machine.tracer
         if tracer is not None and tracer.calls_enabled:
             tracer.emit(machine.engine.now, "call", "enter",
-                        pid=pid, role=role, func=name,
+                        pid=process.pid, role=process.role, func=name,
                         invocation=invocation, injected=injected)
         if override is not None:
             if override.delay > 0.0:
                 yield Sleep(override.delay)
+                rewritten = True  # the space may have changed meanwhile
             if override.skip:
                 process.last_error = override.last_error
                 result = override.result
@@ -155,26 +198,10 @@ def build_call_handler(resolve, sig: FunctionSig):
                     if tracer is None or not tracer.calls_enabled:
                         return result
                 return interception.dispatch_return(process, sig, result)
-        # --- 3. decode: raw words back against the declared types ----
-        int_args = space._int_args
-        decoded = []
-        if has_pointers:
-            for raw, pointer_like in zip(raw_args, pointer_flags):
-                if pointer_like:
-                    decoded.append(space.decode(raw, True))
-                else:
-                    raw &= MASK32
-                    arg = int_args.get(raw)
-                    if arg is None:
-                        arg = int_args[raw] = DecodedArg(raw, ArgKind.INT)
-                    decoded.append(arg)
-        else:
-            for raw in raw_args:
-                raw &= MASK32
-                arg = int_args.get(raw)
-                if arg is None:
-                    arg = int_args[raw] = DecodedArg(raw, ArgKind.INT)
-                decoded.append(arg)
+        # --- 3. decode again only if a hook rewrote the words -------
+        if rewritten:
+            decoded = [space.decode(raw, pointer_like)
+                       for raw, pointer_like in zip(raw_args, pointer_flags)]
         # --- 4. run the implementation on the decoded frame ----------
         frame = Frame(machine, process, sig, decoded)
         if blocking:
@@ -191,47 +218,87 @@ def build_call_handler(resolve, sig: FunctionSig):
     return call
 
 
+class _Export:
+    """One export on a proxy class: ``proxy.Name`` is the export's one
+    handler bound to that proxy.
+
+    The handler is read from the signature's ``_dispatch`` slot on every
+    access, and compiled through the module-global
+    :func:`build_call_handler` when the slot is empty.  The slot is the
+    only handler cache on purpose: clearing it is how a profiler that
+    wraps the builder (perfbench's ``install()``) makes every export
+    recompile through its wrappers, proxies made before the clearing
+    included.
+    """
+
+    __slots__ = ("sig",)
+
+    def __init__(self, sig: FunctionSig):
+        self.sig = sig
+
+    def __get__(self, proxy, owner):
+        if proxy is None:
+            return self
+        sig = self.sig
+        try:
+            handler = sig._dispatch
+        except AttributeError:
+            handler = sig._dispatch = build_call_handler(owner.resolve, sig)
+        return MethodType(handler, proxy)
+
+
 class ExportProxy:
     """Attribute-style access to one library's exports:
     ``ctx.k32.ReadFile``, ``ctx.libc.open``.
 
-    ``registry`` maps export names to signatures; a name it lacks
-    raises ``error`` (an ``AttributeError`` subclass naming its
-    ``library``).  The first touch of an export compiles its handler
-    (see :func:`build_call_handler`) unless the signature already holds
-    one in ``_dispatch``, and memoises the handler bound to this
-    context in the instance dict, so a process pays ``__getattr__``
-    once per export and the interpreter pays one compile per export.
+    A subclass names a ``registry`` (export names to signatures), the
+    ``resolve`` function behind its handlers and the missing-export
+    ``error`` (an ``AttributeError`` subclass naming its ``library``);
+    each registry name becomes an :class:`_Export` descriptor on the
+    subclass, once per interpreter.  An instance is one process's view:
+    it carries the machine and the process the handlers run against,
+    and that process's call books — its invocation dict and its role's
+    called set — which the first *call* fetches from the interception
+    layer, so a process that only touches an export records nothing.
     """
 
-    def __init__(self, ctx, registry: dict[str, FunctionSig], error: type):
-        self._ctx = ctx
-        self._registry = registry
-        self._error = error
+    __slots__ = ("machine", "process", "invocations", "called")
+
+    registry: dict[str, FunctionSig]
+    error: type
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name, sig in cls.registry.items():
+            setattr(cls, name, _Export(sig))
+
+    def __init__(self, machine: "Machine", process: "NTProcess"):
+        self.machine = machine
+        self.process = process
+        self.invocations = None
+        self.called = None
 
     def __getattr__(self, name: str):
-        sig = self._registry.get(name)
-        if sig is None:
-            raise self._error(f"{self._error.library} has no export {name!r}")
-        try:
-            handler = sig._dispatch
-        except AttributeError:
-            handler = sig._dispatch = build_call_handler(
-                self._ctx.resolve, sig)
-        call = MethodType(handler, self._ctx)
-        setattr(self, name, call)
-        return call
+        error = self.error
+        raise error(f"{error.library} has no export {name!r}")
+
+
+class K32Proxy(ExportProxy):
+    """``ctx.k32``: the kernel32 exports."""
+
+    __slots__ = ()
+    registry = REGISTRY
+    resolve = staticmethod(_resolve_impl)
+    error = UnknownExportError
 
 
 class Win32Context:
     """Per-process gateway to the simulated NT machine."""
 
-    resolve = staticmethod(_resolve_impl)
-
     def __init__(self, machine: "Machine", process: "NTProcess"):
         self.machine = machine
         self.process = process
-        self.k32 = ExportProxy(self, REGISTRY, UnknownExportError)
+        self.k32 = K32Proxy(machine, process)
 
     # ------------------------------------------------------------------
     # Conveniences for program code (not part of the Win32 surface)

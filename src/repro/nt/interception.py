@@ -92,10 +92,11 @@ class InterceptionLayer:
         # Per-pid invocation counters, nested rather than keyed by
         # (pid, name) tuples, so a call needs no key allocation.  A
         # process gets its inner dict (and its role a called set) on
-        # its first call, not before.
+        # its first call, not before; its export proxy keeps both, so
+        # later calls skip these lookups.  They are the only call
+        # counters: the machine-wide counts below are sums over them.
         self._invocations: dict[int, dict[str, int]] = {}
         self._called_by_role: dict[str, set[str]] = {}
-        self._call_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Hook management
@@ -156,13 +157,16 @@ class InterceptionLayer:
 
     def call_count(self, func: str) -> int:
         """Total calls of ``func`` across all processes."""
-        return self._call_counts.get(func, 0)
+        return sum(per_pid.get(func, 0)
+                   for per_pid in self._invocations.values())
 
     @property
     def total_calls(self) -> int:
         """All intercepted calls so far, machine-wide (the trace layer's
-        call-index clock)."""
-        return sum(self._call_counts.values())
+        call-index clock).  A call counts once its hooks have run, so
+        inside ``on_call`` this excludes the call in flight."""
+        return sum(sum(per_pid.values())
+                   for per_pid in self._invocations.values())
 
     def invocation_count(self, pid: int, func: str) -> int:
         return self._invocations.get(pid, {}).get(func, 0)

@@ -20,6 +20,7 @@ guaranteed to be wild (as it would be in practice).
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Any, Optional
 
 from .errors import AccessViolation
@@ -114,6 +115,25 @@ class DecodedArg:
         return f"<Arg 0x{self.raw:08X} {self.kind.value} {self.obj!r}>"
 
 
+# A raw zero where a pointer was expected.  Like the integer flyweights
+# below, it is shared: a DecodedArg is never mutated after construction.
+NULL_ARG = DecodedArg(0, ArgKind.NULL)
+
+# Types ``AddressSpace.encode`` lowers by value; a subclass keeps its
+# base's encoding even when it is a simulation-level class.
+_BY_VALUE = (bool, int, str, bytes, bytearray, list, tuple)
+
+
+@functools.cache
+def interned_as_is(cls: type) -> bool:
+    """Whether ``AddressSpace.encode`` interns instances of ``cls``
+    unchanged: the simulation-level objects (buffers, cells, structures,
+    thread entry points) that sit behind pointer arguments.  Cached per
+    class; the classes programs pass as arguments are few."""
+    return (cls.__module__.startswith("repro.")
+            and not issubclass(cls, _BY_VALUE))
+
+
 class AddressSpace:
     """Interns Python objects as 32-bit addresses; decodes them back."""
 
@@ -132,6 +152,11 @@ class AddressSpace:
         address = self._by_id.get(id(obj))
         if address is not None and self._by_address.get(address) is obj:
             return address
+        return self.place(obj)
+
+    def place(self, obj: Any) -> int:
+        """Allocate the next address for ``obj``, which no address holds
+        yet (a freshly made one): :meth:`intern` without the lookup."""
         address = self._next
         self._next += _ALIGNMENT * (1 + len(getattr(obj, "data", b"")) // _ALIGNMENT)
         self._by_address[address] = obj
@@ -199,7 +224,7 @@ class AddressSpace:
                 arg = self._int_args[raw] = DecodedArg(raw, ArgKind.INT)
             return arg
         if raw == 0:
-            return DecodedArg(raw, ArgKind.NULL)
+            return NULL_ARG
         obj = self._by_address.get(raw)
         if obj is None:
             return DecodedArg(raw, ArgKind.WILD)

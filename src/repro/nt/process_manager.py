@@ -219,7 +219,7 @@ class NTProcess:
         ctx, self.context = self.context, None
         if ctx is not None:
             # The context holds the machine, the process, and its export
-            # proxy, whose memoised handlers are bound to the context.
+            # proxy, which holds the process again (and its call books).
             vars(ctx).clear()
         for thread in self.threads:
             thread.release()

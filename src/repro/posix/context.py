@@ -1,14 +1,16 @@
 """The libc view a simulated Linux program gets of its machine.
 
-Mirrors :class:`repro.nt.context.Win32Context`: ``ctx.libc`` is the
-same :class:`repro.nt.context.ExportProxy` over the libc registry, and
-every call runs the export's one handler from
+Mirrors :class:`repro.nt.context.Win32Context`: ``ctx.libc`` is a
+:class:`LibcProxy`, the libc sibling of
+:class:`repro.nt.context.K32Proxy` — one class-level descriptor per
+libc export, and an instance per process carrying its machine, process
+and call books.  Every call runs the export's one handler from
 :func:`repro.nt.context.build_call_handler` (cached on the signature,
-per-process state read at call time), so the *same* interception layer
-sits in the middle — which is the paper's portability claim made
-concrete: the injector, fault lists and campaign flow run unmodified;
-only this system-dependent export resolution (the "JNI component") is
-new.
+per-process state read from the proxy at call time), so the *same*
+interception layer sits in the middle — which is the paper's
+portability claim made concrete: the injector, fault lists and
+campaign flow run unmodified; only this system-dependent export
+resolution (the "JNI component") is new.
 """
 
 from __future__ import annotations
@@ -36,15 +38,22 @@ def _resolve_libc(sig):
     return impl, inspect.isgeneratorfunction(impl)
 
 
+class LibcProxy(ExportProxy):
+    """``ctx.libc``: the libc exports."""
+
+    __slots__ = ()
+    registry = LIBC_REGISTRY
+    resolve = staticmethod(_resolve_libc)
+    error = UnknownLibcExportError
+
+
 class PosixContext:
     """Per-process gateway to the simulated Linux machine."""
-
-    resolve = staticmethod(_resolve_libc)
 
     def __init__(self, machine, process):
         self.machine = machine
         self.process = process
-        self.libc = ExportProxy(self, LIBC_REGISTRY, UnknownLibcExportError)
+        self.libc = LibcProxy(machine, process)
 
     @property
     def now(self) -> float:

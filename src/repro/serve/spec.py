@@ -53,6 +53,13 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _number(name: str, value) -> None:
+    """A JSON number field: booleans and strings bounce rather than pass
+    as 1/0 (with a fingerprint of their own) or fail unnamed."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{name} must be a number, got {value!r}")
+
+
 def _watchd_version(value) -> int:
     _require(_integer("watchd_version", value) in (1, 2, 3),
              f"watchd_version must be 1, 2 or 3, got {value}")
@@ -237,6 +244,9 @@ class LoadJobSpec:
         for name in ("clients", "iterations"):
             if name in data["spec"]:
                 _integer(f"spec.{name}", data["spec"][name])
+        for name in ("think_time", "stagger", "arrival_rate"):
+            if name in data["spec"]:
+                _number(f"spec.{name}", data["spec"][name])
         try:
             load = LoadSpec.from_dict(data["spec"])
             workload = WORKLOADS.get(load.workload)

@@ -87,3 +87,9 @@ class TestModes:
         code, text = run_cli("--workload", "apache", "--clients", "0")
         assert code == 2
         assert "clients" in text
+
+    def test_non_finite_think_time_exits_2(self):
+        code, text = run_cli("--workload", "apache", "--clients", "2",
+                             "--think-time", "nan")
+        assert code == 2
+        assert "think_time must be finite" in text

@@ -107,6 +107,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LoadSpec(workload="Apache1", arrival_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["think_time", "stagger",
+                                       "arrival_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, field, value):
+        # nan < 0 and inf <= 0 are both false, so range checks alone
+        # let these through into seeds and fingerprints.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LoadSpec(workload="Apache1", **{field: value})
+
     def test_unknown_workload_names_the_known_ones(self):
         with pytest.raises(KeyError, match="Apache1"):
             execute_load_run(small_spec(workload="nosuchthing"), 0,

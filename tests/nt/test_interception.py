@@ -115,6 +115,45 @@ def test_call_counts(machine, run_program):
     assert machine.interception.call_count("GetVersion") == 0
 
 
+class TotalCallsHook:
+    """Records the machine-wide call count each ``on_call`` sees."""
+
+    def __init__(self, interception):
+        self.interception = interception
+        self.seen = []
+
+    def on_call(self, process, sig, invocation, raw_args):
+        self.seen.append(self.interception.total_calls)
+        return None
+
+
+def test_total_calls_counts_a_call_after_its_hooks(machine):
+    # Inside on_call the call in flight is not yet counted (the
+    # injector's call_index is total_calls + 1), and the per-function
+    # total is the sum of the per-process invocation counters.
+    hook = TotalCallsHook(machine.interception)
+    machine.interception.add_hook(hook)
+
+    class Prog:
+        image_name = "p.exe"
+
+        def main(self, ctx):
+            yield from ctx.k32.GetTickCount()
+            yield from ctx.k32.GetVersion()
+            yield from ctx.k32.GetTickCount()
+
+    processes = [machine.processes.spawn(Prog(), role=role)
+                 for role in ("a", "b")]
+    machine.engine.run(until=1.0)
+    interception = machine.interception
+    assert hook.seen == list(range(6))
+    assert interception.total_calls == 6
+    for func, total in (("GetTickCount", 4), ("GetVersion", 2)):
+        assert interception.call_count(func) == total == sum(
+            interception.invocation_count(process.pid, func)
+            for process in processes)
+
+
 def test_trace_records_injection_flag():
     machine = Machine(seed=42, tracer=Tracer("calls"))
     machine.interception.add_hook(CorruptingHook("Sleep", 0))

@@ -1,10 +1,24 @@
 """Property-based tests for NT substrate invariants."""
 
+import enum
+from types import SimpleNamespace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.nt.context import K32Proxy, build_call_handler
 from repro.nt.handles import HandleTable, KernelObject
-from repro.nt.memory import AddressSpace, ArgKind, Buffer
+from repro.nt.interception import InterceptionLayer
+from repro.nt.kernel32.signatures import FunctionSig, ParamSpec, ParamType
+from repro.nt.memory import (
+    AddressSpace,
+    ArgKind,
+    Buffer,
+    CString,
+    OutCell,
+    WordArray,
+)
+from repro.trace.events import TraceLevel
 
 WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -61,3 +75,113 @@ def test_corrupted_pointer_decode_is_total(raw, fault_name):
     assert arg.kind in (ArgKind.NULL, ArgKind.WILD, ArgKind.OBJECT)
     if arg.kind is ArgKind.OBJECT:
         assert arg.obj is not None
+
+
+# ----------------------------------------------------------------------
+# The call handler lowers and decodes each argument in one pass; it must
+# agree with the two-pass reference (encode every argument, then decode
+# every raw word) on the raw words, the address-space cursor and every
+# decoded argument.
+# ----------------------------------------------------------------------
+class Shade(enum.IntEnum):
+    DARK = 1
+    ALL_ONES = 0xFFFFFFFF
+    WIDE = 2**33 + 5
+
+
+# Reused across arguments and across examples, like a program's own
+# buffers and out-cells.
+REUSED = (Buffer(b"shared"), OutCell(7, "shared"))
+
+
+def _fresh_space():
+    """A space with one freed allocation: its address decodes WILD."""
+    space = AddressSpace()
+    freed = space.intern(Buffer(b"gone"))
+    space.free(freed)
+    return space, freed
+
+
+FREED = _fresh_space()[1]
+
+ARGUMENT = st.one_of(
+    st.integers(min_value=-2**34, max_value=2**34),
+    st.booleans(),
+    st.sampled_from(list(Shade)),
+    st.sampled_from(list(TraceLevel)),  # an int subclass under repro.
+    st.none(),
+    st.text(max_size=6),
+    st.binary(max_size=40),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+    st.sampled_from(REUSED),
+    st.just(FREED),
+)
+
+
+def _shape(arg):
+    """A decoded argument as comparable data: fresh objects by content,
+    reused ones by identity."""
+    obj = arg.obj
+    if isinstance(obj, CString):
+        obj = ("CString", obj.text)
+    elif isinstance(obj, WordArray):
+        obj = ("WordArray", obj.values)
+    elif isinstance(obj, Buffer) and not any(obj is r for r in REUSED):
+        obj = ("Buffer", bytes(obj.data))
+    return arg.raw, arg.kind, obj
+
+
+class _Rewriter:
+    """Records the raw words a hook sees; optionally rewrites one."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+        self.seen = None
+
+    def on_call(self, process, sig, invocation, raw_args):
+        self.seen = raw_args
+        if self.rewrite is None:
+            return None
+        index, word = self.rewrite
+        words = list(raw_args)
+        words[index] = word
+        return tuple(words)
+
+
+@given(args=st.lists(ARGUMENT, max_size=6), data=st.data())
+def test_one_pass_arguments_match_encode_then_decode(args, data):
+    flags = data.draw(st.lists(st.booleans(), min_size=len(args),
+                               max_size=len(args)))
+    rewrite = data.draw(st.none() | st.tuples(
+        st.integers(min_value=0, max_value=len(args) - 1),
+        st.one_of(WORD, st.just(0), st.just(FREED)))) if args else None
+    sig = FunctionSig("Probe", tuple(
+        ParamSpec(f"p{index}", ParamType.PTR if flag else ParamType.INT,
+                  index) for index, flag in enumerate(flags)), "test")
+    frames = []
+    handler = build_call_handler(
+        lambda _sig: (lambda frame: frames.append(frame) or 0, False), sig)
+    space, _ = _fresh_space()
+    interception = InterceptionLayer()
+    hook = _Rewriter(rewrite)
+    interception.add_hook(hook)
+    machine = SimpleNamespace(address_space=space, interception=interception,
+                              tracer=None)
+    process = SimpleNamespace(pid=1, role="probe", last_error=0)
+    call = handler(K32Proxy(machine, process), *args)
+    try:
+        next(call)
+    except StopIteration:
+        pass
+
+    reference, _ = _fresh_space()
+    raw = tuple(reference.encode(value) for value in args)
+    words = list(raw)
+    if rewrite is not None:
+        words[rewrite[0]] = rewrite[1]
+    expected = [reference.decode(word, flag)
+                for word, flag in zip(words, flags)]
+    assert hook.seen == raw
+    assert space._next == reference._next
+    assert [_shape(arg) for arg in frames[0].args] == \
+        [_shape(arg) for arg in expected]

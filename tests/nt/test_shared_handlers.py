@@ -2,14 +2,14 @@
 
 ``repro.nt.context.build_call_handler`` compiles each export's handler
 once and caches it on the signature; ``ctx.k32.X`` is that handler
-bound to the calling context, and everything per-process (machine,
-process, hooks, counters, tracer) is read from the context at call
-time.
+bound to the calling process's export proxy, and everything
+per-process (machine, process, call books) is read from the proxy at
+call time.
 """
 
 import pytest
 
-from repro.nt import Machine
+from repro.nt import Machine, context
 from repro.nt.context import UnknownExportError, Win32Context
 from repro.nt.kernel32.signatures import REGISTRY
 from repro.posix import LIBC_REGISTRY, PosixContext
@@ -48,7 +48,7 @@ def test_processes_on_different_machines_share_one_handler():
     _, _, second = _run(_call_tick, Machine(seed=7))
     assert first.__func__ is second.__func__
     assert first.__func__ is REGISTRY["GetTickCount"]._dispatch
-    assert first.__self__ is not second.__self__  # each bound to its ctx
+    assert first.__self__ is not second.__self__  # each bound to its proxy
 
 
 def test_hook_added_after_compilation_fires_on_the_next_machine():
@@ -100,3 +100,40 @@ def test_missing_exports_keep_their_messages():
                        match=r"^libc has no export 'no_such_export'$"):
         libc.no_such_export
     assert not hasattr(libc, "no_such_export")
+
+
+def test_a_cleared_handler_slot_recompiles_through_the_builder(monkeypatch):
+    # A profiler wraps the module-global builder and clears the slots
+    # (perfbench's install()); the next access must compile through the
+    # wrapper, on proxies made before the clearing too, and restoring
+    # the slots must bring the original handlers back.
+    machine = Machine(seed=1)
+    k32 = Win32Context(machine, None).k32
+    libc = PosixContext(machine, None).libc
+    sigs = (REGISTRY["GetTickCount"], LIBC_REGISTRY["getpid"])
+    originals = (k32.GetTickCount.__func__, libc.getpid.__func__)
+    built = []
+    real_builder = context.build_call_handler
+
+    def spy(resolve, sig):
+        built.append(sig.name)
+        return real_builder(resolve, sig)
+
+    monkeypatch.setattr(context, "build_call_handler", spy)
+    for sig in sigs:
+        del sig._dispatch
+    try:
+        recompiled = (k32.GetTickCount.__func__, libc.getpid.__func__)
+        assert built == ["GetTickCount", "getpid"]
+        assert recompiled[0] is not originals[0]
+        assert recompiled[1] is not originals[1]
+        assert recompiled == tuple(sig._dispatch for sig in sigs)
+        # Compiled once: a later proxy gets the same handler.
+        later = Win32Context(machine, None).k32
+        assert later.GetTickCount.__func__ is recompiled[0]
+        assert built == ["GetTickCount", "getpid"]
+    finally:
+        for sig, handler in zip(sigs, originals):
+            sig._dispatch = handler
+    assert k32.GetTickCount.__func__ is originals[0]
+    assert libc.getpid.__func__ is originals[1]

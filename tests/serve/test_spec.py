@@ -5,6 +5,8 @@ for every constructible spec, because the daemon's dedup depends on a
 resubmitted JSON body producing the identical store fingerprint.
 """
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -170,6 +172,40 @@ def _load_spec(**fields) -> dict:
 def test_integer_fields_are_strict(body, fragment):
     with pytest.raises(SpecError, match=fragment):
         spec_from_dict(body)
+
+
+# A JSON boolean passes a "< 0" check as 1 or 0 (and fingerprints as a
+# spec of its own), a string failed deep inside LoadSpec without naming
+# the field, and Python's json parses NaN and Infinity, which slipped
+# past "< 0" and "<= 0" alike.
+@pytest.mark.parametrize("body, fragment", [
+    (_load_spec(think_time=True), "spec.think_time must be a number, got True"),
+    (_load_spec(stagger=False), "spec.stagger must be a number, got False"),
+    (_load_spec(arrival_rate=True),
+     "spec.arrival_rate must be a number, got True"),
+    (_load_spec(think_time="5"), "spec.think_time must be a number, got '5'"),
+    (_load_spec(stagger="0.25"), "spec.stagger must be a number"),
+    (_load_spec(arrival_rate="2"), "spec.arrival_rate must be a number"),
+    (_load_spec(think_time=float("nan")), "think_time must be finite"),
+    (_load_spec(stagger=float("inf")), "stagger must be finite"),
+    (_load_spec(arrival_rate=float("inf")), "arrival_rate must be finite"),
+    (json.loads('{"kind": "load", "spec": {"workload": "IIS", '
+                '"middleware": "none", "clients": 10, "mode": "closed", '
+                '"iterations": 1, "think_time": NaN, "stagger": 0.25, '
+                '"arrival_rate": Infinity, "fault": null}}'),
+     "think_time must be finite"),
+], ids=["think-bool", "stagger-bool", "rate-bool", "think-str",
+        "stagger-str", "rate-str", "think-nan", "stagger-inf", "rate-inf",
+        "wire-nan"])
+def test_float_fields_are_strict(body, fragment):
+    with pytest.raises(SpecError, match=fragment):
+        spec_from_dict(body)
+
+
+def test_integer_values_are_accepted_for_float_fields():
+    spec = spec_from_dict(_load_spec(think_time=5, stagger=0, arrival_rate=2))
+    assert (spec.load.think_time, spec.load.stagger,
+            spec.load.arrival_rate) == (5, 0, 2)
 
 
 def _load_with_fault(fault: dict) -> dict:
