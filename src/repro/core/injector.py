@@ -49,6 +49,10 @@ class Injector(CallHook):
     ``registry`` defaults to the KERNEL32 export table; the Linux port
     passes the libc table instead — the injector itself is one of the
     components the paper's port did *not* have to rewrite.
+
+    It watches only the fault's function (``exports``), and unhooks
+    itself once it fires, so calls of other functions, and every call
+    after the fault, never reach it.
     """
 
     def __init__(self, fault: FaultSpec, target_role: str, registry=None):
@@ -59,6 +63,7 @@ class Injector(CallHook):
                 f"{fault.function} has {sig.param_count} parameters; "
                 f"cannot corrupt index {fault.param_index}")
         self.fault = fault
+        self.exports = (fault.function,)
         self.target_role = target_role
         self.fired = False
         self.fired_at: Optional[float] = None
@@ -73,23 +78,22 @@ class Injector(CallHook):
     # ------------------------------------------------------------------
     def on_call(self, process, sig: FunctionSig, invocation: int,
                 raw_args: tuple[int, ...]):
-        if self.fired or process.role != self.target_role:
-            return None
-        if sig.name != self.fault.function:
+        if process.role != self.target_role:
             return None
         # Count invocations across process incarnations of the role, so
         # a respawned worker does not get re-injected: one fault per run.
         self._seen_invocations += 1
         if self._seen_invocations != self.fault.invocation:
             return None
+        machine = process.machine
+        machine.interception.remove_hook(self)  # one fault per run
         self.fired = True
-        self.fired_at = process.machine.engine.now
+        self.fired_at = machine.engine.now
         self.fired_pid = process.pid
         original = raw_args[self.fault.param_index]
         corrupted = self.fault.fault_type.apply(original)
         self.original_raw = original
         self.corrupted_raw = corrupted
-        machine = process.machine
         tracer = machine.tracer
         if tracer is not None and tracer.outcome_enabled:
             # total_calls has not yet counted the call being corrupted.

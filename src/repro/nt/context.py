@@ -15,8 +15,10 @@ Every call runs a flattened per-export *handler* built by
 
 1. each semantic argument is lowered to its raw 32-bit word and, in the
    same pass, decoded back against the declared signature,
-2. the interception layer lets hooks (the fault injector) rewrite the
-   raw words — the words are decoded again only if a hook did,
+2. the interception layer lets the hooks watching this export (the
+   fault injector) rewrite the raw words — the words are built only
+   when some hook watches the call, and decoded again only if a hook
+   rewrote them,
 3. the implementation (specific or generic) runs on the decoded frame.
 
 Step 2 is exactly where a corrupted word changes meaning: a zeroed
@@ -91,9 +93,10 @@ def build_call_handler(resolve, sig: FunctionSig):
     :class:`K32Proxy` or a :class:`repro.posix.context.LibcProxy` — as
     its first argument, and reads the machine, the process and that
     process's call books from it.  Per-call work is those reads, one
-    lowering-and-decoding pass over the arguments, the (usually empty)
-    hook scan, the invocation-counter commit, and the implementation
-    itself.
+    lowering-and-decoding pass over the arguments, one lookup of the
+    hooks watching the export (the raw words and the hook scan only if
+    there are any), the invocation-counter commit, and the
+    implementation itself.
     """
     name = sig.name
     nparams = len(sig.params)
@@ -149,10 +152,6 @@ def build_call_handler(resolve, sig: FunctionSig):
             if arg is None:
                 arg = int_args[raw] = DecodedArg(raw, INT)
             decoded.append(arg)
-        # (through a list: tuple() over a bare iterator over-allocates
-        # and shrinks the tuple on every call, which raised the gen-0
-        # collection count of the Figure-2 grid by about 30 %)
-        raw_args = tuple([*map(_raw_word, decoded)])
         # --- 2. interception: hooks may rewrite the raw words, or ----
         # preempt the call outright (a CallOverride: I/O and resource
         # faults fail or delay the call without touching its arguments)
@@ -167,8 +166,17 @@ def build_call_handler(resolve, sig: FunctionSig):
         injected = False
         rewritten = False
         override = None
-        hooks = interception.hooks
+        # Only the every-call hooks and the hooks watching this export
+        # are scanned; a call no hook watches builds no raw words.
+        hooks = interception.every_call_hooks
+        watching = interception.export_hooks.get(name)
+        if watching:
+            hooks = hooks + watching if hooks else watching
         if hooks:
+            # (through a list: tuple() over a bare iterator over-allocates
+            # and shrinks the tuple on every call, which raised the gen-0
+            # collection count of the Figure-2 grid by about 30 %)
+            raw_args = tuple([*map(_raw_word, decoded)])
             for hook in hooks:
                 replacement = hook.on_call(process, sig, invocation, raw_args)
                 if replacement is not None:

@@ -7,6 +7,13 @@ dispatched through this layer, which gives registered hooks the same
 power: observe the call, and rewrite its raw argument words before the
 implementation sees them.
 
+A hook names the exports it watches in an ``exports`` attribute (the
+parameter injector watches only its fault's function), and the layer
+files it under each of them; a hook without the attribute sees every
+call (the windowed injectors).  A call pays for interception only when
+some hook watches it: a call no hook watches builds no raw words and
+makes no hook call, as a probe placed only on the function it fails.
+
 The layer also keeps the call bookkeeping the rest of DTS relies on
 (a per-call record is the ``call``-level tracer's ``call enter``
 event, see :mod:`repro.trace`):
@@ -56,7 +63,12 @@ class CallOverride:
 
 
 class CallHook(Protocol):
-    """Interface for interception hooks (the fault injector)."""
+    """Interface for interception hooks (the fault injector).
+
+    A hook may carry ``exports``, the names of the exports it watches,
+    read once when it is added: ``on_call`` then runs only for calls of
+    those exports.  Without the attribute it runs for every call.
+    """
 
     def on_call(self, process: "NTProcess", sig: FunctionSig,
                 invocation: int, raw_args: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -82,12 +94,24 @@ class ReturnHook(Protocol):
         """
 
 
+def _without(hooks: tuple, hook) -> tuple:
+    return tuple(other for other in hooks if other is not hook)
+
+
 class InterceptionLayer:
     """Hooks and call bookkeeping shared by every handler between
     program code and the kernel32 (or libc) implementations."""
 
     def __init__(self):
-        self.hooks: list[CallHook] = []
+        # The call hooks, split by what they watch: hooks without
+        # ``exports`` see every call, the others are filed under each
+        # export they name.  Both are tuples replaced on every add and
+        # remove, so a scan runs over a snapshot and a hook may remove
+        # itself from inside ``on_call`` without another hook missing
+        # the call.  A call runs the every-call hooks first, then its
+        # export's, each set in the order the hooks were added.
+        self.every_call_hooks: tuple[CallHook, ...] = ()
+        self.export_hooks: dict[str, tuple[CallHook, ...]] = {}
         self.return_hooks: list[ReturnHook] = []
         # Per-pid invocation counters, nested rather than keyed by
         # (pid, name) tuples, so a call needs no key allocation.  A
@@ -102,13 +126,30 @@ class InterceptionLayer:
     # Hook management
     # ------------------------------------------------------------------
     def add_hook(self, hook: CallHook) -> None:
-        self.hooks.append(hook)
+        exports = getattr(hook, "exports", None)
+        if exports is None:
+            self.every_call_hooks += (hook,)
+            return
+        table = self.export_hooks
+        for name in exports:
+            table[name] = table.get(name, ()) + (hook,)
 
     def remove_hook(self, hook: CallHook) -> None:
-        try:
-            self.hooks.remove(hook)
-        except ValueError:
-            pass
+        """Detach ``hook`` from every call it watches; a hook that is
+        not attached is ignored."""
+        self.every_call_hooks = _without(self.every_call_hooks, hook)
+        table = self.export_hooks
+        for name in [name for name, hooks in table.items() if hook in hooks]:
+            rest = _without(table[name], hook)
+            if rest:
+                table[name] = rest
+            else:
+                del table[name]
+
+    def clear_hooks(self) -> None:
+        """Detach every call hook (end-of-run teardown)."""
+        self.every_call_hooks = ()
+        self.export_hooks = {}
 
     def add_return_hook(self, hook: ReturnHook) -> None:
         self.return_hooks.append(hook)

@@ -146,15 +146,17 @@ class Machine:
 
         The links: pending timers (each holds the engine and whatever
         it would have woken), each process's upward links (see
-        :meth:`NTProcess.release`), call hooks that hold the machine
-        (the sustained-fault injectors), and the subsystems' own
-        ``machine`` attributes.
+        :meth:`NTProcess.release`), the call hooks — both the
+        every-call set and the export-keyed table, since a hook may hold
+        the machine (the sustained-fault injectors) and a parameter
+        injector that never fired is still filed under its export —, and
+        the subsystems' own ``machine`` attributes.
         """
         self.processes.terminate_all()
         self.engine.clear()
         for process in self.processes.processes:
             process.release()
-        self.interception.hooks.clear()
+        self.interception.clear_hooks()
         self.processes.machine = None
         self.scm.machine = None
         self.transport.machine = None

@@ -11,6 +11,8 @@ correctness criteria — are computable without running a server.
 Every machine boot installs the same run-invariant bytes, so the
 zero-argument generators are memoised with ``functools.cache``: one
 generation per process serves all runs, and ``bytes`` is immutable.
+:func:`cgi_page` is memoised the same way per script content, in a
+bounded LRU since a damaged script read is content of its own.
 """
 
 from __future__ import annotations
@@ -74,11 +76,13 @@ def cgi_script_source() -> bytes:
             b"print report(1024);\n")
 
 
+@functools.lru_cache(maxsize=64)
 def cgi_page(script_source: bytes) -> bytes:
     """What a healthy CGI run of ``script_source`` produces: 1 kB page.
 
     Derives from the script content so that a corrupted script read
-    yields a detectably different page.
+    yields a detectably different page.  Built once per distinct script
+    per process (a bounded LRU keyed by the bytes).
     """
     seed = content_checksum(script_source)
     head = b"<html><body><h1>CGI report</h1>\n"

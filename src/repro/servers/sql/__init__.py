@@ -7,7 +7,7 @@ file: ``CREATE TABLE``, ``INSERT``, ``SELECT`` with ``WHERE``,
 ``ORDER BY``, ``LIMIT``, ``DISTINCT`` and the standard aggregates.
 """
 
-from .executor import Database, ResultSet
+from .executor import Database, ResultSet, recover
 from .lexer import SqlSyntaxError, Token, TokenType, tokenize
 from .parser import parse
 from .table import SqlRuntimeError, Table
@@ -17,6 +17,7 @@ __all__ = [
     "ResultSet",
     "Table",
     "parse",
+    "recover",
     "tokenize",
     "Token",
     "TokenType",

@@ -17,6 +17,7 @@ from .ast_nodes import (
     NotOp,
     Select,
 )
+from .lexer import SqlSyntaxError
 from .parser import parse
 from .table import SqlRuntimeError, Table
 
@@ -26,6 +27,32 @@ from .table import SqlRuntimeError, Table
 # execution only reads them (rows and results are built fresh), and a
 # SqlSyntaxError is never cached, so a torn statement raises every time.
 _parse = functools.lru_cache(maxsize=256)(parse)
+
+
+def recover(data: bytes) -> "Database":
+    """The ``master`` database rebuilt from a data file's bytes.
+
+    The ;-separated statements run in order; the first one that fails
+    ends the replay (the torn tail of a truncated file).  The replay
+    runs once per distinct content per process (:func:`_recovered`,
+    a bounded LRU beside ``_parse``); every call returns a copy with
+    tables and row lists of its own, so what one boot inserts no other
+    boot sees.
+    """
+    return _recovered(data).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _recovered(data: bytes) -> "Database":
+    database = Database("master")
+    for piece in data.decode("latin-1", "replace").split(";"):
+        if not piece.strip():
+            continue
+        try:
+            database.execute(piece)
+        except (SqlSyntaxError, SqlRuntimeError):
+            break
+    return database
 
 
 class ResultSet:
@@ -86,6 +113,13 @@ class Database:
                 self.execute(piece)
                 count += 1
         return count
+
+    def copy(self) -> "Database":
+        """A database with the same tables, each a :meth:`Table.copy`."""
+        clone = Database(self.name)
+        clone.tables = {key: table.copy()
+                        for key, table in self.tables.items()}
+        return clone
 
     def table(self, name: str) -> Table:
         table = self.tables.get(name.lower())

@@ -58,6 +58,14 @@ class Table:
         row = tuple(by_name.get(c) for c in self.column_names)
         self.rows.append(row)
 
+    def copy(self) -> "Table":
+        """The same columns over a row list of its own (the rows
+        themselves are tuples, shared)."""
+        clone = Table(self.name, [(c, self.column_types[c])
+                                  for c in self.column_names])
+        clone.rows = list(self.rows)
+        return clone
+
     def __len__(self) -> int:
         return len(self.rows)
 

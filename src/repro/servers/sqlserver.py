@@ -39,7 +39,7 @@ from .base import (
     abort,
     env_flag,
 )
-from .sql import Database, SqlRuntimeError, SqlSyntaxError
+from .sql import Database, SqlRuntimeError, SqlSyntaxError, recover
 
 SQL_IMAGE = "sqlservr.exe"
 SERVICE_NAME = "MSSQLServer"
@@ -250,20 +250,13 @@ class SqlServer:
         seeded randomness, reproducing the paper's note that the zeroed
         ``ReadFileEx`` length for SQL Server "sometimes caused a
         detected error and sometimes caused a successful restart".
+        The replay is memoised per data-file content (:func:`recover`);
+        the coin is drawn here, so a damaged file draws it on every
+        boot.
         """
-        database = Database("master")
         if raw_script is None:
-            return database, False
-        text = raw_script.decode("latin-1", "replace")
-        loaded = 0
-        for piece in text.split(";"):
-            if not piece.strip():
-                continue
-            try:
-                database.execute(piece)
-                loaded += 1
-            except (SqlSyntaxError, SqlRuntimeError):
-                break  # torn tail of a truncated file
+            return Database("master"), False
+        database = recover(raw_script)
         healthy = "inventory" in database.tables and \
             len(database.tables["inventory"].rows) >= 40
         if healthy:

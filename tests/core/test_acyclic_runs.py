@@ -13,6 +13,7 @@ import gc
 
 import pytest
 
+from repro.core.faults import FaultSpec, FaultWindow, IoFault, ResourceFault
 from repro.core.runner import RunConfig, execute_run
 from repro.core.store import RunStore, config_fingerprint
 from repro.core.workload import MiddlewareKind, get_workload
@@ -20,9 +21,26 @@ from repro.load.runner import execute_load_run
 from repro.load.spec import LoadSpec
 from repro.nt.machine import Machine
 
+SERVERS = ("Apache1", "Apache2", "IIS", "SQL")
 CELLS = [(workload, middleware)
-         for workload in ("Apache1", "Apache2", "IIS", "SQL")
-         for middleware in MiddlewareKind]
+         for workload in SERVERS for middleware in MiddlewareKind]
+
+
+def first_planned_fault(workload, function):
+    return FaultSpec.fault_space([function],
+                                 registry=get_workload(workload).registry)[0]
+
+
+# Armed runs: a parameter fault that fires (its injector unhooks
+# itself), one on an export the server never calls (its injector stays
+# filed under that export until teardown), and the two windowed
+# families (every-call hooks; the resource one holds the machine).
+WINDOW = FaultWindow("calls", 1, 100)
+ARMED = ([(workload, first_planned_fault(workload, function))
+          for function in ("CreateFileA", "CreateFileW")
+          for workload in SERVERS]
+         + [("IIS", IoFault("ReadFile", "error", "EIO", WINDOW)),
+            ("IIS", ResourceFault("memory", 1, WINDOW))])
 
 
 @contextlib.contextmanager
@@ -93,4 +111,27 @@ def test_a_load_run_leaves_no_cycle(tmp_path, monkeypatch):
                            spec.key(0), result)
     assert garbage == []
     assert result.completed_clients == 5
+    assert line == reference
+
+
+@pytest.mark.parametrize("workload,fault", ARMED,
+                         ids=[f"{w}-{f.store_key}" for w, f in ARMED])
+def test_an_armed_run_leaves_no_cycle(workload, fault, tmp_path,
+                                      monkeypatch):
+    config = RunConfig()
+    spec = get_workload(workload)
+    middleware = MiddlewareKind.WATCHD
+    fingerprint = config_fingerprint(workload, middleware, config,
+                                     fault.mechanism)
+    with monkeypatch.context() as patch:
+        kill_only_teardown(patch)
+        reference = stored_line(tmp_path / "reference.jsonl", fingerprint,
+                                fault.store_key,
+                                execute_run(spec, middleware, fault, config))
+    with saved_garbage() as garbage:
+        result = execute_run(spec, middleware, fault, config)
+        line = stored_line(tmp_path / "runs.jsonl", fingerprint,
+                           fault.store_key, result)
+    assert garbage == []
+    assert result.activated == (fault.function != "CreateFileW")
     assert line == reference

@@ -5,7 +5,8 @@ These pins cover the other three families and a load run with a fault:
 one small IIS campaign per family, traced at ``outcome`` level so the
 ``fault armed`` / ``activated`` / ``deactivated`` payloads are part of
 the bytes, each checkpointed into its own store file whose sha256 is
-fixed.  Any change to a family's store key, codec, seed derivation,
+fixed.  Two more campaigns are traced at ``calls`` level, which pins
+the per-call trace stream as well.  Any change to a family's store key, codec, seed derivation,
 injector or trace payload moves one of these digests.
 """
 
@@ -38,6 +39,18 @@ CAMPAIGN_PINS = {
 }
 LOAD_PIN = (
     "d799fa43363e825ee123fe61e1e271641dd924779708f85aa13adafe2b4c85dd")
+# The same, under watchd and traced at ``calls`` level, so every
+# ``call enter`` / ``call exit`` event (invocation, ``injected``, result)
+# is part of the bytes: the stream the interception layer writes.
+# mechanism -> (functions, runs, sha256 of the store file)
+CALLS_PINS = {
+    "parameter": (
+        ["CreateFileA", "SetErrorMode", "CreateFileW"], 25,
+        "1c134278c42410572aae8752cc0dd00afc669aa4729823faba59cea7538d807c"),
+    "io": (
+        ["ReadFile"], 7,
+        "412f43968441a2c012404e5e8eb40b25e204a3212e0d589ce7f6e04aa0da6403"),
+}
 
 
 def _sha256(path) -> str:
@@ -53,6 +66,19 @@ def test_family_store_bytes_are_pinned(tmp_path, mechanism):
                  functions=functions,
                  config=RunConfig(trace_level="outcome"),
                  store=store).run()
+    assert _sha256(path) == digest
+
+
+@pytest.mark.parametrize("mechanism", sorted(CALLS_PINS))
+def test_calls_level_store_bytes_are_pinned(tmp_path, mechanism):
+    functions, runs, digest = CALLS_PINS[mechanism]
+    path = tmp_path / f"{mechanism}-calls.jsonl"
+    with RunStore(path) as store:
+        result = Campaign("IIS", MiddlewareKind.WATCHD, mechanism=mechanism,
+                          functions=functions,
+                          config=RunConfig(trace_level="calls"),
+                          store=store).run()
+    assert result.executed_count == runs
     assert _sha256(path) == digest
 
 

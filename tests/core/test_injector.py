@@ -104,6 +104,74 @@ def test_noop_corruption_detected(machine):
     assert injector.was_noop
 
 
+class CountingInjector(Injector):
+    """An injector that records every call it is shown, and whether it
+    had already fired by then."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shown = []
+        self.machine = None
+
+    def on_call(self, process, sig, invocation, raw_args):
+        self.shown.append((sig.name, self.fired))
+        self.machine = process.machine
+        return super().on_call(process, sig, invocation, raw_args)
+
+
+def test_injector_sees_only_its_export_and_nothing_after_firing(
+        monkeypatch):
+    from repro.core.runner import RunConfig, execute_run
+    from repro.core.workload import MiddlewareKind, get_workload
+
+    armed = []
+
+    def counting_injector(fault, target_role, registry):
+        armed.append(CountingInjector(fault, target_role, registry))
+        return armed[-1]
+
+    monkeypatch.setattr(FaultSpec, "injector", counting_injector)
+    # IIS calls CreateFileA at boot and again on every restart watchd
+    # makes after the corrupted call takes it down.
+    result = execute_run(get_workload("IIS"), MiddlewareKind.WATCHD,
+                         FaultSpec("CreateFileA", 0, FaultType.ZERO),
+                         RunConfig())
+    (injector,) = armed
+    assert result.activated and injector.fired
+    assert injector.shown
+    assert {name for name, _fired in injector.shown} == {"CreateFileA"}
+    assert [fired for _name, fired in injector.shown] == \
+        [False] * len(injector.shown)
+    assert injector.machine.interception.call_count("CreateFileA") > \
+        len(injector.shown)
+
+
+def _zeroed_sleep_trace(arm):
+    machine = Machine(seed=11, tracer=Tracer("calls"))
+    injector = Injector(FaultSpec("Sleep", 0, FaultType.ZERO), "target")
+    arm(machine, injector)
+    filed = machine.interception.export_hooks.get("Sleep")
+    _run(machine, [("GetTickCount", ()), ("Sleep", (1000,)),
+                   ("Sleep", (1000,))])
+    state = (injector.fired, injector.fired_at, injector.fired_pid,
+             injector.original_raw, injector.corrupted_raw)
+    events = [(event.time, event.category, event.name, event.data)
+              for event in machine.tracer.events]
+    return filed == (injector,), machine.interception.export_hooks, \
+        state, events
+
+
+def test_add_hook_arms_an_injector_as_install_does():
+    installed = _zeroed_sleep_trace(
+        lambda machine, injector: injector.install(machine))
+    added = _zeroed_sleep_trace(
+        lambda machine, injector: machine.interception.add_hook(injector))
+    assert installed == added
+    filed, hooks_after, state, _events = added
+    assert filed and hooks_after == {}
+    assert state[0]
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
         Injector(FaultSpec("Bogus", 0, FaultType.ZERO), "t")

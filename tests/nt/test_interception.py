@@ -185,6 +185,92 @@ def test_remove_hook(machine, run_program):
     assert hook.calls == []
 
 
+class WatchingHook(RecordingHook):
+    """A recording hook filed under the exports it names."""
+
+    def __init__(self, *exports):
+        super().__init__()
+        self.exports = exports
+
+
+class SelfRemovingHook(RecordingHook):
+    """Records its first call, then unhooks itself from inside it."""
+
+    def __init__(self, interception, exports=None):
+        super().__init__()
+        self.interception = interception
+        if exports is not None:
+            self.exports = exports
+
+    def on_call(self, process, sig, invocation, raw_args):
+        super().on_call(process, sig, invocation, raw_args)
+        self.interception.remove_hook(self)
+        return None
+
+
+def test_a_hook_watching_an_export_never_sees_another(machine, run_program):
+    watching = WatchingHook("GetVersion")
+    every = RecordingHook()
+    machine.interception.add_hook(watching)
+    machine.interception.add_hook(every)
+
+    def body(ctx):
+        yield from ctx.k32.GetTickCount()
+        yield from ctx.k32.GetVersion()
+        yield from ctx.k32.GetTickCount()
+
+    run_program(body)
+    assert [name for _role, name, _inv in watching.calls] == ["GetVersion"]
+    assert [name for _role, name, _inv in every.calls] == [
+        "GetTickCount", "GetVersion", "GetTickCount"]
+
+
+def test_a_hook_removing_itself_mid_scan_hides_the_call_from_no_other(
+        machine, run_program):
+    interception = machine.interception
+    leaving = [SelfRemovingHook(interception, ("GetTickCount",)),
+               SelfRemovingHook(interception)]
+    staying = [WatchingHook("GetTickCount"), RecordingHook()]
+    # Each set holds a leaving hook ahead of a staying one.
+    for hook in (leaving[0], staying[0], leaving[1], staying[1]):
+        interception.add_hook(hook)
+
+    def body(ctx):
+        yield from ctx.k32.GetTickCount()
+        yield from ctx.k32.GetTickCount()
+
+    run_program(body)
+    for hook in leaving:
+        assert [(name, inv) for _r, name, inv in hook.calls] == [
+            ("GetTickCount", 1)]
+    for hook in staying:
+        assert [(name, inv) for _r, name, inv in hook.calls] == [
+            ("GetTickCount", 1), ("GetTickCount", 2)]
+    assert interception.every_call_hooks == (staying[1],)
+    assert interception.export_hooks == {"GetTickCount": (staying[0],)}
+
+
+def test_a_hook_watching_two_exports_is_removed_from_both(machine):
+    interception = machine.interception
+    hook = WatchingHook("GetVersion", "GetTickCount")
+    interception.add_hook(hook)
+    assert interception.export_hooks == {"GetVersion": (hook,),
+                                         "GetTickCount": (hook,)}
+    interception.remove_hook(hook)
+    assert interception.export_hooks == {}
+    assert interception.every_call_hooks == ()
+
+
+def test_shutdown_empties_both_hook_sets(machine):
+    interception = machine.interception
+    interception.add_hook(RecordingHook())
+    interception.add_hook(WatchingHook("GetVersion"))
+    assert interception.every_call_hooks and interception.export_hooks
+    machine.shutdown()
+    assert interception.every_call_hooks == ()
+    assert interception.export_hooks == {}
+
+
 def test_signature_lookup_matches_dispatch():
     sig = get_signature("ReadFile")
     assert sig.param_count == 5

@@ -25,6 +25,13 @@ def test_cgi_page_is_exactly_1_kib_and_script_dependent():
     assert content.cgi_page(script + b"#tampered") != page
 
 
+def test_cgi_page_is_built_once_per_script():
+    script = content.cgi_script_source()
+    page = content.cgi_page(script)
+    assert content.cgi_page(bytes(bytearray(script))) is page
+    assert content.cgi_page.__wrapped__(script) == page
+
+
 def test_apache_conf_pins_one_child():
     conf = content.apache_conf()
     assert b"MaxChildren=1" in conf

@@ -10,6 +10,7 @@ from repro.servers.sql import (
     SqlRuntimeError,
     SqlSyntaxError,
     parse,
+    recover,
 )
 from repro.servers.sql import executor
 
@@ -221,6 +222,33 @@ class TestParseMemo:
         Database().load_script(script)
         assert recover() == cold
         assert len(cold) == 20
+
+
+class TestRecoveryMemo:
+    """``recover`` replays a data file once per distinct content and
+    hands every caller tables of its own."""
+
+    def test_recovered_copies_match_a_replay_and_are_independent(self):
+        data = sql_data_script()
+        reference = Database()
+        reference.load_script(data.decode("latin-1"))
+        first, second = recover(data), recover(data)
+        for database in (first, second):
+            assert database.table("inventory").rows == \
+                reference.table("inventory").rows
+            assert database.table("inventory").column_names == \
+                reference.table("inventory").column_names
+        first.execute("INSERT INTO inventory VALUES (41, 'x', 1, 1.0)")
+        assert len(first.table("inventory")) == 41
+        assert len(second.table("inventory")) == 40
+        assert len(recover(data).table("inventory")) == 40
+
+    def test_torn_data_stops_at_the_first_failing_statement(self):
+        data = sql_data_script()
+        torn = data[:data.index(b"'part-021'")]
+        for _attempt in range(2):  # cold, then from the memo
+            assert len(recover(torn).table("inventory")) == 20
+        assert recover(b"").tables == {}
 
 
 # ----------------------------------------------------------------------

@@ -112,3 +112,56 @@ class TestDataFileDamage:
         assert boots_alive(5) == boots_alive(5)
         outcomes = {boots_alive(seed) for seed in range(12)}
         assert outcomes == {True, False}  # both behaviours occur
+
+
+class TestRecoveryImage:
+    """Recovery replays the data file once per distinct content per
+    process; every boot still gets tables of its own and, from damaged
+    bytes, its own detection coin."""
+
+    @staticmethod
+    def _boot(data, seed=17):
+        from repro.nt import Machine
+
+        machine = Machine(seed=seed)
+        content.install_sql_content(machine.fs)
+        machine.fs.write_file(content.SQL_DATA_FILE, data)
+        sqlserver.register_images(machine)
+        machine.scm.create_service(sqlserver.SERVICE_NAME,
+                                   sqlserver.SQL_IMAGE, wait_hint=25.0)
+        machine.scm.start_service(sqlserver.SERVICE_NAME)
+        machine.run(until=30.0)
+        return machine.processes.processes_with_role("sql")[0]
+
+    def test_boots_from_the_same_bytes_share_no_row_list(self):
+        data = content.sql_data_script()
+        first = self._boot(data).program._database
+        second = self._boot(data).program._database
+        before = list(second.table("inventory").rows)
+        assert first.table("inventory").rows == before
+
+        first.execute("INSERT INTO inventory VALUES (41, 'part-041', 3, 10.75)")
+        assert len(first.table("inventory")) == 41
+        assert second.table("inventory").rows == before
+        assert first.table("inventory").rows is not \
+            second.table("inventory").rows
+
+    def test_boots_from_the_same_torn_bytes_draw_the_coin_each(
+            self, monkeypatch):
+        from repro.servers.sql import executor
+        from repro.sim.rng import RandomStreams
+
+        draws = []
+        chance = RandomStreams.chance
+
+        def counted(streams, name, probability):
+            draws.append(name)
+            return chance(streams, name, probability)
+
+        monkeypatch.setattr(RandomStreams, "chance", counted)
+        torn = content.sql_data_script()[:400]
+        self._boot(torn)
+        hits = executor._recovered.cache_info().hits
+        self._boot(torn)
+        assert executor._recovered.cache_info().hits == hits + 1
+        assert draws.count("sql-recovery-check") == 2
