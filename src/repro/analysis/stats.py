@@ -2,63 +2,106 @@
 
 Figure 4 reports average response times "with corresponding 95%
 confidence intervals (shown as error bars)"; these helpers compute the
-same quantities with the Student-t critical value (falling back to the
-normal approximation for large samples).
+same quantities with the exact two-sided Student-t critical value.
+
+The t quantile is computed here from the standard library alone, so
+importing :mod:`repro` loads no scientific stack and every host gets
+the same interval: below 1000 degrees of freedom by bisection on the
+exact tail probability (memoised per dof), from there up by an
+asymptotic series that is exact to double precision.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from typing import Optional, Sequence
 
-try:  # scipy gives exact t quantiles; the fallback table covers its absence
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _scipy_stats = None
+# The bisection bracket.  Every t quantile lies between the normal one
+# (_Z, the dof -> infinity limit) and the dof = 1 (Cauchy) value
+# tan(0.475 * pi) = 12.7062...
+_Z = 1.9599639845400543
+_T_CEILING = 13.0
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(1/2)
+_TINY = 1e-300
+# From this many degrees of freedom up, the Cornish-Fisher expansion in
+# 1/dof through dof^-4 is exact to double precision (truncation below
+# 4e-16 relative), while the tail's continued fraction loses digits to
+# cancellation at x = dof / (dof + t^2) -> 1 (about 1e-16 * dof).
+_SERIES_DOF = 1000
+_SERIES = (
+    (_Z ** 3 + _Z) / 4,
+    (5 * _Z ** 5 + 16 * _Z ** 3 + 3 * _Z) / 96,
+    (3 * _Z ** 7 + 19 * _Z ** 5 + 17 * _Z ** 3 - 15 * _Z) / 384,
+    (79 * _Z ** 9 + 776 * _Z ** 7 + 1482 * _Z ** 5 - 1920 * _Z ** 3
+     - 945 * _Z) / 92160,
+)
 
-# Two-sided 95 % t critical values for small degrees of freedom.
-_T_TABLE = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-    7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 12: 2.179, 15: 2.131,
-    20: 2.086, 25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980,
-}
-_T_DOFS = tuple(sorted(_T_TABLE))
-_T_NORMAL = 1.96  # the dof -> infinity asymptote
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function
+    I_x(a, b), evaluated by the modified Lentz method."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    m = 0
+    while True:
+        m += 1
+        m2 = 2 * m
+        for numerator in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
 
 
-def _t_fallback_95(dof: int) -> float:
-    """Table-based t critical value used when scipy is unavailable.
+def _t_tail(t: float, dof: int) -> float:
+    """Two-sided tail P(|T| > t) of Student's t: the regularized
+    incomplete beta I_x(dof/2, 1/2) at x = dof / (dof + t^2)."""
+    a = 0.5 * dof
+    square = t * t
+    x = dof / (dof + square)
+    y = square / (dof + square)  # 1 - x without the cancellation
+    log_front = (math.lgamma(a + 0.5) - math.lgamma(a) - _LOG_SQRT_PI
+                 - a * math.log1p(square / dof) + 0.5 * math.log(y))
+    # The fraction converges fast only below the beta distribution's
+    # mean; above it, use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a).
+    if x < (a + 1.0) / (a + 2.5):
+        return math.exp(log_front) * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(0.5, a, y) * 2.0
 
-    Between table entries the quantile is interpolated in 1/dof, which
-    the true t quantile is nearly linear in; above the last table entry
-    the same interpolation runs toward the normal asymptote (1/dof = 0).
-    Never rounds dof *up* to a larger table entry — that borrows the
-    smaller critical value of a bigger sample and narrows the interval.
-    """
-    value = _T_TABLE.get(dof)
-    if value is not None:
-        return value
-    last = _T_DOFS[-1]
-    if dof > last:
-        low_dof, low_value = last, _T_TABLE[last]
-        high_inv, high_value = 0.0, _T_NORMAL
-    else:
-        index = bisect.bisect_left(_T_DOFS, dof)
-        low_dof, high_dof = _T_DOFS[index - 1], _T_DOFS[index]
-        low_value, high_value = _T_TABLE[low_dof], _T_TABLE[high_dof]
-        high_inv = 1.0 / high_dof
-    frac = (1.0 / low_dof - 1.0 / dof) / (1.0 / low_dof - high_inv)
-    return low_value + (high_value - low_value) * frac
+
+@functools.cache
+def _solve_t_975(dof: int) -> float:
+    """Solve _t_tail(t, dof) = 0.05 by bisection down to adjacent
+    floats (the tail falls as t grows)."""
+    low, high = _Z, _T_CEILING
+    while True:
+        mid = 0.5 * (low + high)
+        if mid <= low or mid >= high:
+            return mid
+        if _t_tail(mid, dof) > 0.05:
+            low = mid
+        else:
+            high = mid
 
 
 def t_critical_95(dof: int) -> float:
-    """Two-sided 95 % Student-t critical value."""
-    if dof <= 0:
+    """Two-sided 95 % Student-t critical value (the 0.975 quantile),
+    exact to ~1e-13 relative for every dof >= 1."""
+    if dof < 1:
         raise ValueError("need at least two samples for an interval")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.975, dof))
-    return _t_fallback_95(dof)
+    if dof < _SERIES_DOF:
+        return _solve_t_975(dof)
+    inverse = 1.0 / dof
+    g1, g2, g3, g4 = _SERIES
+    return _Z + inverse * (g1 + inverse * (g2 + inverse * (g3 + inverse * g4)))
 
 
 def mean(values: Sequence[float]) -> float:

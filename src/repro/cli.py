@@ -63,6 +63,19 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _port(text: str) -> int:
+    """argparse type of ``serve --port``: a TCP port, 0 for ephemeral."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want an integer, got {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {port}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -245,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "existing one resumes its checkpoints)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8642,
+    serve.add_argument("--port", type=_port, default=8642,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8642)")
     serve.add_argument("--jobs", type=_jobs, default=1, metavar="N",

@@ -137,6 +137,8 @@ class WindowedInjector(CallHook):
         self.active = False
         self.window_closed = True
         self.closed_at = self.machine.engine.now
+        # A window never reopens: later calls need no scan.
+        self.machine.interception.remove_hook(self)
         self._revert()
         self._emit("deactivated", call_index, impacts=self.impacts,
                    reason=reason)

@@ -207,7 +207,11 @@ class ReproServer(ThreadingHTTPServer):
         self.store = store
         self.queue = JobQueue(store, jobs=jobs)
         self.verbose = verbose
-        super().__init__(address, ServeHandler)
+        try:
+            super().__init__(address, ServeHandler)
+        except OSError:
+            self.queue.close()
+            raise
 
     @property
     def url(self) -> str:
@@ -251,7 +255,13 @@ def serve_forever(store_path: str, host: str = "127.0.0.1",
         return 2
     resumed = (f" ({len(store)} checkpointed run(s) adopted)"
                if len(store) else "")
-    server = ReproServer((host, port), store, jobs=jobs, verbose=verbose)
+    try:
+        server = ReproServer((host, port), store, jobs=jobs, verbose=verbose)
+    except OSError as exc:
+        print(f"repro serve: cannot listen on {host}:{port}: {exc}",
+              file=out, flush=True)
+        store.close()
+        return 2
     print(f"repro serve: listening on {server.url} — store "
           f"{store_path}{resumed}, {jobs} worker(s), "
           f"durable={'on' if durable else 'off'}", file=out, flush=True)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
-    _t_fallback_95,
     mean,
     mean_ci95,
     proportion,
@@ -22,7 +21,26 @@ except ImportError:  # CI installs only pytest+hypothesis
 
 needs_scipy = pytest.mark.skipif(
     scipy_stats is None,
-    reason="fallback regression needs scipy as the reference")
+    reason="the dof-by-dof check needs scipy as the reference")
+
+# scipy 1.17.1 ``stats.t.ppf(0.975, dof)``: the reference when scipy
+# is absent (CI installs only pytest and hypothesis).
+SCIPY_T_975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    4: 2.7764451051977934,
+    5: 2.5705818356363146,
+    9: 2.262157162798205,
+    11: 2.200985160091639,
+    12: 2.1788128296672284,
+    30: 2.0422724563012378,
+    60: 2.0002978220142604,
+    120: 1.9799304050824402,
+    1000: 1.9623390808264083,
+    10**4: 1.960201239890626,
+    10**6: 1.959966356814107,
+}
 
 FLOATS = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -58,52 +76,61 @@ def test_t_critical_small_dof():
 
 
 def test_t_critical_rejects_nonpositive_dof():
-    with pytest.raises(ValueError):
-        t_critical_95(0)
+    for dof in (0, -1):
+        with pytest.raises(ValueError):
+            t_critical_95(dof)
 
 
 class TestFallbackTable:
-    """The no-scipy fallback must never be anti-conservative.
+    """The t quantile, exact on every host.
 
-    The original bug: dof=11 was rounded *up* to the dof=12 table entry
-    (2.179 < the true 2.201), silently narrowing every interval whose
-    dof fell between table rows.
+    The regression these tests grew from: a table fallback rounded
+    dof=11 *up* to the dof=12 entry (2.179 < the true 2.201), silently
+    narrowing every interval whose dof fell between table rows.
     """
 
-    def test_exact_table_entries_are_returned_verbatim(self):
-        assert _t_fallback_95(1) == 12.706
-        assert _t_fallback_95(12) == 2.179
-        assert _t_fallback_95(120) == 1.980
+    def test_matches_scipy_reference_values(self):
+        for dof, exact in SCIPY_T_975.items():
+            assert t_critical_95(dof) == pytest.approx(exact, rel=1e-9), \
+                f"dof={dof}"
 
     def test_dof_11_regression(self):
-        # Must be near the true 2.201, NOT the dof=12 entry 2.179.
-        value = _t_fallback_95(11)
+        # Must be near the true 2.201, NOT the dof=12 value 2.179.
+        value = t_critical_95(11)
         assert value == pytest.approx(2.201, abs=0.005)
         assert value > 2.179
 
     def test_monotone_decreasing_in_dof(self):
-        values = [_t_fallback_95(dof) for dof in range(1, 501)]
+        # Also across dof 1000, where the solve hands over to the series.
+        dofs = [*range(1, 501), *range(990, 1011)]
+        values = [t_critical_95(dof) for dof in dofs]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_large_dof_approaches_normal(self):
-        assert _t_fallback_95(100_000) == pytest.approx(1.96, abs=0.001)
+        assert t_critical_95(100_000) == pytest.approx(1.96, abs=0.001)
 
     @needs_scipy
     def test_fallback_within_1pct_of_scipy_dof_1_to_200(self):
+        # The bound the old table met; the exact quantile must too.
         for dof in range(1, 201):
             exact = float(scipy_stats.t.ppf(0.975, dof))
-            approx = _t_fallback_95(dof)
-            assert approx == pytest.approx(exact, rel=0.01), f"dof={dof}"
+            assert t_critical_95(dof) == pytest.approx(exact, rel=0.01), \
+                f"dof={dof}"
 
     @needs_scipy
     def test_fallback_errs_conservative_between_table_rows(self):
-        # Wherever the fallback deviates it must widen, not narrow: the
-        # t quantile is convex in 1/dof, so interpolation sits above.
-        # Table entries themselves are rounded to three decimals, hence
-        # the half-ulp slack.
+        # Wherever the quantile deviates it must widen, not narrow: no
+        # dof where the old table interpolated may come out low.
         for dof in range(1, 201):
             exact = float(scipy_stats.t.ppf(0.975, dof))
-            assert _t_fallback_95(dof) >= exact - 5e-4, f"dof={dof}"
+            assert t_critical_95(dof) >= exact - 5e-4, f"dof={dof}"
+
+    @needs_scipy
+    def test_within_1e9_of_scipy_dof_1_to_300(self):
+        for dof in range(1, 301):
+            exact = float(scipy_stats.t.ppf(0.975, dof))
+            assert t_critical_95(dof) == pytest.approx(exact, rel=1e-9), \
+                f"dof={dof}"
 
 
 class TestMeanCI:

@@ -21,6 +21,7 @@ from repro.core.windowed import (
     HANDLE_ALLOCATING_EXPORTS,
     IoInjector,
     ResourceInjector,
+    WindowedInjector,
     generate_io_fault_list,
     generate_resource_fault_list,
 )
@@ -269,6 +270,24 @@ class TestCampaignGating:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
             Campaign("IIS", mechanism="chaos")
+
+
+def test_a_closed_calls_window_unhooks_its_injector(monkeypatch):
+    """A window never reopens, so closing it detaches the injector:
+    the target's later calls pay no hook scan."""
+    seen = []
+    close = WindowedInjector._close
+
+    def closing(self, call_index, reason):
+        close(self, call_index, reason)
+        hooks = self.machine.interception
+        seen.append((reason, self in hooks.every_call_hooks,
+                     any(self in filed
+                         for filed in hooks.export_hooks.values())))
+
+    monkeypatch.setattr(WindowedInjector, "_close", closing)
+    _run(IoFault("ReadFile", "error", "EIO", FaultWindow("calls", 1, 5)))
+    assert seen == [("window", False, False)]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.campaign import Campaign
 from repro.core.exec import SerialBackend
 from repro.core.runner import RunConfig
@@ -28,6 +30,7 @@ from repro.core.store import RunStore, ShardedRunStore
 from repro.core.workload import MiddlewareKind
 from repro.load import LoadSpec
 from repro.serve import ReproServer, serve_forever
+from repro.serve.jobs import JobQueue
 
 FUNCTIONS = ["SetErrorMode", "CreateEventA", "CreateFileA", "ReadFile"]
 CAMPAIGN = {"kind": "campaign", "workload": "IIS",
@@ -270,6 +273,47 @@ def test_serve_with_zero_segments_exits_2_before_listening(tmp_path):
         f"repro serve: cannot open store {store_path}: "
         "segments must be >= 1, got 0"]
     assert not store_path.exists()
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_serve_with_an_out_of_range_port_is_a_usage_error(tmp_path, port,
+                                                          capsys):
+    """argparse rejects the port before the store is touched."""
+    store_path = tmp_path / "s.d"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--store", str(store_path), "--port", port])
+    assert exit_info.value.code == 2
+    assert "argument --port" in capsys.readouterr().err
+    assert not store_path.exists()
+
+
+def test_serve_on_a_port_in_use_exits_2_and_closes_the_store(tmp_path,
+                                                             monkeypatch):
+    closed = []
+    for owner in (ShardedRunStore, JobQueue):
+        def closing(self, *args, _close=owner.close, **kwargs):
+            closed.append(type(self))
+            _close(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "close", closing)
+    store_path = tmp_path / "s.d"
+    out = io.StringIO()
+
+    def ready(server):
+        server.server_close()
+        raise AssertionError("the daemon got as far as listening")
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        assert serve_forever(str(store_path), port=port, out=out,
+                             ready=ready) == 2
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, out.getvalue()
+    assert lines[0].startswith(
+        f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+    assert closed == [JobQueue, ShardedRunStore]
 
 
 def _live_group_members(pgid):

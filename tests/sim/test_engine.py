@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
 import gc
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +280,40 @@ class TestTombstoneCompaction:
             timer.cancel()
         assert len(engine._queue) == 11
         assert engine.pending_count == 1
+
+
+_HEAP_PROBE = """
+import resource, sys
+from repro.sim import Engine
+if sys.argv[1] == "engine":
+    Engine()
+
+def request():  # about what one static-page request holds at its peak
+    copies = [bytearray(115 * 1024) for _ in range(8)]
+    del copies
+
+request()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    request()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap trim threshold is a glibc setting")
+def test_an_engine_keeps_the_freed_heap_top_mapped():
+    """glibc returns a freed heap top to the kernel, and the next request
+    faults it back in; once an engine exists the top stays mapped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+
+    def faults(mode):
+        done = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return int(done.stdout)
+
+    if faults("import") < 1000:
+        pytest.skip("this allocator keeps its heap top without help")
+    assert faults("engine") < 100
