@@ -25,7 +25,7 @@ from .analysis.figures import OutcomeDistribution
 from .analysis.report import generate_experiments_report, shape_checks
 from .core.campaign import Campaign, profile_workload
 from .core.config import DtsConfig
-from .core.faultlist import generate_fault_list, write_fault_list_file
+from .core.faultlist import dump_fault_list, generate_fault_list
 from .core.faults import (
     FAMILY_SPECS,
     FaultSpec,
@@ -51,16 +51,27 @@ from .trace import (
 )
 
 
-def _jobs(text: str) -> int:
-    """argparse type of every ``--jobs`` option: a worker count >= 1."""
+class CliError(Exception):
+    """A command's refusal: :func:`main` prints the message and exits
+    with ``code`` — 2 for a usage error, 1 for a failed lookup or
+    check."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--jobs`` and ``serve --segments``: a count
+    >= 1."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _port(text: str) -> int:
@@ -131,6 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--write-report", metavar="PATH", default=None,
                            help="also write the EXPERIMENTS.md report here")
     _add_execution_arguments(reproduce)
+    for sub in (profile, inject, run, reproduce):
+        sub.add_argument("--trace-level", default=None,
+                         choices=TRACE_LEVEL_NAMES,
+                         help="record a structured event trace per run "
+                              "(default: off; run: [trace] level)")
 
     trace = commands.add_parser(
         "trace", help="inspect stored run traces: timeline, derived "
@@ -155,16 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "load", help="concurrent multi-client load run (Figure 4 at "
                      "scale): N simulated clients against one workload, "
                      "optionally under injection")
-    load.add_argument("--workload", required=True,
-                      help="workload name or alias: apache, apache2, iis, "
-                           "sql (case-insensitive), or a registry name")
-    load.add_argument("--middleware", default="none",
-                      help="none, mscs, watchd, or watchd1/2/3 "
-                           "(the suffix selects the watchd version)")
-    load.add_argument("--watchd-version", type=int, default=None,
-                      choices=(1, 2, 3),
-                      help="watchd version when --middleware is 'watchd' "
-                           "(default 3; watchdN implies N)")
+    _add_target_arguments(load)
     load.add_argument("--clients", type=int, default=10, metavar="N",
                       help="size of the client population (default 10)")
     load.add_argument("--sweep", default=None, metavar="N,N,...",
@@ -193,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "<param> <zero|ones|flip> <invocation>' or "
                            "'<function> <zero|ones|flip> <invocation>' "
                            "for a return-value fault")
-    load.add_argument("--seed", type=int, default=2000)
     _add_execution_arguments(load)
     load.add_argument("--resume", action="store_true",
                       help="reuse runs already checkpointed in the store")
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-baseline", action="store_true",
                       help="regenerate the active baseline file in place "
                            "(deterministic: sorted keys, stable counts)")
-    lint.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+    lint.add_argument("--jobs", type=_count, default=1, metavar="N",
                       help="analyse files through a process pool of N "
                            "workers (default: 1, serial)")
     lint.add_argument("--rules", "--select", default=None, dest="rules",
@@ -261,10 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=_port, default=8642,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8642)")
-    serve.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+    serve.add_argument("--jobs", type=_count, default=1, metavar="N",
                        help="process-pool workers shared by all jobs "
                             "(default: 1, serial)")
-    serve.add_argument("--segments", type=int, default=None, metavar="N",
+    serve.add_argument("--segments", type=_count, default=None,
+                       metavar="N",
                        help="segment files in a newly created store "
                             "(default: 8; existing stores keep theirs)")
     serve.add_argument("--no-durable", action="store_true",
@@ -276,39 +283,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_execution_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=_jobs, default=None, metavar="N",
+    sub.add_argument("--jobs", type=_count, default=None, metavar="N",
                      help="run injections through a process pool of N "
                           "workers (default: [execution] jobs, else 1)")
     sub.add_argument("--store", default=None, metavar="PATH",
                      help="checkpoint completed runs to this JSONL run "
                           "store (enables --resume and cross-campaign "
                           "result caching)")
-    sub.add_argument("--trace-level", default=None,
-                     choices=TRACE_LEVEL_NAMES,
-                     help="record a structured event trace per run "
-                          "(default: [trace] level, else off)")
 
 
 def _add_target_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    """The workload and middleware options of profile, inject and load
+    (resolved by :func:`_resolve_workload` and
+    :func:`_resolve_middleware`)."""
+    sub.add_argument("--workload", required=True,
+                     help="workload name or alias: apache, apache2, iis, "
+                          "sql (case-insensitive), or a registry name")
     sub.add_argument("--middleware", default="none",
-                     choices=[m.value for m in MiddlewareKind])
-    sub.add_argument("--watchd-version", type=int, default=3,
-                     choices=(1, 2, 3))
+                     help="none, mscs, watchd, or watchd1/2/3 "
+                          "(the suffix selects the watchd version)")
+    sub.add_argument("--watchd-version", type=int, default=None,
+                     choices=(1, 2, 3),
+                     help="watchd version when --middleware is 'watchd' "
+                          "(default 3; watchdN implies N)")
     sub.add_argument("--seed", type=int, default=2000)
-    sub.add_argument("--trace-level", default="off",
-                     choices=TRACE_LEVEL_NAMES,
-                     help="record a structured event trace of the run")
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(base_seed=args.seed,
-                     watchd_version=args.watchd_version,
-                     trace_level=args.trace_level or "off")
-
-
-def _middleware(args: argparse.Namespace) -> MiddlewareKind:
-    return MiddlewareKind(args.middleware)
 
 
 class CliProgress:
@@ -339,33 +337,97 @@ def _open_store(path: Optional[str], resume: bool, out,
     An existing store is only reused when ``--resume`` is given, so a
     stale file is never picked up by accident.  A path naming a
     directory (or spelled with a ``.d`` suffix) opens a sharded store;
-    anything else a single JSONL file.  Returns ``(store,
-    error_code)``; exactly one is set.
+    anything else a single JSONL file.  No path means no store.
     """
     from .core.store import open_store, store_exists
 
     if path is None:
         if resume:
-            print("--resume needs a run store (--store PATH or "
-                  "[execution] store)", file=out)
-            return None, 2
-        return None, None
+            raise CliError("--resume needs a run store (--store PATH or "
+                           "[execution] store)")
+        return None
     if store_exists(path) and not resume:
-        print(f"run store {path} already exists; pass --resume to reuse "
-              f"its checkpointed runs, or choose a new path", file=out)
-        return None, 2
+        raise CliError(f"run store {path} already exists; pass --resume "
+                       f"to reuse its checkpointed runs, or choose a new "
+                       f"path")
     try:
         store = open_store(path, durable=durable)
     except (OSError, ValueError) as exc:
-        print(f"cannot open store {path}: {exc}", file=out)
-        return None, 2
+        raise CliError(f"cannot open store {path}: {exc}") from None
     if resume and len(store):
         corrupt = (f"; {store.corrupt_lines} corrupt mid-file line(s) "
                    f"ignored, the runs they held will re-execute"
                    if store.corrupt_lines else "")
         print(f"resuming from {path}: {len(store)} checkpointed "
               f"run(s){corrupt}", file=out)
-    return store, None
+    return store
+
+
+def _write_text(path: str, text: str, prefix: str = "") -> None:
+    """Write an output file; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except BrokenPipeError:
+        raise  # a closed reader: main() ends the CLI with exit 1
+    except OSError as exc:
+        raise CliError(f"{prefix}cannot write {path}: "
+                       f"{exc.strerror or exc}") from None
+
+
+_WORKLOAD_ALIASES = {"apache": "Apache1", "sqlserver": "SQL"}
+
+
+def _resolve_workload(name: str) -> str:
+    """Map a CLI workload name or alias to a registry name."""
+    if name in WORKLOADS:
+        return name
+    lowered = name.lower()
+    alias = _WORKLOAD_ALIASES.get(lowered)
+    if alias is not None:
+        return alias
+    for registered in WORKLOADS:
+        if registered.lower() == lowered:
+            return registered
+    known = sorted(WORKLOADS) + sorted(_WORKLOAD_ALIASES)
+    raise CliError(f"unknown workload {name!r}; known: {', '.join(known)}")
+
+
+def _resolve_middleware(value: str, watchd_version):
+    """Parse none|mscs|watchd|watchdN into ``(kind, watchd_version)``."""
+    lowered = value.lower()
+    if lowered.startswith("watchd") and lowered[6:] in ("1", "2", "3"):
+        implied = int(lowered[6:])
+        if watchd_version is not None and watchd_version != implied:
+            raise CliError(f"--middleware {value} conflicts with "
+                           f"--watchd-version {watchd_version}")
+        return MiddlewareKind.WATCHD, implied
+    try:
+        kind = MiddlewareKind(lowered)
+    except ValueError:
+        raise CliError(f"unknown middleware {value!r}; known: none, mscs, "
+                       f"watchd, watchd1, watchd2, watchd3") from None
+    return kind, (watchd_version if watchd_version is not None else 3)
+
+
+def _parse_fault(line: str, workload, returns: bool = False):
+    """A fault-list line checked against ``workload``'s registry.
+
+    With ``returns``, a 3-token line is a return fault.
+    """
+    parts = line.split()
+    try:
+        if returns and len(parts) == 3:
+            function, fault_type, invocation = parts
+            fault = ReturnFaultSpec(function, FaultType(fault_type),
+                                    int(invocation))
+        else:
+            fault = FaultSpec.from_line(line)
+        # Arming checks the export (and the parameter index).
+        fault.injector(workload.target_role, workload.registry)
+    except ValueError as exc:
+        raise CliError(f"bad --fault: {exc}") from None
+    return fault
 
 
 # ----------------------------------------------------------------------
@@ -376,25 +438,23 @@ def cmd_faultlist(args, out) -> int:
     try:
         FaultSpec.check_functions(functions, REGISTRY)
     except ValueError as exc:
-        print(f"repro faultlist: {exc}", file=out)
-        return 2
+        raise CliError(f"repro faultlist: {exc}") from None
     faults = generate_fault_list(functions)
-    try:
-        write_fault_list_file(args.output, faults)
-    except BrokenPipeError:
-        raise  # a closed reader: main() ends the CLI with exit 1
-    except OSError as exc:
-        print(f"repro faultlist: cannot write {args.output}: "
-              f"{exc.strerror or exc}", file=out)
-        return 2
+    _write_text(args.output, dump_fault_list(faults),
+                prefix="repro faultlist: ")
     print(f"wrote {len(faults)} faults to {args.output}", file=out)
     return 0
 
 
 def cmd_profile(args, out) -> int:
-    called = profile_workload(args.workload, _middleware(args),
-                              config=_run_config(args))
-    print(f"{args.workload} / {args.middleware}: "
+    workload = _resolve_workload(args.workload)
+    middleware, watchd_version = _resolve_middleware(args.middleware,
+                                                     args.watchd_version)
+    called = profile_workload(
+        workload, middleware,
+        config=RunConfig(base_seed=args.seed, watchd_version=watchd_version,
+                         trace_level=args.trace_level or "off"))
+    print(f"{workload} / {args.middleware}: "
           f"{len(called)} KERNEL32 functions called", file=out)
     for name in sorted(called):
         print(f"  {name}", file=out)
@@ -402,12 +462,14 @@ def cmd_profile(args, out) -> int:
 
 
 def cmd_inject(args, out) -> int:
-    workload = get_workload(args.workload)
-    fault = _parse_fault(args.fault, workload, out)
-    if fault is None:
-        return 2
-    result = execute_run(workload, _middleware(args), fault,
-                         _run_config(args))
+    workload = get_workload(_resolve_workload(args.workload))
+    middleware, watchd_version = _resolve_middleware(args.middleware,
+                                                     args.watchd_version)
+    fault = _parse_fault(args.fault, workload)
+    result = execute_run(
+        workload, middleware, fault,
+        RunConfig(base_seed=args.seed, watchd_version=watchd_version,
+                  trace_level=args.trace_level or "off"))
     print(f"fault      : {fault!r}", file=out)
     print(f"activated  : {result.activated}", file=out)
     print(f"outcome    : {result.outcome.value}", file=out)
@@ -431,9 +493,8 @@ def cmd_run(args, out) -> int:
     except (OSError, ValueError, KeyError, configparser.Error) as exc:
         # configparser messages span lines; the report is one line.
         reason = str(exc.args[0] if isinstance(exc, KeyError) else exc)
-        print(f"bad --config {args.config}: {' '.join(reason.split())}",
-              file=out)
-        return 2
+        raise CliError(f"bad --config {args.config}: "
+                       f"{' '.join(reason.split())}") from None
     if args.trace_level is not None:
         config.trace_level = TraceLevel.parse(args.trace_level)
     from .analysis.fault_families import FAMILY_ORDER, build_family_comparison
@@ -450,12 +511,7 @@ def cmd_run(args, out) -> int:
                 spec_type.check_functions(functions,
                                           config.workload_spec().registry)
     except ValueError as exc:
-        print(f"bad --functions: {exc}", file=out)
-        return 2
-    jobs = args.jobs if args.jobs is not None else config.jobs
-    store, error = _open_store(args.store or config.store, args.resume, out)
-    if error is not None:
-        return error
+        raise CliError(f"bad --functions: {exc}") from None
 
     prune = None
     if args.prune_equivalent is not None:
@@ -464,12 +520,11 @@ def cmd_run(args, out) -> int:
         try:
             prune = EquivalenceManifest.load(args.prune_equivalent)
         except (OSError, ValueError) as exc:
-            print(f"cannot load equivalence manifest "
-                  f"{args.prune_equivalent}: {exc}", file=out)
-            if store is not None:
-                store.close()
-            return 2
+            raise CliError(f"cannot load equivalence manifest "
+                           f"{args.prune_equivalent}: {exc}") from None
 
+    jobs = args.jobs if args.jobs is not None else config.jobs
+    store = _open_store(args.store or config.store, args.resume, out)
     label = f"{config.workload} / {config.middleware.label}"
     results = {}
     progress = CliProgress(out)
@@ -519,11 +574,8 @@ def cmd_reproduce(args, out) -> int:
 
     # The reproduce store is a cross-figure cache: an existing file is
     # reused by design, so Figure 3 re-executes nothing after Figure 2.
-    store = None
-    if args.store:
-        store, error = _open_store(args.store, resume=True, out=out)
-        if error is not None:
-            return error
+    store = (_open_store(args.store, resume=True, out=out)
+             if args.store else None)
     backend = backend_for(args.jobs)
     suite = ExperimentSuite(
         base_seed=2000,
@@ -537,49 +589,44 @@ def cmd_reproduce(args, out) -> int:
         backend.close()
         if store is not None:
             store.close()
+    if args.write_report:
+        _write_text(args.write_report, report)
     print(report, file=out)
     held = sum(1 for check in checks if check.holds)
     if args.write_report:
-        with open(args.write_report, "w", encoding="utf-8") as handle:
-            handle.write(report)
         print(f"wrote {args.write_report}", file=out)
     print(f"shape claims: {held}/{len(checks)} hold", file=out)
     return 0 if held == len(checks) else 1
 
 
-def _lookup_traced_run(store, key: str, fingerprint, out):
-    """Resolve one stored run by fault key (and fingerprint prefix);
-    returns ``(result, error_code)`` with exactly one set."""
+def _lookup_traced_run(store, key: str, fingerprint):
+    """The one stored run under fault ``key`` (and fingerprint
+    prefix)."""
     matches = store.find(key)
     if fingerprint:
         matches = [(fp, run) for fp, run in matches
                    if fp.startswith(fingerprint)]
     if not matches:
-        print(f"no stored run for key {key!r}"
-              + (f" under fingerprint {fingerprint}*" if fingerprint
-                 else ""), file=out)
-        return None, 1
+        raise CliError(f"no stored run for key {key!r}"
+                       + (f" under fingerprint {fingerprint}*"
+                          if fingerprint else ""), code=1)
     if len(matches) > 1:
-        print(f"key {key!r} is ambiguous across campaigns; pass "
-              f"--fingerprint one of:", file=out)
-        for fp, _run in matches:
-            print(f"  {fp}", file=out)
-        return None, 2
-    return matches[0][1], None
+        raise CliError("\n".join(
+            [f"key {key!r} is ambiguous across campaigns; pass "
+             f"--fingerprint one of:"]
+            + [f"  {fp}" for fp, _run in matches]))
+    return matches[0][1]
 
 
 def cmd_trace(args, out) -> int:
     from .core.store import open_store, store_exists
 
     if not store_exists(args.store):
-        print(f"no such run store: {args.store}", file=out)
-        return 2
-
+        raise CliError(f"no such run store: {args.store}")
     try:
         store = open_store(args.store)
     except (OSError, ValueError) as exc:
-        print(f"cannot open store {args.store}: {exc}", file=out)
-        return 2
+        raise CliError(f"cannot open store {args.store}: {exc}") from None
     with store:
         if args.key is None:
             # Listing mode: every stored run, traced ones annotated.
@@ -596,23 +643,17 @@ def cmd_trace(args, out) -> int:
                 return 1
             return 0
 
-        result, error = _lookup_traced_run(store, args.key,
-                                           args.fingerprint, out)
-        if error is not None:
-            return error
+        result = _lookup_traced_run(store, args.key, args.fingerprint)
         if not result.trace:
-            print(f"run {args.key!r} was stored untraced; re-run it "
-                  f"with --trace-level outcome (or higher)", file=out)
-            return 1
+            raise CliError(f"run {args.key!r} was stored untraced; re-run "
+                           f"it with --trace-level outcome (or higher)",
+                           code=1)
 
         if args.diff is not None:
-            other, error = _lookup_traced_run(store, args.diff,
-                                              args.fingerprint, out)
-            if error is not None:
-                return error
+            other = _lookup_traced_run(store, args.diff, args.fingerprint)
             if not other.trace:
-                print(f"run {args.diff!r} was stored untraced", file=out)
-                return 1
+                raise CliError(f"run {args.diff!r} was stored untraced",
+                               code=1)
             print(render_diff(result.trace, other.trace,
                               left_label=args.key,
                               right_label=args.diff), file=out)
@@ -629,95 +670,25 @@ def cmd_trace(args, out) -> int:
         return 0
 
 
-_WORKLOAD_ALIASES = {"apache": "Apache1", "sqlserver": "SQL"}
-
-
-def _resolve_load_workload(name: str, out) -> Optional[str]:
-    """Map a CLI workload name or alias to a registry name."""
-    if name in WORKLOADS:
-        return name
-    lowered = name.lower()
-    alias = _WORKLOAD_ALIASES.get(lowered)
-    if alias is not None:
-        return alias
-    for registered in WORKLOADS:
-        if registered.lower() == lowered:
-            return registered
-    known = sorted(WORKLOADS) + sorted(_WORKLOAD_ALIASES)
-    print(f"unknown workload {name!r}; known: {', '.join(known)}",
-          file=out)
-    return None
-
-
-def _resolve_load_middleware(value: str, watchd_version, out):
-    """Parse none|mscs|watchd|watchdN into (kind, version) or None."""
-    lowered = value.lower()
-    if lowered.startswith("watchd") and lowered[6:] in ("1", "2", "3"):
-        implied = int(lowered[6:])
-        if watchd_version is not None and watchd_version != implied:
-            print(f"--middleware {value} conflicts with "
-                  f"--watchd-version {watchd_version}", file=out)
-            return None
-        return MiddlewareKind.WATCHD, implied
-    try:
-        kind = MiddlewareKind(lowered)
-    except ValueError:
-        print(f"unknown middleware {value!r}; known: none, mscs, watchd, "
-              f"watchd1, watchd2, watchd3", file=out)
-        return None
-    return kind, (watchd_version if watchd_version is not None else 3)
-
-
-def _parse_fault(line: str, workload, out, returns: bool = False):
-    """A fault-list line checked against ``workload``'s registry.
-
-    With ``returns``, a 3-token line is a return fault.  Returns the
-    fault, or None after printing a one-line ``bad --fault`` error.
-    """
-    parts = line.split()
-    try:
-        if returns and len(parts) == 3:
-            function, fault_type, invocation = parts
-            fault = ReturnFaultSpec(function, FaultType(fault_type),
-                                    int(invocation))
-        else:
-            fault = FaultSpec.from_line(line)
-        # Arming checks the export (and the parameter index).
-        fault.injector(workload.target_role, workload.registry)
-    except ValueError as exc:
-        print(f"bad --fault: {exc}", file=out)
-        return None
-    return fault
-
-
 def cmd_load(args, out) -> int:
     from .analysis.loadscale import aggregate_load_runs, render_load_scale
     from .load import LoadSpec, plan_load_tasks, run_load_tasks
 
-    workload_name = _resolve_load_workload(args.workload, out)
-    if workload_name is None:
-        return 2
-    resolved = _resolve_load_middleware(args.middleware,
-                                        args.watchd_version, out)
-    if resolved is None:
-        return 2
-    middleware, watchd_version = resolved
-
+    workload_name = _resolve_workload(args.workload)
+    middleware, watchd_version = _resolve_middleware(args.middleware,
+                                                     args.watchd_version)
     fault = None
     if args.fault is not None:
-        fault = _parse_fault(args.fault, get_workload(workload_name), out,
+        fault = _parse_fault(args.fault, get_workload(workload_name),
                              returns=True)
-        if fault is None:
-            return 2
 
     sweep = None
     if args.sweep:
         try:
             sweep = [int(part) for part in args.sweep.split(",") if part]
         except ValueError:
-            print(f"bad --sweep: {args.sweep!r} (want comma-separated "
-                  f"integers)", file=out)
-            return 2
+            raise CliError(f"bad --sweep: {args.sweep!r} (want "
+                           f"comma-separated integers)") from None
 
     try:
         spec = LoadSpec(workload=workload_name, middleware=middleware,
@@ -727,15 +698,11 @@ def cmd_load(args, out) -> int:
                         arrival_rate=args.arrival_rate, fault=fault)
         tasks = plan_load_tasks(spec, reps=args.reps, sweep=sweep)
     except ValueError as exc:
-        print(str(exc), file=out)
-        return 2
+        raise CliError(str(exc)) from None
 
     config = RunConfig(base_seed=args.seed,
                        watchd_version=watchd_version)
-    store, error = _open_store(args.store, args.resume, out)
-    if error is not None:
-        return error
-
+    store = _open_store(args.store, args.resume, out)
     jobs = args.jobs if args.jobs is not None else 1
     progress = CliProgress(out)
     try:
@@ -759,19 +726,29 @@ def cmd_load(args, out) -> int:
 
 
 def cmd_serve(args, out) -> int:
+    from .core.store import is_sharded_path
     from .serve import serve_forever
 
+    if args.segments is not None and not is_sharded_path(args.store):
+        raise CliError(f"repro serve: --segments needs a sharded store "
+                       f"(a directory or a .d path), not {args.store}")
     return serve_forever(args.store, host=args.host, port=args.port,
                          jobs=args.jobs, segments=args.segments,
                          durable=not args.no_durable,
                          verbose=args.verbose, out=out)
 
 
-def cmd_lint(args, out) -> int:
-    import os
+def _load_baseline(path: str) -> dict:
+    from .lint import load_baseline
 
-    from .lint import (default_rules, dump_baseline, load_baseline,
-                       parse_modules, run_lint)
+    try:
+        return load_baseline(path)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read baseline: {exc}") from None
+
+
+def cmd_lint(args, out) -> int:
+    from .lint import default_rules, dump_baseline, parse_modules, run_lint
 
     rules = default_rules()
     if args.rules:
@@ -782,37 +759,30 @@ def cmd_lint(args, out) -> int:
                  | {rule.family for rule in rules if rule.family})
         unknown = wanted - known
         if unknown:
-            print(f"unknown rule(s): {', '.join(sorted(unknown))} "
-                  f"(known: {', '.join(sorted(known))})", file=out)
-            return 2
+            raise CliError(f"unknown rule(s): {', '.join(sorted(unknown))} "
+                           f"(known: {', '.join(sorted(known))})")
         rules = [rule for rule in rules
                  if rule.name in wanted or rule.family in wanted]
 
     paths = args.paths or ["src", "examples"]
 
     if args.update_baseline and args.write_baseline:
-        print("--update-baseline and --write-baseline are mutually "
-              "exclusive (the former rewrites the active baseline file)",
-              file=out)
-        return 2
+        raise CliError("--update-baseline and --write-baseline are "
+                       "mutually exclusive (the former rewrites the "
+                       "active baseline file)")
     if args.census_store and not args.census_diff:
-        print("--census-store requires --census-diff", file=out)
-        return 2
+        raise CliError("--census-store requires --census-diff")
     if args.census_diff and args.output_format == "sarif":
-        print("--census-diff cannot be combined with --format sarif "
-              "(use text or json)", file=out)
-        return 2
+        raise CliError("--census-diff cannot be combined with --format "
+                       "sarif (use text or json)")
     if args.equiv_sample is not None and not args.equiv_check:
-        print("--equiv-sample requires --equiv-check", file=out)
-        return 2
+        raise CliError("--equiv-sample requires --equiv-check")
     if args.equiv_check and args.output_format == "sarif":
-        print("--equiv-check cannot be combined with --format sarif "
-              "(use text or json)", file=out)
-        return 2
+        raise CliError("--equiv-check cannot be combined with --format "
+                       "sarif (use text or json)")
     for store_path in args.census_store or ():
         if not os.path.exists(store_path):
-            print(f"no such run store: {store_path}", file=out)
-            return 2
+            raise CliError(f"no such run store: {store_path}")
 
     if args.emit_equivalence:
         # Manifest emission is a standalone mode: it needs the parsed
@@ -822,10 +792,9 @@ def cmd_lint(args, out) -> int:
         try:
             modules = parse_modules(paths)
         except FileNotFoundError as exc:
-            print(f"no such path: {exc.args[0]}", file=out)
-            return 2
+            raise CliError(f"no such path: {exc.args[0]}") from None
         manifest = valueflow_for(modules).manifest
-        manifest.save(args.emit_equivalence)
+        _write_text(args.emit_equivalence, manifest.dumps())
         print(f"wrote {args.emit_equivalence}: "
               f"{len(manifest.classes)} class(es), "
               f"{manifest.collapsible_count} collapsible run(s) "
@@ -840,11 +809,7 @@ def cmd_lint(args, out) -> int:
         if not baseline_path or baseline_path == "none":
             baseline_path = "lint-baseline.json"
     elif baseline_path and baseline_path != "none":
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline: {exc}", file=out)
-            return 2
+        baseline = _load_baseline(baseline_path)
 
     if args.write_baseline:
         # A fresh baseline captures everything, unfiltered.
@@ -854,8 +819,7 @@ def cmd_lint(args, out) -> int:
         result = run_lint(paths, rules=rules, baseline=baseline,
                           jobs=args.jobs)
     except FileNotFoundError as exc:
-        print(f"no such path: {exc.args[0]}", file=out)
-        return 2
+        raise CliError(f"no such path: {exc.args[0]}") from None
 
     if args.update_baseline:
         # `dump_baseline` sorts keys and counts occurrences, so the
@@ -868,22 +832,17 @@ def cmd_lint(args, out) -> int:
 
         keep: dict = {}
         pruned = 0
-        if os.path.exists(baseline_path):
-            try:
-                previous = load_baseline(baseline_path)
-            except (OSError, ValueError) as exc:
-                print(f"cannot read baseline: {exc}", file=out)
-                return 2
-            for key, count in previous.items():
-                entry_path = baseline_entry_path(key)
-                if entry_path in result.checked_paths:
-                    continue  # in scope: this run's findings decide
-                if not os.path.exists(entry_path):
-                    pruned += 1
-                    continue
-                keep[key] = count
-        with open(baseline_path, "w", encoding="utf-8") as handle:
-            handle.write(dump_baseline(result.findings, keep=keep))
+        previous = (_load_baseline(baseline_path)
+                    if os.path.exists(baseline_path) else {})
+        for key, count in previous.items():
+            entry_path = baseline_entry_path(key)
+            if entry_path in result.checked_paths:
+                continue  # in scope: this run's findings decide
+            if not os.path.exists(entry_path):
+                pruned += 1
+                continue
+            keep[key] = count
+        _write_text(baseline_path, dump_baseline(result.findings, keep=keep))
         print(f"regenerated {baseline_path} with "
               f"{len(result.findings)} finding(s), {len(keep)} "
               f"out-of-scope entr(y/ies) kept, {pruned} stale "
@@ -891,8 +850,7 @@ def cmd_lint(args, out) -> int:
         return 0
 
     if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(dump_baseline(result.findings))
+        _write_text(args.write_baseline, dump_baseline(result.findings))
         print(f"wrote {len(result.findings)} finding(s) to "
               f"{args.write_baseline}", file=out)
         return 0
@@ -955,9 +913,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Parse ``argv`` and run one command — the CLI's one exit
+    boundary: a :class:`CliError` becomes its message and code."""
     args = build_parser().parse_args(argv)
+    out = out or sys.stdout
     try:
-        return _COMMANDS[args.command](args, out or sys.stdout)
+        return _COMMANDS[args.command](args, out)
+    except CliError as exc:
+        out.write(f"{exc}\n")
+        return exc.code
     except BrokenPipeError:
         # The reader went away (``repro faultlist -o /dev/stdout | head``).
         # Point stdout at the null device so the flush at interpreter

@@ -31,7 +31,8 @@ class ReturnInjector(ReturnHook):
     Unlike parameter corruption, *every* export is a candidate — the
     130 parameter-less functions included (they still return values).
     ``registry`` defaults to the KERNEL32 export table, as for
-    :class:`~repro.core.injector.Injector`.
+    :class:`~repro.core.injector.Injector`.  Like that injector it
+    unhooks itself once it fires, so no later call reaches it.
     """
 
     def __init__(self, fault: ReturnFaultSpec, target_role: str,
@@ -58,12 +59,13 @@ class ReturnInjector(ReturnHook):
         self._seen_invocations += 1
         if self._seen_invocations != self.fault.invocation:
             return None
+        machine = process.machine
+        machine.interception.remove_return_hook(self)  # one fault per run
         self.fired = True
-        self.fired_at = process.machine.engine.now
+        self.fired_at = machine.engine.now
         corrupted = self.fault.fault_type.apply(result & 0xFFFFFFFF)
         self.original_result = result
         self.corrupted_result = corrupted
-        machine = process.machine
         tracer = machine.tracer
         if tracer is not None and tracer.outcome_enabled:
             # Return hooks run after dispatch counted this call.

@@ -810,10 +810,13 @@ class EquivalenceManifest:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(json.load(handle))
 
+    def dumps(self) -> str:
+        """The manifest file's text (what :meth:`save` writes)."""
+        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(self.dumps())
 
     def render_text(self) -> str:
         lines = [f"equivalence manifest {self.fingerprint}: "

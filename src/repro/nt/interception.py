@@ -152,13 +152,14 @@ class InterceptionLayer:
         self.export_hooks = {}
 
     def add_return_hook(self, hook: ReturnHook) -> None:
-        self.return_hooks.append(hook)
+        self.return_hooks = [*self.return_hooks, hook]
 
     def remove_return_hook(self, hook: ReturnHook) -> None:
-        try:
-            self.return_hooks.remove(hook)
-        except ValueError:
-            pass
+        """Detach ``hook``; a hook that is not attached is ignored.
+        The list is replaced, not edited, so a hook may remove itself
+        from inside ``on_return``."""
+        self.return_hooks = [each for each in self.return_hooks
+                             if each is not hook]
 
     # ------------------------------------------------------------------
     # Dispatch (the call side runs inline in each compiled handler, see

@@ -388,3 +388,109 @@ def test_unknown_command_rejected():
 def test_missing_required_arguments_rejected():
     with pytest.raises(SystemExit):
         _run(["profile"])
+
+
+CLEAN_MODULE = "def main(ctx):\n    yield from ctx.k32.GetTickCount()\n"
+
+
+def _reproduce_stubbed(monkeypatch):
+    """Skip the suite: ``reproduce`` reports one canned report."""
+    monkeypatch.setattr("repro.cli.generate_experiments_report",
+                        lambda suite: "# report\n")
+    monkeypatch.setattr("repro.cli.shape_checks", lambda suite: [])
+
+
+@pytest.mark.parametrize("command", [
+    ["lint", "--baseline", "none", "--write-baseline"],
+    ["lint", "--baseline", "none", "--emit-equivalence"],
+    ["lint", "--update-baseline", "--baseline"],
+    ["reproduce", "--write-report"],
+], ids=["write-baseline", "emit-equivalence", "update-baseline",
+        "write-report"])
+def test_an_unwritable_output_file_is_one_line_exit_2(tmp_path, monkeypatch,
+                                                      command):
+    _reproduce_stubbed(monkeypatch)
+    module = tmp_path / "clean.py"
+    module.write_text(CLEAN_MODULE)
+    target = tmp_path / "missing" / "out.json"
+    argv = command + [str(target)]
+    if command[0] == "lint":
+        argv.append(str(module))
+    code, out = _run(argv)
+    assert code == 2
+    assert out == f"cannot write {target}: No such file or directory\n"
+    assert "Traceback" not in out
+
+
+def test_reproduce_writes_the_report_it_prints(tmp_path, monkeypatch):
+    _reproduce_stubbed(monkeypatch)
+    target = tmp_path / "EXPERIMENTS.md"
+    code, out = _run(["reproduce", "--write-report", str(target)])
+    assert code == 0
+    assert target.read_text() == "# report\n"
+    assert out == (f"# report\n\nwrote {target}\n"
+                   "shape claims: 0/0 hold\n")
+
+
+class TestTargetNames:
+    """profile, inject and load name workloads and middleware alike."""
+
+    def test_aliases_and_versioned_watchd_are_accepted(self):
+        code, text = _run(["profile", "--workload", "iis",
+                           "--middleware", "watchd2"])
+        assert code == 0
+        assert text.startswith("IIS / watchd2: 70 KERNEL32 functions")
+
+    @pytest.mark.parametrize("command", ["profile", "inject", "load"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--workload", "nginx"], "unknown workload 'nginx'; known: "
+                                  "Apache1, Apache2, IIS, SQL, apache, "
+                                  "sqlserver\n"),
+        (["--workload", "IIS", "--middleware", "warchdog"],
+         "unknown middleware 'warchdog'; known: none, mscs, watchd, "
+         "watchd1, watchd2, watchd3\n"),
+        (["--workload", "IIS", "--middleware", "watchd1",
+          "--watchd-version", "2"],
+         "--middleware watchd1 conflicts with --watchd-version 2\n"),
+    ], ids=["workload", "middleware", "version"])
+    def test_a_bad_name_is_one_line_exit_2(self, command, flags, message):
+        argv = [command, *flags]
+        if command == "inject":
+            argv += ["--fault", "CreateEventA 3 zero 1"]
+        code, out = _run(argv)
+        assert code == 2
+        assert out == message
+
+
+class TestServeSegments:
+    @pytest.fixture
+    def daemon_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("repro.serve.serve_forever",
+                            lambda store, **kwargs: calls.append(
+                                (store, kwargs["segments"])) or 0)
+        return calls
+
+    @pytest.mark.parametrize("segments", ["0", "-3", "two"])
+    def test_segments_must_be_a_count_of_at_least_one(
+            self, tmp_path, segments, daemon_calls, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(["serve", "--store", str(tmp_path / "srv.d"),
+                  "--segments", segments])
+        assert exit_info.value.code == 2
+        assert "argument --segments" in capsys.readouterr().err
+        assert daemon_calls == []
+
+    def test_segments_on_a_single_file_store_is_one_line_exit_2(
+            self, tmp_path, daemon_calls):
+        store = tmp_path / "srv"
+        code, out = _run(["serve", "--store", str(store),
+                          "--segments", "4"])
+        assert code == 2
+        assert out == (f"repro serve: --segments needs a sharded store "
+                       f"(a directory or a .d path), not {store}\n")
+        assert daemon_calls == []
+        code, out = _run(["serve", "--store", f"{store}.d",
+                          "--segments", "4"])
+        assert code == 0
+        assert daemon_calls == [(f"{store}.d", 4)]

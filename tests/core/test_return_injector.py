@@ -84,6 +84,29 @@ class TestInjector:
         assert injector.was_noop
         assert seen[0] == 0
 
+    def test_unhooks_itself_once_it_fires(self):
+        machine = Machine(seed=9)
+        injector = ReturnInjector(
+            ReturnFaultSpec("GetTickCount", FaultType.ONES, invocation=2),
+            "target")
+        injector.install(machine)
+        hooks_after_each_call = []
+
+        class Prog:
+            image_name = "p.exe"
+
+            def main(self, ctx):
+                for _ in range(3):
+                    yield from ctx.k32.GetTickCount()
+                    hooks_after_each_call.append(
+                        list(machine.interception.return_hooks))
+
+        machine.processes.spawn(Prog(), role="target")
+        machine.engine.run(until=30.0)
+        assert injector.fired
+        assert hooks_after_each_call == [[injector], [], []]
+        assert machine.interception.return_hooks == []
+
     def test_role_filtering(self):
         machine = Machine(seed=9)
         injector = ReturnInjector(

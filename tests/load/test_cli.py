@@ -2,6 +2,8 @@
 
 from io import StringIO
 
+import pytest
+
 from repro.cli import main
 
 
@@ -93,3 +95,13 @@ class TestModes:
                              "--think-time", "nan")
         assert code == 2
         assert "think_time must be finite" in text
+
+
+def test_trace_level_is_not_a_load_option(capsys):
+    """Load runs are recorded untraced; the option is a usage error
+    rather than a flag that is parsed and ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("--workload", "apache", "--clients", "2",
+                "--trace-level", "outcome")
+    assert exit_info.value.code == 2
+    assert "--trace-level" in capsys.readouterr().err

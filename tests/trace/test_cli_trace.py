@@ -106,3 +106,26 @@ def test_config_trace_section_round_trips():
     # Absent section defaults to off.
     assert DtsConfig.from_text("[dts]\nworkload = IIS\n").trace_level \
         is TraceLevel.OFF
+
+
+def test_a_key_stored_by_two_campaigns_needs_a_fingerprint(tmp_path):
+    store = tmp_path / "runs.jsonl"
+    for seed in (2000, 2001):
+        ini = tmp_path / f"dts-{seed}.ini"
+        ini.write_text(DtsConfig(workload="IIS", base_seed=seed,
+                                 trace_level="outcome").to_text(),
+                       encoding="ascii")
+        code, text = run_cli("run", "--config", str(ini), "--store",
+                             str(store), "--functions", "SetErrorMode",
+                             "--resume")
+        assert code == 0, text
+    code, text = run_cli("trace", str(store), KEY)
+    assert code == 2
+    header, *fingerprints = text.splitlines()
+    assert header == (f"key {KEY!r} is ambiguous across campaigns; pass "
+                      f"--fingerprint one of:")
+    assert len(fingerprints) == 2
+    code, text = run_cli("trace", str(store), KEY, "--fingerprint",
+                         fingerprints[0].strip())
+    assert code == 0
+    assert "run.start" in text
