@@ -34,7 +34,7 @@ from .core.faults import (
     fault_family,
 )
 from .core.runner import RunConfig, execute_run
-from .core.workload import WORKLOADS, MiddlewareKind, get_workload
+from .core.workload import get_workload, resolve_middleware, resolve_workload
 from .load.spec import (
     DEFAULT_ARRIVAL_RATE,
     DEFAULT_STAGGER,
@@ -294,8 +294,7 @@ def _add_execution_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _add_target_arguments(sub: argparse.ArgumentParser) -> None:
     """The workload and middleware options of profile, inject and load
-    (resolved by :func:`_resolve_workload` and
-    :func:`_resolve_middleware`)."""
+    (read by :func:`_target`)."""
     sub.add_argument("--workload", required=True,
                      help="workload name or alias: apache, apache2, iis, "
                           "sql (case-insensitive), or a registry name")
@@ -303,7 +302,6 @@ def _add_target_arguments(sub: argparse.ArgumentParser) -> None:
                      help="none, mscs, watchd, or watchd1/2/3 "
                           "(the suffix selects the watchd version)")
     sub.add_argument("--watchd-version", type=int, default=None,
-                     choices=(1, 2, 3),
                      help="watchd version when --middleware is 'watchd' "
                           "(default 3; watchdN implies N)")
     sub.add_argument("--seed", type=int, default=2000)
@@ -363,10 +361,11 @@ def _open_store(path: Optional[str], resume: bool, out,
     return store
 
 
-def _write_text(path: str, text: str, prefix: str = "") -> None:
+def _write_text(path: str, text: str, prefix: str = "",
+                mode: str = "w") -> None:
     """Write an output file; an unwritable path is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, mode, encoding="utf-8") as handle:
             handle.write(text)
     except BrokenPipeError:
         raise  # a closed reader: main() ends the CLI with exit 1
@@ -375,39 +374,17 @@ def _write_text(path: str, text: str, prefix: str = "") -> None:
                        f"{exc.strerror or exc}") from None
 
 
-_WORKLOAD_ALIASES = {"apache": "Apache1", "sqlserver": "SQL"}
-
-
-def _resolve_workload(name: str) -> str:
-    """Map a CLI workload name or alias to a registry name."""
-    if name in WORKLOADS:
-        return name
-    lowered = name.lower()
-    alias = _WORKLOAD_ALIASES.get(lowered)
-    if alias is not None:
-        return alias
-    for registered in WORKLOADS:
-        if registered.lower() == lowered:
-            return registered
-    known = sorted(WORKLOADS) + sorted(_WORKLOAD_ALIASES)
-    raise CliError(f"unknown workload {name!r}; known: {', '.join(known)}")
-
-
-def _resolve_middleware(value: str, watchd_version):
-    """Parse none|mscs|watchd|watchdN into ``(kind, watchd_version)``."""
-    lowered = value.lower()
-    if lowered.startswith("watchd") and lowered[6:] in ("1", "2", "3"):
-        implied = int(lowered[6:])
-        if watchd_version is not None and watchd_version != implied:
-            raise CliError(f"--middleware {value} conflicts with "
-                           f"--watchd-version {watchd_version}")
-        return MiddlewareKind.WATCHD, implied
+def _target(args):
+    """``(workload name, middleware, RunConfig)`` from the options."""
     try:
-        kind = MiddlewareKind(lowered)
-    except ValueError:
-        raise CliError(f"unknown middleware {value!r}; known: none, mscs, "
-                       f"watchd, watchd1, watchd2, watchd3") from None
-    return kind, (watchd_version if watchd_version is not None else 3)
+        middleware, watchd_version = resolve_middleware(
+            args.middleware, args.watchd_version)
+        return (resolve_workload(args.workload), middleware,
+                RunConfig(base_seed=args.seed, watchd_version=watchd_version,
+                          trace_level=getattr(args, "trace_level", None)
+                          or "off"))
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _parse_fault(line: str, workload, returns: bool = False):
@@ -447,13 +424,8 @@ def cmd_faultlist(args, out) -> int:
 
 
 def cmd_profile(args, out) -> int:
-    workload = _resolve_workload(args.workload)
-    middleware, watchd_version = _resolve_middleware(args.middleware,
-                                                     args.watchd_version)
-    called = profile_workload(
-        workload, middleware,
-        config=RunConfig(base_seed=args.seed, watchd_version=watchd_version,
-                         trace_level=args.trace_level or "off"))
+    workload, middleware, config = _target(args)
+    called = profile_workload(workload, middleware, config=config)
     print(f"{workload} / {args.middleware}: "
           f"{len(called)} KERNEL32 functions called", file=out)
     for name in sorted(called):
@@ -462,14 +434,10 @@ def cmd_profile(args, out) -> int:
 
 
 def cmd_inject(args, out) -> int:
-    workload = get_workload(_resolve_workload(args.workload))
-    middleware, watchd_version = _resolve_middleware(args.middleware,
-                                                     args.watchd_version)
+    workload_name, middleware, config = _target(args)
+    workload = get_workload(workload_name)
     fault = _parse_fault(args.fault, workload)
-    result = execute_run(
-        workload, middleware, fault,
-        RunConfig(base_seed=args.seed, watchd_version=watchd_version,
-                  trace_level=args.trace_level or "off"))
+    result = execute_run(workload, middleware, fault, config)
     print(f"fault      : {fault!r}", file=out)
     print(f"activated  : {result.activated}", file=out)
     print(f"outcome    : {result.outcome.value}", file=out)
@@ -489,12 +457,10 @@ def cmd_inject(args, out) -> int:
 def cmd_run(args, out) -> int:
     try:
         config = DtsConfig.from_file(args.config)
-        config.workload_spec()  # an unknown workload fails here, not mid-run
-    except (OSError, ValueError, KeyError, configparser.Error) as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         # configparser messages span lines; the report is one line.
-        reason = str(exc.args[0] if isinstance(exc, KeyError) else exc)
         raise CliError(f"bad --config {args.config}: "
-                       f"{' '.join(reason.split())}") from None
+                       f"{' '.join(str(exc).split())}") from None
     if args.trace_level is not None:
         config.trace_level = TraceLevel.parse(args.trace_level)
     from .analysis.fault_families import FAMILY_ORDER, build_family_comparison
@@ -572,6 +538,10 @@ def cmd_run(args, out) -> int:
 def cmd_reproduce(args, out) -> int:
     from .core.exec import backend_for
 
+    if args.write_report:
+        # An unwritable report path fails now, not after the suite has
+        # run; appending nothing leaves an existing report as it is.
+        _write_text(args.write_report, "", mode="a")
     # The reproduce store is a cross-figure cache: an existing file is
     # reused by design, so Figure 3 re-executes nothing after Figure 2.
     store = (_open_store(args.store, resume=True, out=out)
@@ -674,9 +644,7 @@ def cmd_load(args, out) -> int:
     from .analysis.loadscale import aggregate_load_runs, render_load_scale
     from .load import LoadSpec, plan_load_tasks, run_load_tasks
 
-    workload_name = _resolve_workload(args.workload)
-    middleware, watchd_version = _resolve_middleware(args.middleware,
-                                                     args.watchd_version)
+    workload_name, middleware, config = _target(args)
     fault = None
     if args.fault is not None:
         fault = _parse_fault(args.fault, get_workload(workload_name),
@@ -700,8 +668,6 @@ def cmd_load(args, out) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    config = RunConfig(base_seed=args.seed,
-                       watchd_version=watchd_version)
     store = _open_store(args.store, args.resume, out)
     jobs = args.jobs if args.jobs is not None else 1
     progress = CliProgress(out)

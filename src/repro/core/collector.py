@@ -14,7 +14,7 @@ from typing import Optional
 from ..clients.record import ClientRecord
 from ..middleware.mscs import EVENT_ID_RESTART, EVENT_SOURCE as MSCS_SOURCE
 from ..nt.machine import Machine
-from ..trace import TraceLevel, count_restarts_from_trace
+from ..trace import TraceLevel
 from .faults import FaultSpec
 from .outcomes import FailureMode, Outcome, classify, classify_failure_mode
 from .workload import MiddlewareKind, WorkloadSpec
@@ -103,11 +103,10 @@ def count_restarts(machine: Machine, middleware: MiddlewareKind,
     middleware reacting to the *termination* of the workload at the end
     of the run is not misread as an injection-induced restart.
 
-    When the run is traced, the collector prefers the structured
-    ``mw.restart`` events (see :func:`collect`): middleware emits one at
-    exactly each site it writes restart evidence to its log channel, so
-    both derivations must agree — the trace path merely avoids
-    re-parsing log text.
+    This is the collector's one restart count, traced or not; a traced
+    run's ``mw.restart`` events (emitted at exactly each site that
+    writes this evidence) give the same number through
+    :func:`repro.trace.count_restarts_from_trace`.
     """
     if until is None:
         until = float("inf")
@@ -129,13 +128,7 @@ def collect(machine: Machine, workload: WorkloadSpec,
             watchd_version: int) -> RunResult:
     """Assemble a :class:`RunResult` from a finished run's artifacts."""
     record: ClientRecord = client.record
-    tracer = machine.tracer
-    if tracer is not None and tracer.outcome_enabled:
-        restarts = count_restarts_from_trace(tracer.events,
-                                             until=record.finished_at)
-    else:
-        restarts = count_restarts(machine, middleware,
-                                  until=record.finished_at)
+    restarts = count_restarts(machine, middleware, until=record.finished_at)
     retries = record.total_retries
 
     all_ok = record.completed and record.all_succeeded

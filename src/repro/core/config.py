@@ -6,17 +6,13 @@ test parameters such as timeout periods, a fault list file name, and
 workload parameters."*  This is that file, in INI form::
 
     [dts]
-    workload = IIS
-    middleware = watchd
-    watchd_version = 3
-    fault_list = faults.lst
+    workload = iis
+    middleware = watchd2
     base_seed = 2000
 
     [timeouts]
     server_up = 90
     client = 240
-    reply = 15
-    retry_wait = 15
 
     [machine]
     cpu_mhz = 100
@@ -27,11 +23,17 @@ workload parameters."*  This is that file, in INI form::
 
     [trace]
     level = outcome
+
+Every key is optional and one row of :data:`KEYS`.  Names resolve as
+for the CLI flags and daemon specs (``watchdN`` implies that version),
+:class:`~repro.core.runner.RunConfig` checks the values, and an unknown
+section or key is an error, not a setting silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 from typing import Optional
 
 from ..trace import TraceLevel
@@ -39,8 +41,48 @@ from .runner import (
     DEFAULT_CLIENT_TIMEOUT,
     DEFAULT_SERVER_UP_TIMEOUT,
     RunConfig,
+    check_integer,
 )
-from .workload import MiddlewareKind, WorkloadSpec, get_workload
+from .workload import (
+    MiddlewareKind,
+    WorkloadSpec,
+    get_workload,
+    resolve_middleware,
+    resolve_workload,
+)
+
+# The file's layout, in file order: (section, key, DtsConfig attribute,
+# value type).  Both from_text and to_text are built from it.
+KEYS = (
+    ("dts", "workload", "workload", str),
+    ("dts", "middleware", "middleware", str),
+    ("dts", "watchd_version", "watchd_version", int),
+    ("dts", "base_seed", "base_seed", int),
+    ("timeouts", "server_up", "server_up_timeout", float),
+    ("timeouts", "client", "client_timeout", float),
+    ("machine", "cpu_mhz", "cpu_mhz", int),
+    ("execution", "jobs", "jobs", int),
+    ("execution", "store", "store", str),
+    ("trace", "level", "trace_level", str),
+)
+_SECTIONS = tuple(dict.fromkeys(section for section, *_ in KEYS))
+
+
+def _decode(kind, key: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
+def _encode(value) -> str:
+    if isinstance(value, TraceLevel):
+        return value.label
+    if isinstance(value, MiddlewareKind):
+        return value.value
+    return "" if value is None else str(value)
 
 
 class DtsConfig:
@@ -49,12 +91,9 @@ class DtsConfig:
     def __init__(self, workload: str = "Apache1",
                  middleware: MiddlewareKind = MiddlewareKind.NONE,
                  watchd_version: int = 3,
-                 fault_list: Optional[str] = None,
                  base_seed: int = 2000,
                  server_up_timeout: float = DEFAULT_SERVER_UP_TIMEOUT,
                  client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
-                 reply_timeout: float = 15.0,
-                 retry_wait: float = 15.0,
                  cpu_mhz: int = 100,
                  jobs: int = 1,
                  store: Optional[str] = None,
@@ -62,16 +101,15 @@ class DtsConfig:
         self.workload = workload
         self.middleware = middleware
         self.watchd_version = watchd_version
-        self.fault_list = fault_list
         self.base_seed = base_seed
         self.server_up_timeout = server_up_timeout
         self.client_timeout = client_timeout
-        self.reply_timeout = reply_timeout
-        self.retry_wait = retry_wait
         self.cpu_mhz = cpu_mhz
-        self.jobs = jobs
-        self.store = store
-        self.trace_level = TraceLevel.parse(trace_level)
+        self.jobs = check_integer("jobs", jobs, minimum=1)
+        self.store = store or None
+        self.trace_level = trace_level
+        # RunConfig checks every run value, and names the level.
+        self.trace_level = self.run_config().trace_level
 
     # ------------------------------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
@@ -92,33 +130,25 @@ class DtsConfig:
     def from_text(cls, text: str) -> "DtsConfig":
         parser = configparser.ConfigParser()
         parser.read_string(text)
-        dts = parser["dts"] if parser.has_section("dts") else {}
-        timeouts = parser["timeouts"] if parser.has_section("timeouts") else {}
-        machine = parser["machine"] if parser.has_section("machine") else {}
-        execution = (parser["execution"]
-                     if parser.has_section("execution") else {})
-        trace = parser["trace"] if parser.has_section("trace") else {}
-        middleware = MiddlewareKind(dts.get("middleware", "none").lower())
-        jobs = int(execution.get("jobs", 1))
-        if jobs < 1:
-            raise ValueError(f"[execution] jobs must be >= 1, got {jobs}")
-        return cls(
-            workload=dts.get("workload", "Apache1"),
-            middleware=middleware,
-            watchd_version=int(dts.get("watchd_version", 3)),
-            fault_list=dts.get("fault_list") or None,
-            base_seed=int(dts.get("base_seed", 2000)),
-            server_up_timeout=float(timeouts.get(
-                "server_up", DEFAULT_SERVER_UP_TIMEOUT)),
-            client_timeout=float(timeouts.get(
-                "client", DEFAULT_CLIENT_TIMEOUT)),
-            reply_timeout=float(timeouts.get("reply", 15.0)),
-            retry_wait=float(timeouts.get("retry_wait", 15.0)),
-            cpu_mhz=int(machine.get("cpu_mhz", 100)),
-            jobs=jobs,
-            store=execution.get("store") or None,
-            trace_level=trace.get("level", "off"),
-        )
+        values = {}
+        for section in parser.sections():
+            keys = {key: (attribute, kind)
+                    for known, key, attribute, kind in KEYS
+                    if known == section}
+            if not keys:
+                raise ValueError(f"unknown section [{section}] "
+                                 f"(known: {', '.join(_SECTIONS)})")
+            for key, raw in parser.items(section):
+                if key not in keys:
+                    raise ValueError(f"unknown key {key!r} in [{section}] "
+                                     f"(known: {', '.join(keys)})")
+                attribute, kind = keys[key]
+                values[attribute] = _decode(kind, key, raw)
+        values["workload"] = resolve_workload(
+            values.get("workload", "Apache1"))
+        values["middleware"], values["watchd_version"] = resolve_middleware(
+            values.get("middleware", "none"), values.get("watchd_version"))
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "DtsConfig":
@@ -126,26 +156,12 @@ class DtsConfig:
             return cls.from_text(handle.read())
 
     def to_text(self) -> str:
-        return (
-            "[dts]\n"
-            f"workload = {self.workload}\n"
-            f"middleware = {self.middleware.value}\n"
-            f"watchd_version = {self.watchd_version}\n"
-            f"fault_list = {self.fault_list or ''}\n"
-            f"base_seed = {self.base_seed}\n"
-            "\n[timeouts]\n"
-            f"server_up = {self.server_up_timeout:g}\n"
-            f"client = {self.client_timeout:g}\n"
-            f"reply = {self.reply_timeout:g}\n"
-            f"retry_wait = {self.retry_wait:g}\n"
-            "\n[machine]\n"
-            f"cpu_mhz = {self.cpu_mhz}\n"
-            "\n[execution]\n"
-            f"jobs = {self.jobs}\n"
-            f"store = {self.store or ''}\n"
-            "\n[trace]\n"
-            f"level = {self.trace_level.label}\n"
-        )
+        return "\n\n".join(
+            "\n".join([f"[{section}]"] + [
+                f"{key} = {_encode(getattr(self, attribute))}"
+                for _section, key, attribute, _kind in rows])
+            for section, rows in itertools.groupby(KEYS, lambda row: row[0])
+        ) + "\n"
 
     def __repr__(self) -> str:
         return (f"<DtsConfig {self.workload}/{self.middleware.value} "

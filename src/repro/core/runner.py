@@ -18,6 +18,7 @@ only its client phase and its result assembly.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..nt.machine import Machine
@@ -38,8 +39,46 @@ _POLL_STEP = 0.5
 _CLIENT_STEP = 2.0
 
 
+def check_integer(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` if it is an integer of at least ``minimum``; a boolean
+    or a float is no integer."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_number(name: str, value, above: Optional[float] = None) -> float:
+    """``value`` if it is a finite number greater than ``above``; a
+    boolean is no number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if above is not None and value <= above:
+        raise ValueError(f"{name} must be > {above}, got {value}")
+    return value
+
+
+def _trace_level(value) -> TraceLevel:
+    """A trace level, or its name in any case (a number names none)."""
+    name = value.strip().upper() if isinstance(value, str) else None
+    if not (isinstance(value, TraceLevel) or name in TraceLevel.__members__):
+        raise ValueError(f"unknown trace_level {value!r}")
+    return TraceLevel.parse(value)
+
+
 class RunConfig:
-    """Per-run operational parameters (the main configuration file)."""
+    """Per-run operational parameters (the main configuration file).
+
+    Every boundary's one description of them: fields declared once, as
+    ``__slots__``, and values checked here but never converted, so
+    every fingerprint stays as recorded."""
+
+    __slots__ = ("base_seed", "server_up_timeout", "client_timeout",
+                 "watchd_version", "cpu_mhz", "scm_lock_enabled",
+                 "trace_level")
 
     def __init__(self, base_seed: int = 2000,
                  server_up_timeout: float = DEFAULT_SERVER_UP_TIMEOUT,
@@ -48,16 +87,21 @@ class RunConfig:
                  cpu_mhz: int = 100,
                  scm_lock_enabled: bool = True,
                  trace_level="off"):
-        self.base_seed = base_seed
-        self.server_up_timeout = server_up_timeout
-        self.client_timeout = client_timeout
+        self.base_seed = check_integer("base_seed", base_seed)
+        self.server_up_timeout = check_number(
+            "server_up_timeout", server_up_timeout, above=0)
+        self.client_timeout = check_number("client_timeout", client_timeout,
+                                           above=0)
+        if check_integer("watchd_version", watchd_version) not in (1, 2, 3):
+            raise ValueError(
+                f"watchd_version must be 1, 2 or 3, got {watchd_version}")
         self.watchd_version = watchd_version
-        self.cpu_mhz = cpu_mhz
+        self.cpu_mhz = check_integer("cpu_mhz", cpu_mhz, minimum=1)
         self.scm_lock_enabled = scm_lock_enabled
         # Deliberately excluded from the store's config fingerprint:
         # tracing observes a run without influencing it, so results
         # recorded at different trace levels stay interchangeable.
-        self.trace_level = TraceLevel.parse(trace_level)
+        self.trace_level = _trace_level(trace_level)
 
     def seed_for(self, workload: WorkloadSpec, middleware: MiddlewareKind,
                  fault: Optional[FaultSpec]) -> int:

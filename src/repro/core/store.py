@@ -191,8 +191,8 @@ def deserialize_result(data: dict):
 # Config fingerprint
 # ----------------------------------------------------------------------
 # The RunConfig fields that shape a run (tracing only observes one).
-RUN_CONFIG_FIELDS = ("base_seed", "server_up_timeout", "client_timeout",
-                     "watchd_version", "cpu_mhz", "scm_lock_enabled")
+RUN_CONFIG_FIELDS = tuple(name for name in RunConfig.__slots__
+                          if name != "trace_level")
 
 
 def config_fingerprint(workload_name: str, middleware: MiddlewareKind,

@@ -10,6 +10,7 @@ injects the management process, ``Apache2`` the child worker.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Callable, Optional
 
 from ..clients import HttpClient, SqlClient
@@ -141,6 +142,43 @@ def get_workload(name: str) -> WorkloadSpec:
         raise KeyError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
         ) from None
+
+
+WORKLOAD_ALIASES = {"apache": "Apache1", "sqlserver": "SQL"}
+
+
+def resolve_workload(name: str) -> str:
+    """The registry name for a workload name, in any case, or alias:
+    the naming rule of the CLI flags, the INI file and daemon specs."""
+    if isinstance(name, str) and name in WORKLOADS:
+        return name
+    lowered = str(name).lower()
+    by_case = {registered.lower(): registered for registered in WORKLOADS}
+    resolved = WORKLOAD_ALIASES.get(lowered) or by_case.get(lowered)
+    if resolved is None:
+        known = sorted(WORKLOADS) + sorted(WORKLOAD_ALIASES)
+        raise ValueError(
+            f"unknown workload {name!r}; known: {', '.join(known)}")
+    return resolved
+
+
+def resolve_middleware(value, watchd_version: Optional[int] = None):
+    """``(kind, watchd_version)`` for none|mscs|watchd|watchdN in any
+    case; N must agree with an explicit version, which defaults to 3."""
+    lowered = str(getattr(value, "value", value)).lower()
+    implied = re.fullmatch(r"watchd([0-9]+)", lowered)
+    if implied is not None:
+        version = int(implied.group(1))
+        if watchd_version is not None and watchd_version != version:
+            raise ValueError(f"middleware {value} conflicts with "
+                             f"watchd_version {watchd_version}")
+        return MiddlewareKind.WATCHD, version
+    try:
+        kind = MiddlewareKind(lowered)
+    except ValueError:
+        raise ValueError(f"unknown middleware {value!r}; known: none, mscs, "
+                         f"watchd, watchd1, watchd2, watchd3") from None
+    return kind, (3 if watchd_version is None else watchd_version)
 
 
 def register_workload(spec: WorkloadSpec, replace: bool = False) -> WorkloadSpec:

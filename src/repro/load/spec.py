@@ -17,8 +17,8 @@ runs.
 from __future__ import annotations
 
 import enum
-import math
 
+from ..core.runner import check_integer, check_number
 from ..core.store import (
     config_fingerprint,
     fault_from_dict,
@@ -69,19 +69,13 @@ class LoadSpec:
                  stagger: float = DEFAULT_STAGGER,
                  arrival_rate: float = DEFAULT_ARRIVAL_RATE,
                  fault=None):
-        if clients < 1:
-            raise ValueError(f"clients must be >= 1, got {clients}")
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        for name, value in (("think_time", think_time), ("stagger", stagger),
-                            ("arrival_rate", arrival_rate)):
-            # nan and inf pass every range check below.
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_integer("clients", clients, minimum=1)
+        check_integer("iterations", iterations, minimum=1)
+        check_number("think_time", think_time)
+        check_number("stagger", stagger)
+        check_number("arrival_rate", arrival_rate, above=0)
         if think_time < 0 or stagger < 0:
             raise ValueError("think_time and stagger must be >= 0")
-        if arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
         self.workload = workload
         self.middleware = MiddlewareKind(middleware)
         self.clients = clients

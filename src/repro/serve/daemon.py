@@ -47,21 +47,16 @@ from .spec import CampaignJobSpec, SpecError, spec_from_dict
 MAX_SPEC_BYTES = 1 << 20  # a campaign spec has no business being 1 MiB
 
 
-def _validate_registered(spec) -> None:
-    """Bounce unknown workloads, and campaign functions outside the
-    family's fault space, at submission time, not execution."""
+def _validate_functions(spec) -> None:
+    """Bounce campaign functions outside the family's fault space at
+    submission time, not execution."""
     from ..core.faults import fault_family
     from ..core.workload import WORKLOADS
 
-    campaign = isinstance(spec, CampaignJobSpec)
-    workload = spec.workload if campaign else spec.load.workload
-    if workload not in WORKLOADS:
-        raise SpecError(f"unknown workload {workload!r} "
-                        f"(known: {', '.join(sorted(WORKLOADS))})")
-    if campaign:
+    if isinstance(spec, CampaignJobSpec):
         try:
             fault_family(spec.mechanism).check_functions(
-                spec.functions, WORKLOADS[workload].registry)
+                spec.functions, WORKLOADS[spec.workload].registry)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
 
@@ -126,7 +121,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         try:
             data = json.loads(self.rfile.read(length).decode("utf-8"))
             spec = spec_from_dict(data)
-            _validate_registered(spec)
+            _validate_functions(spec)
         except SpecError as exc:
             self._error(400, str(exc))
             return
@@ -237,7 +232,8 @@ def serve_forever(store_path: str, host: str = "127.0.0.1",
 
     ``ready`` (when given) is called with the bound
     :class:`ReproServer` before serving — tests grab the ephemeral
-    port through it.
+    port through it.  A store that cannot be opened, or an address
+    that cannot be bound, raises :class:`repro.cli.CliError` (exit 2).
     """
     import sys
 
@@ -250,18 +246,20 @@ def serve_forever(store_path: str, host: str = "127.0.0.1",
         store = open_store(store_path, durable=durable, segments=segments)
         store.create()
     except (OSError, ValueError) as exc:
-        print(f"repro serve: cannot open store {store_path}: {exc}",
-              file=out, flush=True)
-        return 2
+        from ..cli import CliError
+
+        raise CliError(f"repro serve: cannot open store {store_path}: "
+                       f"{exc}") from None
     resumed = (f" ({len(store)} checkpointed run(s) adopted)"
                if len(store) else "")
     try:
         server = ReproServer((host, port), store, jobs=jobs, verbose=verbose)
     except OSError as exc:
-        print(f"repro serve: cannot listen on {host}:{port}: {exc}",
-              file=out, flush=True)
+        from ..cli import CliError
+
         store.close()
-        return 2
+        raise CliError(f"repro serve: cannot listen on {host}:{port}: "
+                       f"{exc}") from None
     print(f"repro serve: listening on {server.url} — store "
           f"{store_path}{resumed}, {jobs} worker(s), "
           f"durable={'on' if durable else 'off'}", file=out, flush=True)

@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.faults import fault_family
-from ..core.runner import RunConfig
+from ..core.runner import RunConfig, check_integer
 from ..core.store import config_fingerprint
-from ..core.workload import MiddlewareKind
-from ..trace import TRACE_LEVEL_NAMES as TRACE_LEVELS
+from ..core.workload import resolve_middleware, resolve_workload
 
 
 class SpecError(ValueError):
@@ -43,34 +42,10 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _integer(name: str, value, minimum: Optional[int] = None) -> int:
-    """A JSON integer field: booleans, floats and strings bounce rather
-    than pass as ``int`` (``True``) or round (``int(2.7)``)."""
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{name} must be an integer, got {value!r}")
-    _require(minimum is None or value >= minimum,
-             f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number(name: str, value) -> None:
-    """A JSON number field: booleans and strings bounce rather than pass
-    as 1/0 (with a fingerprint of their own) or fail unnamed."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name} must be a number, got {value!r}")
-
-
-def _watchd_version(value) -> int:
-    _require(_integer("watchd_version", value) in (1, 2, 3),
-             f"watchd_version must be 1, 2 or 3, got {value}")
-    return value
-
-
-def _reject_unknown(data: dict, spec) -> None:
-    """A key outside ``spec.to_dict()`` is a typo or a field this daemon
-    does not have; dropping it would run a campaign other than the one
-    asked for, so it bounces."""
-    fields = spec.to_dict()
+def _reject_unknown(data: dict, fields: Sequence[str]) -> None:
+    """A key outside ``fields`` is a typo or a field this daemon does
+    not have; dropping it would run a campaign other than the one asked
+    for, so it bounces."""
     unknown = sorted(set(data) - set(fields))
     _require(not unknown,
              f"unknown field(s) {', '.join(map(repr, unknown))} "
@@ -78,45 +53,40 @@ def _reject_unknown(data: dict, spec) -> None:
 
 
 class CampaignJobSpec:
-    """One injection campaign, as submitted over the wire."""
+    """One injection campaign, as submitted over the wire.
+
+    The fields are declared once, as ``__slots__`` in constructor
+    order, and the JSON codec is built from them.  Names resolve and
+    values are checked as at every boundary, so a spec echoes canonical
+    names."""
 
     kind = "campaign"
+    __slots__ = ("workload", "middleware", "watchd_version", "mechanism",
+                 "functions", "base_seed", "trace_level")
 
-    def __init__(self, workload: str,
-                 middleware: MiddlewareKind = MiddlewareKind.NONE,
-                 watchd_version: int = 3,
+    def __init__(self, workload: str, middleware="none",
+                 watchd_version: Optional[int] = None,
                  mechanism: str = "parameter",
                  functions: Optional[Sequence[str]] = None,
                  base_seed: int = 2000,
                  trace_level: str = "off"):
-        _require(isinstance(workload, str) and bool(workload),
-                 "workload must be a non-empty string")
-        try:
-            # A family name (the CLI's --fault-family) is accepted too.
-            mechanism = fault_family(str(mechanism)).mechanism
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
-        _watchd_version(watchd_version)
-        _require(trace_level in TRACE_LEVELS,
-                 f"unknown trace_level {trace_level!r}")
-        _integer("base_seed", base_seed)
-        try:
-            self.middleware = MiddlewareKind(middleware)
-        except ValueError:
-            raise SpecError(f"unknown middleware {middleware!r}") from None
-        self.workload = workload
-        self.watchd_version = watchd_version
-        self.mechanism = mechanism
+        self.workload = resolve_workload(workload)
+        self.middleware, self.watchd_version = resolve_middleware(
+            middleware, watchd_version)
+        # A family name (the CLI's --fault-family) is accepted too.
+        self.mechanism = fault_family(str(mechanism)).mechanism
         _require(functions is None
                  or (isinstance(functions, list)
                      and all(isinstance(name, str) for name in functions)),
                  "functions must be a list of strings")
-        self.functions = None if functions is None else list(functions)
-        _require(self.functions is None or len(self.functions) > 0,
+        _require(functions is None or len(functions) > 0,
                  "functions must be a non-empty list, or omitted for "
                  "the full space")
+        self.functions = None if functions is None else list(functions)
         self.base_seed = base_seed
         self.trace_level = trace_level
+        # RunConfig checks the run values, and names the level.
+        self.trace_level = self.run_config().trace_level.label
 
     # ------------------------------------------------------------------
     def run_config(self) -> RunConfig:
@@ -131,19 +101,9 @@ class CampaignJobSpec:
 
     def campaign(self, store=None, backend=None, progress=None,
                  on_stage=None):
-        """The :class:`~repro.core.campaign.Campaign` this spec names.
-
-        Raises :class:`SpecError` for an unregistered workload — the
-        one validation that needs the registry, deferred so specs can
-        round-trip without importing the world.
-        """
+        """The :class:`~repro.core.campaign.Campaign` this spec names."""
         from ..core.campaign import Campaign
-        from ..core.workload import WORKLOADS
 
-        if self.workload not in WORKLOADS:
-            raise SpecError(
-                f"unknown workload {self.workload!r} "
-                f"(known: {', '.join(sorted(WORKLOADS))})")
         return Campaign(self.workload, self.middleware,
                         functions=self.functions,
                         config=self.run_config(),
@@ -153,30 +113,17 @@ class CampaignJobSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workload": self.workload,
-            "middleware": self.middleware.value,
-            "watchd_version": self.watchd_version,
-            "mechanism": self.mechanism,
-            "functions": self.functions,
-            "base_seed": self.base_seed,
-            "trace_level": self.trace_level,
-        }
+        data = {"kind": self.kind}
+        data.update((name, getattr(self, name)) for name in self.__slots__)
+        data["middleware"] = self.middleware.value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignJobSpec":
-        spec = cls(
-            workload=data.get("workload", ""),
-            middleware=data.get("middleware", "none"),
-            watchd_version=data.get("watchd_version", 3),
-            mechanism=data.get("mechanism", "parameter"),
-            functions=data.get("functions"),
-            base_seed=data.get("base_seed", 2000),
-            trace_level=data.get("trace_level", "off"),
-        )
-        _reject_unknown(data, spec)
-        return spec
+        _reject_unknown(data, ("kind", *cls.__slots__))
+        _require("workload" in data, "workload is required")
+        return cls(**{name: data[name] for name in cls.__slots__
+                      if name in data})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CampaignJobSpec)
@@ -192,24 +139,25 @@ class LoadJobSpec:
     wire."""
 
     kind = "load"
+    _FIELDS = ("kind", "spec", "reps", "sweep", "base_seed",
+               "watchd_version")
 
     def __init__(self, load, reps: int = 1,
                  sweep: Optional[Sequence[int]] = None,
                  base_seed: int = 2000,
                  watchd_version: int = 3):
-        _integer("reps", reps, minimum=1)
-        _watchd_version(watchd_version)
-        _integer("base_seed", base_seed)
+        check_integer("reps", reps, minimum=1)
         if sweep is not None:
             _require(isinstance(sweep, list) and len(sweep) > 0,
                      "sweep must be a non-empty list of client counts")
-            sweep = [_integer("sweep entry", count, minimum=1)
+            sweep = [check_integer("sweep entry", count, minimum=1)
                      for count in sweep]
         self.load = load
         self.reps = reps
         self.sweep = sweep
         self.base_seed = base_seed
         self.watchd_version = watchd_version
+        self.run_config()  # RunConfig checks the run values
 
     # ------------------------------------------------------------------
     def run_config(self) -> RunConfig:
@@ -241,28 +189,25 @@ class LoadJobSpec:
         _require(isinstance(data.get("spec"), dict),
                  "load submissions need a 'spec' object "
                  "(LoadSpec.to_dict shape)")
-        for name in ("clients", "iterations"):
-            if name in data["spec"]:
-                _integer(f"spec.{name}", data["spec"][name])
-        for name in ("think_time", "stagger", "arrival_rate"):
-            if name in data["spec"]:
-                _number(f"spec.{name}", data["spec"][name])
+        _reject_unknown(data, cls._FIELDS)
+        inner = dict(data["spec"])
         try:
-            load = LoadSpec.from_dict(data["spec"])
-            workload = WORKLOADS.get(load.workload)
-            if load.fault is not None and workload is not None:
+            inner["workload"] = resolve_workload(inner["workload"])
+            inner["middleware"], watchd_version = resolve_middleware(
+                inner["middleware"], data.get("watchd_version"))
+            load = LoadSpec.from_dict(inner)
+            if load.fault is not None:
                 # The check ``repro load --fault`` makes: arming needs
                 # the export (and parameter) in the workload's registry.
+                workload = WORKLOADS[load.workload]
                 load.fault.injector(workload.target_role, workload.registry)
         except (KeyError, ValueError, TypeError) as exc:
             raise SpecError(f"bad load spec: {exc}") from None
-        spec = cls(load=load,
+        return cls(load=load,
                    reps=data.get("reps", 1),
                    sweep=data.get("sweep"),
                    base_seed=data.get("base_seed", 2000),
-                   watchd_version=data.get("watchd_version", 3))
-        _reject_unknown(data, spec)
-        return spec
+                   watchd_version=watchd_version)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LoadJobSpec)

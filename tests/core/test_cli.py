@@ -150,9 +150,16 @@ class TestRunBadConfig:
         (None, "No such file"),
         ("workload = IIS\n", "no section headers"),
         ("[dts]\nworkload = Nope\n", "unknown workload 'Nope'"),
-        ("[dts]\nbase_seed = abc\n", "invalid literal"),
+        ("[dts]\nbase_seed = abc\n",
+         "base_seed must be an integer, got 'abc'"),
         ("[execution]\njobs = 0\n", "jobs must be >= 1"),
-    ], ids=["missing", "no-section", "workload", "seed", "jobs"])
+        ("[dts]\nfault_list = x\n", "unknown key 'fault_list' in [dts]"),
+        ("[timeouts]\nreply = 15\n", "unknown key 'reply' in [timeouts]"),
+        ("[timeouts]\nretry_wait = 15\n",
+         "unknown key 'retry_wait' in [timeouts]"),
+        ("[bogus]\nkey = 1\n", "unknown section [bogus]"),
+    ], ids=["missing", "no-section", "workload", "seed", "jobs",
+            "fault-list", "reply", "retry-wait", "bogus-section"])
     def test_bad_config_is_one_line_exit_2(self, tmp_path, text, reason):
         path = tmp_path / "dts.ini"
         if text is not None:
@@ -432,6 +439,18 @@ def test_reproduce_writes_the_report_it_prints(tmp_path, monkeypatch):
                    "shape claims: 0/0 hold\n")
 
 
+def test_an_unwritable_report_fails_before_the_suite_is_built(tmp_path,
+                                                              monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the experiment suite was built")
+
+    monkeypatch.setattr("repro.cli.ExperimentSuite", no_suite)
+    target = tmp_path / "missing" / "EXPERIMENTS.md"
+    code, out = _run(["reproduce", "--write-report", str(target)])
+    assert code == 2
+    assert out == f"cannot write {target}: No such file or directory\n"
+
+
 class TestTargetNames:
     """profile, inject and load name workloads and middleware alike."""
 
@@ -451,7 +470,7 @@ class TestTargetNames:
          "watchd1, watchd2, watchd3\n"),
         (["--workload", "IIS", "--middleware", "watchd1",
           "--watchd-version", "2"],
-         "--middleware watchd1 conflicts with --watchd-version 2\n"),
+         "middleware watchd1 conflicts with watchd_version 2\n"),
     ], ids=["workload", "middleware", "version"])
     def test_a_bad_name_is_one_line_exit_2(self, command, flags, message):
         argv = [command, *flags]

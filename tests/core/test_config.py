@@ -1,8 +1,13 @@
 """Unit tests for the main configuration file."""
 
+import io
+
 import pytest
 
-from repro.core.config import DtsConfig
+from repro.cli import build_parser, main
+from repro.cli import _target as cli_target
+from repro.core.config import KEYS, DtsConfig
+from repro.core.store import RunStore, config_fingerprint
 from repro.core.workload import MiddlewareKind
 
 
@@ -11,21 +16,18 @@ def test_defaults():
     assert config.workload == "Apache1"
     assert config.middleware is MiddlewareKind.NONE
     assert config.watchd_version == 3
-    assert config.reply_timeout == 15.0   # the paper's default
-    assert config.retry_wait == 15.0
     assert config.cpu_mhz == 100          # the paper's primary testbed
 
 
 def test_text_roundtrip():
     original = DtsConfig(workload="SQL", middleware=MiddlewareKind.WATCHD,
-                         watchd_version=2, fault_list="f.lst",
+                         watchd_version=2,
                          base_seed=7, server_up_timeout=50.0,
                          client_timeout=120.0, cpu_mhz=400)
     parsed = DtsConfig.from_text(original.to_text())
     assert parsed.workload == "SQL"
     assert parsed.middleware is MiddlewareKind.WATCHD
     assert parsed.watchd_version == 2
-    assert parsed.fault_list == "f.lst"
     assert parsed.base_seed == 7
     assert parsed.server_up_timeout == 50.0
     assert parsed.client_timeout == 120.0
@@ -87,3 +89,36 @@ def test_empty_store_value_means_none():
 def test_bad_middleware_rejected():
     with pytest.raises(ValueError):
         DtsConfig.from_text("[dts]\nmiddleware = chaosmonkey\n")
+
+
+def test_every_key_round_trips_through_the_one_table():
+    original = DtsConfig(workload="SQL", middleware=MiddlewareKind.MSCS,
+                         watchd_version=1, base_seed=11,
+                         server_up_timeout=1234567.5, client_timeout=0.25,
+                         cpu_mhz=400, jobs=3, store="s.jsonl",
+                         trace_level="calls")
+    text = original.to_text()
+    assert [line.split(" = ")[0] for line in text.splitlines()
+            if " = " in line] == [key for _section, key, *_ in KEYS]
+    parsed = DtsConfig.from_text(text)
+    assert parsed.to_text() == text
+    assert ({attribute: getattr(parsed, attribute)
+             for _section, _key, attribute, _kind in KEYS}
+            == {attribute: getattr(original, attribute)
+                for _section, _key, attribute, _kind in KEYS})
+
+
+def test_iis_under_watchd2_runs_with_the_cli_fingerprint(tmp_path):
+    path = tmp_path / "dts.ini"
+    path.write_text("[dts]\nworkload = iis\nmiddleware = watchd2\n")
+    store = tmp_path / "runs.jsonl"
+    out = io.StringIO()
+    code = main(["run", "--config", str(path), "--functions",
+                 "SetErrorMode", "--store", str(store)], out=out)
+    assert code == 0, out.getvalue()
+    flags = build_parser().parse_args(
+        ["profile", "--workload", "IIS", "--middleware", "watchd",
+         "--watchd-version", "2"])
+    with RunStore(store) as runs:
+        assert {fp for fp, _key in runs.keys()} == {
+            config_fingerprint(*cli_target(flags))}

@@ -195,12 +195,15 @@ class TestLinuxCampaigns:
 
 
 # sha256 of the run store the Apache1/Apache2-Linux x none/watchd
-# campaigns write at seed 2000 (148 lines at either trace level).
+# campaigns write at seed 2000 (148 lines at either trace level).  The
+# traced store records the same results as the untraced one: restarts
+# are read from the watchd log at every trace level (the Linux watchd
+# emits no mw.restart events).
 STORE_SHA256 = {
     "off": "c43b55a5660f812e0d77b100584632b0"
            "0fbe5b3898b55dc441a6893da400b616",
-    "full": "5febf63ea42226af0eb5533def6d6c2f"
-            "3cb93460cc0f020159ce7deadce60cf3",
+    "full": "dd78027c871135149967e376678dbd80"
+            "71a2b1967403664fd740687ba27bfba3",
 }
 
 
@@ -218,3 +221,17 @@ def test_linux_campaign_store_bytes_are_pinned(tmp_path, trace_level):
     data = path.read_bytes()
     assert data.count(b"\n") == 148
     assert hashlib.sha256(data).hexdigest() == STORE_SHA256[trace_level]
+
+
+def test_tracing_does_not_change_linux_results():
+    """Tracing observes a run without influencing it: a traced Linux
+    watchd campaign counts the same restarts as an untraced one."""
+    def results(level):
+        config = RunConfig(base_seed=2000, trace_level=level)
+        return [(str(run.fault), run.outcome, run.restarts_detected)
+                for run in Campaign(APACHE1_LINUX, MiddlewareKind.WATCHD,
+                                    config=config).run().runs]
+
+    untraced = results("off")
+    assert any(restarts for _fault, _outcome, restarts in untraced)
+    assert results("outcome") == untraced

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import CliError, main
 from repro.core.campaign import Campaign
 from repro.core.exec import SerialBackend
 from repro.core.runner import RunConfig
@@ -250,12 +250,15 @@ def test_serve_with_a_bad_manifest_exits_2_before_listening(tmp_path,
         server.server_close()
         raise AssertionError("the daemon got as far as listening")
 
-    assert serve_forever(str(store_path), out=out, ready=ready) == 2
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1, out.getvalue()
-    assert lines[0].startswith(
+    with pytest.raises(CliError) as refusal:
+        serve_forever(str(store_path), out=out, ready=ready)
+    assert refusal.value.code == 2
+    assert out.getvalue() == ""
+    message = str(refusal.value)
+    assert len(message.splitlines()) == 1, message
+    assert message.startswith(
         f"repro serve: cannot open store {store_path}: ")
-    assert "MANIFEST.json" in lines[0]
+    assert "MANIFEST.json" in message
 
 
 def test_serve_with_zero_segments_exits_2_before_listening(tmp_path):
@@ -267,11 +270,13 @@ def test_serve_with_zero_segments_exits_2_before_listening(tmp_path):
         server.server_close()
         raise AssertionError("the daemon got as far as listening")
 
-    assert serve_forever(str(store_path), segments=0, out=out,
-                         ready=ready) == 2
-    assert out.getvalue().splitlines() == [
+    with pytest.raises(CliError) as refusal:
+        serve_forever(str(store_path), segments=0, out=out, ready=ready)
+    assert refusal.value.code == 2
+    assert str(refusal.value) == (
         f"repro serve: cannot open store {store_path}: "
-        "segments must be >= 1, got 0"]
+        "segments must be >= 1, got 0")
+    assert out.getvalue() == ""
     assert not store_path.exists()
 
 
@@ -307,11 +312,13 @@ def test_serve_on_a_port_in_use_exits_2_and_closes_the_store(tmp_path,
         taken.bind(("127.0.0.1", 0))
         taken.listen()
         port = taken.getsockname()[1]
-        assert serve_forever(str(store_path), port=port, out=out,
-                             ready=ready) == 2
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1, out.getvalue()
-    assert lines[0].startswith(
+        with pytest.raises(CliError) as refusal:
+            serve_forever(str(store_path), port=port, out=out, ready=ready)
+    assert refusal.value.code == 2
+    assert out.getvalue() == ""
+    message = str(refusal.value)
+    assert len(message.splitlines()) == 1, message
+    assert message.startswith(
         f"repro serve: cannot listen on 127.0.0.1:{port}: ")
     assert closed == [JobQueue, ShardedRunStore]
 

@@ -73,7 +73,11 @@ def test_overlapping_campaigns_share_the_store(queue):
 
 
 def test_failed_job_reports_error(queue):
-    job = _wait(queue.submit(_campaign_spec(workload="NotAServer")))
+    spec = _campaign_spec()
+    # A spec refuses an unknown workload when it is built; one that
+    # goes away before the job runs fails the job instead.
+    spec.workload = "NotAServer"
+    job = _wait(queue.submit(spec))
     assert job.state is JobState.FAILED
     assert "NotAServer" in job.error
     assert job.status_dict()["state"] == "failed"

@@ -131,6 +131,7 @@ def test_load_submission_embeds_loadspec():
      "load spec"),
     ({"workload": "IIS", "functions": ["SetErrorMode", 7]},
      "functions must be a list of strings"),
+    ({"workload": "IIS", "trace_level": 1}, "unknown trace_level 1"),
 ])
 def test_bad_submissions_raise_spec_error(body, fragment):
     with pytest.raises(SpecError, match=fragment):
@@ -160,9 +161,12 @@ def _load_spec(**fields) -> dict:
     (_load(sweep=["3"]), "sweep entry must be an integer, got '3'"),
     (_load(sweep=[True]), "sweep entry must be an integer, got True"),
     (_load(sweep="5,10"), "sweep must be a non-empty list"),
-    (_load_spec(clients=2.5), "spec.clients must be an integer, got 2.5"),
-    (_load_spec(clients=True), "spec.clients must be an integer, got True"),
-    (_load_spec(iterations="2"), "spec.iterations must be an integer"),
+    (_load_spec(clients=2.5),
+     "bad load spec: clients must be an integer, got 2.5"),
+    (_load_spec(clients=True),
+     "bad load spec: clients must be an integer, got True"),
+    (_load_spec(iterations="2"),
+     "bad load spec: iterations must be an integer"),
     # The inner spec rejects a field it does not have, like the outer.
     (_load_spec(cycles=10), "unknown load spec field.*'cycles'"),
 ], ids=["seed-bool", "watchd-bool", "load-seed-bool",
@@ -179,13 +183,17 @@ def test_integer_fields_are_strict(body, fragment):
 # the field, and Python's json parses NaN and Infinity, which slipped
 # past "< 0" and "<= 0" alike.
 @pytest.mark.parametrize("body, fragment", [
-    (_load_spec(think_time=True), "spec.think_time must be a number, got True"),
-    (_load_spec(stagger=False), "spec.stagger must be a number, got False"),
+    (_load_spec(think_time=True),
+     "bad load spec: think_time must be a number, got True"),
+    (_load_spec(stagger=False),
+     "bad load spec: stagger must be a number, got False"),
     (_load_spec(arrival_rate=True),
-     "spec.arrival_rate must be a number, got True"),
-    (_load_spec(think_time="5"), "spec.think_time must be a number, got '5'"),
-    (_load_spec(stagger="0.25"), "spec.stagger must be a number"),
-    (_load_spec(arrival_rate="2"), "spec.arrival_rate must be a number"),
+     "bad load spec: arrival_rate must be a number, got True"),
+    (_load_spec(think_time="5"),
+     "bad load spec: think_time must be a number, got '5'"),
+    (_load_spec(stagger="0.25"), "bad load spec: stagger must be a number"),
+    (_load_spec(arrival_rate="2"),
+     "bad load spec: arrival_rate must be a number"),
     (_load_spec(think_time=float("nan")), "think_time must be finite"),
     (_load_spec(stagger=float("inf")), "stagger must be finite"),
     (_load_spec(arrival_rate=float("inf")), "arrival_rate must be finite"),
@@ -238,7 +246,26 @@ def test_valid_load_fault_is_accepted():
     assert spec.load.to_dict()["fault"] == PARAM_FAULT
 
 
-def test_unregistered_workload_rejected_at_campaign_time(tmp_path):
-    spec = spec_from_dict({"workload": "NotAServer"})
-    with pytest.raises(SpecError, match="unknown workload"):
-        spec.campaign()
+def test_unregistered_workload_rejected_at_decode():
+    with pytest.raises(SpecError, match="unknown workload 'NotAServer'"):
+        spec_from_dict({"workload": "NotAServer"})
+
+
+def test_names_resolve_like_the_cli_and_echo_canonically():
+    spec = spec_from_dict({"workload": "iis", "middleware": "WATCHD",
+                           "trace_level": "Outcome"})
+    assert spec.to_dict() == dict(
+        spec_to_dict(CampaignJobSpec("IIS", "watchd")),
+        trace_level="outcome")
+    versioned = spec_from_dict({"workload": "apache",
+                                "middleware": "watchd2"})
+    assert (versioned.workload, versioned.middleware.value,
+            versioned.watchd_version) == ("Apache1", "watchd", 2)
+
+
+def test_load_spec_names_resolve_like_the_cli():
+    spec = spec_from_dict(_load(spec=dict(LoadSpec("IIS").to_dict(),
+                                          workload="sqlserver",
+                                          middleware="watchd1")))
+    assert (spec.load.workload, spec.load.middleware.value,
+            spec.watchd_version) == ("SQL", "watchd", 1)

@@ -1,10 +1,11 @@
-"""Restart counting: the post-hoc log reading vs the trace derivation.
+"""Restart counting: the log reading vs the trace derivation.
 
-``collect`` historically counted restarts by re-reading middleware log
-channels (NT event log for MSCS, watchd's own log for watchd).  With
-tracing on it derives the same number from ``mw.restart`` events
-instead.  These tests pin the two paths to each other on real restart
-scenarios, and the ``until`` bound on synthetic streams.
+``collect`` counts restarts the paper's way, traced or not: by reading
+the middleware's log channels (NT event log for MSCS, watchd's own log
+for watchd).  A traced run's ``mw.restart`` events give the same number
+through ``count_restarts_from_trace``.  These tests pin the two to each
+other on real restart scenarios, and the ``until`` bound on synthetic
+streams.
 """
 
 import pytest
@@ -29,11 +30,13 @@ def _run(middleware, level, watchd_version=3):
 @pytest.mark.parametrize("middleware",
                          [MiddlewareKind.WATCHD, MiddlewareKind.MSCS])
 def test_both_paths_count_the_same_restarts(middleware):
-    from_logs = _run(middleware, "off")
-    from_trace = _run(middleware, "outcome")
-    assert from_logs.restarts_detected == from_trace.restarts_detected
-    assert from_logs.outcome == from_trace.outcome
-    assert from_logs.response_time == from_trace.response_time
+    untraced = _run(middleware, "off")
+    traced = _run(middleware, "outcome")
+    assert traced.restarts_detected == count_restarts_from_trace(
+        traced.trace, until=traced.client_record.finished_at)
+    assert untraced.restarts_detected == traced.restarts_detected
+    assert untraced.outcome == traced.outcome
+    assert untraced.response_time == traced.response_time
 
 
 def test_watchd_scenario_actually_restarts():
@@ -49,10 +52,9 @@ def test_watchd_scenario_actually_restarts():
 
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_paths_agree_across_watchd_versions(version):
-    from_logs = _run(MiddlewareKind.WATCHD, "off", watchd_version=version)
-    from_trace = _run(MiddlewareKind.WATCHD, "outcome",
-                      watchd_version=version)
-    assert from_logs.restarts_detected == from_trace.restarts_detected
+    traced = _run(MiddlewareKind.WATCHD, "outcome", watchd_version=version)
+    assert traced.restarts_detected == count_restarts_from_trace(
+        traced.trace, until=traced.client_record.finished_at)
 
 
 def _mw_restart(seq, time):
