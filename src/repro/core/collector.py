@@ -103,10 +103,11 @@ def count_restarts(machine: Machine, middleware: MiddlewareKind,
     middleware reacting to the *termination* of the workload at the end
     of the run is not misread as an injection-induced restart.
 
-    This is the collector's one restart count, traced or not; a traced
-    run's ``mw.restart`` events (emitted at exactly each site that
-    writes this evidence) give the same number through
-    :func:`repro.trace.count_restarts_from_trace`.
+    This is the collector's one restart count, read from the logs at
+    every trace level.  Every middleware (NT watchd, MSCS and the Linux
+    watchd) emits ``mw.restart`` at exactly each site that writes this
+    evidence, so a traced run's
+    :func:`repro.trace.count_restarts_from_trace` gives the same number.
     """
     if until is None:
         until = float("inf")

@@ -179,7 +179,7 @@ def terminate_workload(machine: Machine, injector, clients=()) -> None:
     if event is not None and hasattr(event, "set"):
         event.set()
         machine.run(until=machine.now + SHUTDOWN_GRACE)
-    if injector is not None and hasattr(injector, "finalize"):
+    if injector is not None:
         injector.finalize()
 
 

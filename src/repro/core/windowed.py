@@ -106,7 +106,7 @@ class WindowedInjector(CallHook):
         """Attach to a machine: hook the interception layer, and for
         time windows schedule the open/close timers."""
         self.machine = machine
-        machine.interception.add_hook(self)
+        super().install(machine)
         window = self.fault.window
         if window.unit == "time":
             machine.engine.schedule_at(window.start, self._open, None)

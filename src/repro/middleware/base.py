@@ -35,10 +35,11 @@ def trace_middleware(ctx, name: str, **data) -> None:
     """Emit one ``mw.*`` trace event (heartbeat / detect / restart /
     monitor / …) on the machine's tracer, if tracing is on.
 
-    The restart events in particular are load-bearing: the data
-    collector re-derives its restart count from them when tracing is
-    enabled, so middleware must emit ``mw.restart`` at exactly the
-    points it writes restart evidence to its log channel.
+    The collector reads restarts from the middleware's log channel at
+    every trace level; middleware emits ``mw.restart`` at exactly the
+    points it writes that restart evidence, so the trace-derived count
+    (:func:`repro.trace.count_restarts_from_trace`, the restart times
+    of ``repro trace --metrics``) agrees with it.
     """
     tracer = ctx.machine.tracer
     if tracer is not None and tracer.outcome_enabled:

@@ -19,7 +19,8 @@ Every call runs a flattened per-export *handler* built by
    fault injector) rewrite the raw words — the words are built only
    when some hook watches the call, and decoded again only if a hook
    rewrote them,
-3. the implementation (specific or generic) runs on the decoded frame.
+3. the implementation (specific or generic) runs on the decoded frame,
+4. the hooks watching this export may rewrite its integer result.
 
 Step 2 is exactly where a corrupted word changes meaning: a zeroed
 string pointer decodes as NULL, a flipped handle stops resolving, an
@@ -94,9 +95,9 @@ def build_call_handler(resolve, sig: FunctionSig):
     its first argument, and reads the machine, the process and that
     process's call books from it.  Per-call work is those reads, one
     lowering-and-decoding pass over the arguments, one lookup of the
-    hooks watching the export (the raw words and the hook scan only if
-    there are any), the invocation-counter commit, and the
-    implementation itself.
+    hooks watching the export (the raw words, the hook scan and the
+    return side only if there are any), the invocation-counter commit,
+    and the implementation itself.
     """
     name = sig.name
     nparams = len(sig.params)
@@ -195,31 +196,29 @@ def build_call_handler(resolve, sig: FunctionSig):
             tracer.emit(machine.engine.now, "call", "enter",
                         pid=process.pid, role=process.role, func=name,
                         invocation=invocation, injected=injected)
-        if override is not None:
-            if override.delay > 0.0:
-                yield Sleep(override.delay)
-                rewritten = True  # the space may have changed meanwhile
-            if override.skip:
-                process.last_error = override.last_error
-                result = override.result
-                if not interception.return_hooks:
-                    if tracer is None or not tracer.calls_enabled:
-                        return result
-                return interception.dispatch_return(process, sig, result)
-        # --- 3. decode again only if a hook rewrote the words -------
-        if rewritten:
-            decoded = [space.decode(raw, pointer_like)
-                       for raw, pointer_like in zip(raw_args, pointer_flags)]
-        # --- 4. run the implementation on the decoded frame ----------
-        frame = Frame(machine, process, sig, decoded)
-        if blocking:
-            result = yield from impl(frame)
+        if override is not None and override.delay > 0.0:
+            yield Sleep(override.delay)
+            rewritten = True  # the space may have changed meanwhile
+        if override is not None and override.skip:
+            process.last_error = override.last_error
+            result = override.result
         else:
-            result = impl(frame)
-        if not interception.return_hooks:
-            if tracer is None or not tracer.calls_enabled:
-                return result  # nothing observes returns on this run
-        return interception.dispatch_return(process, sig, result)
+            # --- 3. decode again only if a hook rewrote the words ---
+            if rewritten:
+                decoded = [space.decode(raw, pointer_like) for raw, pointer_like
+                           in zip(raw_args, pointer_flags)]
+            # --- 4. run the implementation on the decoded frame ------
+            frame = Frame(machine, process, sig, decoded)
+            if blocking:
+                result = yield from impl(frame)
+            else:
+                result = impl(frame)
+        # --- 5. the return side: only the hooks watching this export
+        # see the result, so a call no hook watches skips it untraced.
+        if watching or (tracer is not None and tracer.calls_enabled):
+            return interception.dispatch_return(process, sig, invocation,
+                                                result, watching)
+        return result
 
     call.__name__ = name
     call.__qualname__ = f"k32.{name}"

@@ -7,12 +7,15 @@ dispatched through this layer, which gives registered hooks the same
 power: observe the call, and rewrite its raw argument words before the
 implementation sees them.
 
-A hook names the exports it watches in an ``exports`` attribute (the
-parameter injector watches only its fault's function), and the layer
-files it under each of them; a hook without the attribute sees every
-call (the windowed injectors).  A call pays for interception only when
-some hook watches it: a call no hook watches builds no raw words and
-makes no hook call, as a probe placed only on the function it fails.
+Every hook is a :class:`CallHook`.  A hook names the exports it
+watches in ``exports`` (the parameter and return-value injectors watch
+only their fault's function), and the layer files it under each of
+them; a hook whose ``exports`` is None sees every call (the windowed
+injectors).  Only hooks filed under the called export see its result
+(``on_return``).  A call pays for interception only when some hook
+watches it: a call no hook watches builds no raw words, makes no hook
+call and reads no return-side state, as a probe placed only on the
+function it fails.
 
 The layer also keeps the call bookkeeping the rest of DTS relies on
 (a per-call record is the ``call``-level tracer's ``call enter``
@@ -26,7 +29,7 @@ event, see :mod:`repro.trace`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Optional
 
 from .kernel32.signatures import FunctionSig
 
@@ -62,36 +65,38 @@ class CallOverride:
         return f"<CallOverride delay={self.delay}>"
 
 
-class CallHook(Protocol):
-    """Interface for interception hooks (the fault injector).
+class CallHook:
+    """The one interception-hook contract (injectors subclass it).
 
-    A hook may carry ``exports``, the names of the exports it watches,
-    read once when it is added: ``on_call`` then runs only for calls of
-    those exports.  Without the attribute it runs for every call.
+    ``exports`` names the exports the hook watches, read once when it
+    is added: ``on_call`` then runs only for calls of those exports.
+    None (the default) means every call.  ``on_return``, when a hook
+    defines it, runs over each completed call's integer result, and
+    only for hooks filed under the called export.  ``install`` attaches
+    the hook to a machine, and ``finalize`` runs at workload teardown.
     """
 
+    exports: Optional[tuple[str, ...]] = None
+    # Optionally a method (process, sig, invocation, result) -> the
+    # replacement result, or None to leave it unchanged.
+    on_return = None
+
     def on_call(self, process: "NTProcess", sig: FunctionSig,
-                invocation: int, raw_args: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+                invocation: int, raw_args: tuple[int, ...]):
         """Observe/rewrite one call.
 
         ``invocation`` is 1-based and counted per (process, function).
         Return replacement raw args, a :class:`CallOverride` to
         preempt or delay the call, or None to leave it unchanged.
         """
+        return None
 
+    def install(self, machine) -> None:
+        machine.interception.add_hook(self)
 
-class ReturnHook(Protocol):
-    """Interface for hooks that rewrite a call's *return value* — the
-    alternative fault-injection mechanism the DTS architecture was
-    designed to accommodate ("the basic DTS architecture is not
-    dependent on a particular fault injection mechanism")."""
-
-    def on_return(self, process: "NTProcess", sig: FunctionSig,
-                  invocation: int, result: int) -> Optional[int]:
-        """Observe/rewrite the integer result of one completed call.
-
-        Return the replacement value, or None to leave it unchanged.
-        """
+    def finalize(self) -> None:
+        """Workload teardown; nothing to do unless a hook holds state
+        that must be closed (an open fault window)."""
 
 
 def _without(hooks: tuple, hook) -> tuple:
@@ -103,16 +108,16 @@ class InterceptionLayer:
     program code and the kernel32 (or libc) implementations."""
 
     def __init__(self):
-        # The call hooks, split by what they watch: hooks without
-        # ``exports`` see every call, the others are filed under each
-        # export they name.  Both are tuples replaced on every add and
-        # remove, so a scan runs over a snapshot and a hook may remove
-        # itself from inside ``on_call`` without another hook missing
-        # the call.  A call runs the every-call hooks first, then its
-        # export's, each set in the order the hooks were added.
+        # The call hooks, split by what they watch: hooks whose
+        # ``exports`` is None see every call, the others are filed under
+        # each export they name.  Both are tuples replaced on every add
+        # and remove, so a scan runs over a snapshot and a hook may
+        # remove itself from inside ``on_call`` or ``on_return`` without
+        # another hook missing the call.  A call runs the every-call
+        # hooks first, then its export's, each set in the order the
+        # hooks were added.
         self.every_call_hooks: tuple[CallHook, ...] = ()
         self.export_hooks: dict[str, tuple[CallHook, ...]] = {}
-        self.return_hooks: list[ReturnHook] = []
         # Per-pid invocation counters, nested rather than keyed by
         # (pid, name) tuples, so a call needs no key allocation.  A
         # process gets its inner dict (and its role a called set) on
@@ -126,7 +131,7 @@ class InterceptionLayer:
     # Hook management
     # ------------------------------------------------------------------
     def add_hook(self, hook: CallHook) -> None:
-        exports = getattr(hook, "exports", None)
+        exports = hook.exports
         if exports is None:
             self.every_call_hooks += (hook,)
             return
@@ -151,29 +156,23 @@ class InterceptionLayer:
         self.every_call_hooks = ()
         self.export_hooks = {}
 
-    def add_return_hook(self, hook: ReturnHook) -> None:
-        self.return_hooks = [*self.return_hooks, hook]
-
-    def remove_return_hook(self, hook: ReturnHook) -> None:
-        """Detach ``hook``; a hook that is not attached is ignored.
-        The list is replaced, not edited, so a hook may remove itself
-        from inside ``on_return``."""
-        self.return_hooks = [each for each in self.return_hooks
-                             if each is not hook]
-
     # ------------------------------------------------------------------
     # Dispatch (the call side runs inline in each compiled handler, see
     # repro.nt.context.build_call_handler)
     # ------------------------------------------------------------------
     def dispatch_return(self, process: "NTProcess", sig: FunctionSig,
-                        result):
-        """Run return hooks over one completed call's result."""
-        if self.return_hooks and isinstance(result, int):
-            invocation = self._invocations.get(process.pid, {}).get(sig.name, 0)
-            for hook in self.return_hooks:
-                replacement = hook.on_return(process, sig, invocation, result)
-                if replacement is not None:
-                    result = replacement
+                        invocation: int, result, watching):
+        """The return side of one call: the ``on_return`` of each hook
+        in ``watching`` (the hooks filed under the export when the call
+        was made) over an integer result, then the ``call exit``
+        event."""
+        if watching and isinstance(result, int):
+            for hook in watching:
+                on_return = hook.on_return
+                if on_return is not None:
+                    replacement = on_return(process, sig, invocation, result)
+                    if replacement is not None:
+                        result = replacement
         tracer = process.machine.tracer
         if tracer is not None and tracer.calls_enabled:
             data = {"pid": process.pid, "func": sig.name}

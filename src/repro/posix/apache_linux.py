@@ -181,7 +181,8 @@ class LinuxWatchd:
         self.restart_count = 0
 
     def main(self, ctx):
-        from ..middleware.base import probe_service, wait_for_exit
+        from ..middleware.base import (probe_service, trace_middleware,
+                                       wait_for_exit)
 
         machine = ctx.machine
         supervisor = get_supervisor(machine)
@@ -196,6 +197,8 @@ class LinuxWatchd:
                 self.restart_count += 1
                 self._log(machine, f"restarting {self.service_name} "
                                    f"(restart #{self.restart_count})")
+                trace_middleware(ctx, "restart", service=self.service_name,
+                                 count=self.restart_count)
                 yield Sleep(0.5)
                 supervisor.start(self.service_name)
                 continue
@@ -214,6 +217,8 @@ class LinuxWatchd:
             if probe_failures >= 2:
                 self._log(machine, f"{self.service_name} unresponsive; "
                                    f"forcing restart")
+                trace_middleware(ctx, "detect", service=self.service_name,
+                                 reason="hung")
                 supervisor.stop(self.service_name)
                 probe_failures = 0
 

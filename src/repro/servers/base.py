@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..nt.errors import INVALID_HANDLE_VALUE
-from ..nt.kernel32 import constants as k
-from ..nt.memory import Buffer, OutCell
+from ..nt.memory import Buffer
 
 # Environment markers the fault-tolerance middleware leaves behind; the
 # servers' conditional code paths on these produce the Table-1 deltas
@@ -54,64 +52,6 @@ def env_flag(ctx, name: str):
     buffer = Buffer(b"\0" * 32)
     length = yield from ctx.k32.GetEnvironmentVariableA(name, buffer, 32)
     return length > 0
-
-
-def crt_init(ctx, heavy: bool):
-    """C-runtime process initialisation, as msvcrt performs it.
-
-    Returns the process heap handle.  ``heavy`` adds the locale and
-    stdio setup the larger servers link in.
-    """
-    yield from ctx.k32.GetVersion()
-    yield from ctx.k32.GetCommandLineA()
-    heap = yield from ctx.k32.GetProcessHeap()
-    scratch = yield from ctx.k32.HeapAlloc(heap, 0, 4096)
-    if scratch == 0:
-        yield from abort(ctx, 3)  # CRT cannot even allocate its state
-    if heavy:
-        info = OutCell()
-        yield from ctx.k32.GetStartupInfoA(info)
-        yield from ctx.k32.GetStdHandle(k.STD_OUTPUT_HANDLE)
-        yield from ctx.k32.SetHandleCount(32)
-        yield from ctx.k32.GetACP()
-        cp_info = OutCell()
-        yield from ctx.k32.GetCPInfo(1252, cp_info)
-        env_block = yield from ctx.k32.GetEnvironmentStrings()
-        yield from ctx.k32.FreeEnvironmentStringsA(env_block)
-    return heap
-
-
-def read_file_to_heap(ctx, heap: int, path: str, on_error: str):
-    """Open/size/allocate/read/close — the canonical config-file read.
-
-    Returns the bytes read (possibly short on corrupted lengths), or
-    None when ``on_error`` is "ignore" and the open failed.  With
-    ``on_error="abort"`` a failed open exits the process; unchecked
-    allocation failure is left to crash naturally at the NULL-buffer
-    ``ReadFile``, the way careless real code does.
-    """
-    handle = yield from ctx.k32.CreateFileA(
-        path, k.GENERIC_READ, k.FILE_SHARE_READ, None, k.OPEN_EXISTING,
-        k.FILE_ATTRIBUTE_NORMAL, None)
-    if handle in (0, INVALID_HANDLE_VALUE):
-        if on_error == "abort":
-            yield from abort(ctx)
-        return None
-    size = yield from ctx.k32.GetFileSize(handle, None)
-    if size == k.INVALID_FILE_SIZE:
-        size = 0
-    buffer_ptr = yield from ctx.k32.HeapAlloc(heap, 0, size)
-    read_count = OutCell()
-    ok = yield from ctx.k32.ReadFile(handle, buffer_ptr, size, read_count, None)
-    yield from ctx.k32.CloseHandle(handle)
-    if ok != 1:
-        if on_error == "abort":
-            yield from abort(ctx)
-        return None
-    block = ctx.memory(buffer_ptr)
-    if block is None:
-        return None
-    return bytes(block.data[:read_count.value])
 
 
 def parse_ini_int(data: Optional[bytes], section: str, key: str,

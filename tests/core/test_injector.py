@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.faults import FaultSpec, FaultType
 from repro.core.injector import Injector
+from repro.core.return_injector import ReturnFaultSpec
 from repro.nt import Machine
 from repro.trace import Tracer
 
@@ -32,7 +33,7 @@ def machine():
 
 def test_injector_fires_on_first_invocation(machine):
     injector = Injector(FaultSpec("Sleep", 0, FaultType.ZERO), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
     _run(machine, [("Sleep", (1000,)), ("Sleep", (1000,))])
     assert injector.fired
     assert injector.fired_at == 0.0  # the first Sleep was zeroed
@@ -45,7 +46,7 @@ def test_injector_fires_on_first_invocation(machine):
 def test_injector_targets_chosen_invocation(machine):
     injector = Injector(
         FaultSpec("Sleep", 0, FaultType.ZERO, invocation=2), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
     _run(machine, [("Sleep", (1000,)), ("Sleep", (1000,)), ("Sleep", (1000,))])
     assert injector.fired
     assert injector.fired_at == pytest.approx(1.0)
@@ -53,7 +54,7 @@ def test_injector_targets_chosen_invocation(machine):
 
 def test_injector_ignores_other_roles(machine):
     injector = Injector(FaultSpec("Sleep", 0, FaultType.ZERO), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
     _run(machine, [("Sleep", (1000,))], role="bystander")
     assert not injector.fired
 
@@ -61,7 +62,7 @@ def test_injector_ignores_other_roles(machine):
 def test_injector_fires_once_only():
     machine = Machine(seed=11, tracer=Tracer("calls"))
     injector = Injector(FaultSpec("Sleep", 0, FaultType.ONES), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
 
     class TwoSleeps:
         image_name = "victim.exe"
@@ -87,7 +88,7 @@ def test_invocations_counted_across_role_incarnations(machine):
     # not re-injected from scratch).
     injector = Injector(
         FaultSpec("Sleep", 0, FaultType.ZERO, invocation=2), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
     _run(machine, [("Sleep", (500,))])
     assert not injector.fired
     _run(machine, [("Sleep", (500,))])
@@ -98,7 +99,7 @@ def test_noop_corruption_detected(machine):
     # Zeroing a parameter that is already zero activates the fault but
     # changes nothing.
     injector = Injector(FaultSpec("Sleep", 0, FaultType.ZERO), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
     _run(machine, [("Sleep", (0,))])
     assert injector.fired
     assert injector.was_noop
@@ -172,6 +173,36 @@ def test_add_hook_arms_an_injector_as_install_does():
     assert state[0]
 
 
+def _activated(fault):
+    machine = Machine(seed=11, tracer=Tracer("outcome"))
+    injector = fault.injector("target", None)
+    injector.install(machine)
+    _run(machine, [("GetTickCount", ()), ("Sleep", (1000,)),
+                   ("Sleep", (1000,))])
+    (event,) = [event.data for event in machine.tracer.events
+                if event.category == "fault" and event.name == "activated"]
+    return injector, event
+
+
+def test_both_injectors_fire_through_one_path():
+    # The parameter injector fires before the call is counted, the
+    # return injector after: both name the same call by its index.
+    param, param_event = _activated(
+        FaultSpec("Sleep", 0, FaultType.ZERO, invocation=2))
+    ret, ret_event = _activated(
+        ReturnFaultSpec("Sleep", FaultType.ONES, invocation=2))
+    for injector, event in ((param, param_event), (ret, ret_event)):
+        assert injector.fired and not injector.was_noop
+        assert event["invocation"] == 2 and event["call_index"] == 3
+        assert event["pid"] == injector.fired_pid
+        assert (event["original"], event["corrupted"]) == (
+            injector.original_raw, injector.corrupted_raw)
+    assert param_event["param_index"] == 0
+    assert "param_index" not in ret_event
+    assert (param.original_raw, param.corrupted_raw) == (1000, 0)
+    assert (ret.original_raw, ret.corrupted_raw) == (0, 0xFFFFFFFF)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
         Injector(FaultSpec("Bogus", 0, FaultType.ZERO), "t")
@@ -211,7 +242,7 @@ def test_corruption_actually_changes_callee_behaviour(machine):
     # Ones-corrupting CloseHandle's handle: the call fails instead of
     # closing the real handle.
     injector = Injector(FaultSpec("CloseHandle", 0, FaultType.ONES), "target")
-    machine.interception.add_hook(injector)
+    injector.install(machine)
 
     seen = {}
 

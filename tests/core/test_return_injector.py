@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.faults import FaultType
 from repro.nt import Machine
+from repro.nt.kernel32.signatures import REGISTRY
 
 
 class TestSpec:
@@ -51,21 +52,37 @@ class TestGeneration:
             generate_return_fault_list(functions=["Bogus"])
 
 
+class _Prog:
+    image_name = "p.exe"
+
+    def __init__(self, calls, seen=None):
+        self.calls = calls
+        self.seen = seen if seen is not None else []
+
+    def main(self, ctx):
+        for name, args in self.calls:
+            self.seen.append((yield from getattr(ctx.k32, name)(*args)))
+
+
+class ShownInjector(ReturnInjector):
+    """Records every result it is shown."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shown = []
+
+    def on_return(self, process, sig, invocation, result):
+        self.shown.append((sig.name, invocation, result))
+        return super().on_return(process, sig, invocation, result)
+
+
 class TestInjector:
     def _run(self, fault, calls):
         machine = Machine(seed=9)
         injector = ReturnInjector(fault, "target")
-        machine.interception.add_return_hook(injector)
+        injector.install(machine)
         seen = []
-
-        class Prog:
-            image_name = "p.exe"
-
-            def main(self, ctx):
-                for name, args in calls:
-                    seen.append((yield from getattr(ctx.k32, name)(*args)))
-
-        machine.processes.spawn(Prog(), role="target")
+        machine.processes.spawn(_Prog(calls, seen), role="target")
         machine.engine.run(until=30.0)
         return injector, seen
 
@@ -84,6 +101,49 @@ class TestInjector:
         assert injector.was_noop
         assert seen[0] == 0
 
+    def test_is_filed_under_its_export_only(self):
+        machine = Machine(seed=9)
+        injector = ReturnInjector(
+            ReturnFaultSpec("GetTickCount", FaultType.ONES), "target")
+        injector.install(machine)
+        assert machine.interception.export_hooks == {
+            "GetTickCount": (injector,)}
+        assert machine.interception.every_call_hooks == ()
+
+    def test_on_return_runs_only_for_calls_of_its_export(self):
+        machine = Machine(seed=9)
+        injector = ShownInjector(
+            ReturnFaultSpec("GetACP", FaultType.ONES, invocation=2),
+            "target")
+        injector.install(machine)
+        seen = []
+        machine.processes.spawn(_Prog([
+            ("GetTickCount", ()), ("GetACP", ()), ("GetVersion", ()),
+            ("GetACP", ()), ("GetTickCount", ()), ("GetACP", ())], seen),
+            role="target")
+        machine.engine.run(until=30.0)
+        assert injector.fired
+        assert [(name, invocation)
+                for name, invocation, _result in injector.shown] == [
+            ("GetACP", 1), ("GetACP", 2)]
+        assert seen[3] == 0xFFFFFFFF and seen[5] != 0xFFFFFFFF
+
+    def test_a_non_int_result_is_never_shown(self):
+        machine = Machine(seed=9)
+        injector = ShownInjector(
+            ReturnFaultSpec("GetACP", FaultType.ONES), "target")
+        injector.install(machine)
+        process = machine.processes.spawn(_Prog([]), role="target")
+        sig = REGISTRY["GetACP"]
+        watching = machine.interception.export_hooks["GetACP"]
+        for result in (None, "text", 1.5, b"bytes"):
+            assert machine.interception.dispatch_return(
+                process, sig, 1, result, watching) == result
+        assert injector.shown == [] and not injector.fired
+        assert machine.interception.dispatch_return(
+            process, sig, 1, 1252, watching) == 0xFFFFFFFF
+        assert injector.shown == [("GetACP", 1, 1252)]
+
     def test_unhooks_itself_once_it_fires(self):
         machine = Machine(seed=9)
         injector = ReturnInjector(
@@ -99,27 +159,22 @@ class TestInjector:
                 for _ in range(3):
                     yield from ctx.k32.GetTickCount()
                     hooks_after_each_call.append(
-                        list(machine.interception.return_hooks))
+                        machine.interception.export_hooks.get(
+                            "GetTickCount", ()))
 
         machine.processes.spawn(Prog(), role="target")
         machine.engine.run(until=30.0)
         assert injector.fired
-        assert hooks_after_each_call == [[injector], [], []]
-        assert machine.interception.return_hooks == []
+        assert hooks_after_each_call == [(injector,), (), ()]
+        assert machine.interception.export_hooks == {}
 
     def test_role_filtering(self):
         machine = Machine(seed=9)
         injector = ReturnInjector(
             ReturnFaultSpec("GetTickCount", FaultType.ONES), "other")
-        machine.interception.add_return_hook(injector)
-
-        class Prog:
-            image_name = "p.exe"
-
-            def main(self, ctx):
-                yield from ctx.k32.GetTickCount()
-
-        machine.processes.spawn(Prog(), role="target")
+        injector.install(machine)
+        machine.processes.spawn(_Prog([("GetTickCount", ())]),
+                                role="target")
         machine.engine.run(until=1.0)
         assert not injector.fired
 

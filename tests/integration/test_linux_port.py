@@ -17,6 +17,7 @@ from repro.posix import (
     get_supervisor,
     injectable_libc_signatures,
 )
+from repro.trace import count_restarts_from_trace
 
 
 @pytest.fixture(scope="module")
@@ -197,13 +198,14 @@ class TestLinuxCampaigns:
 # sha256 of the run store the Apache1/Apache2-Linux x none/watchd
 # campaigns write at seed 2000 (148 lines at either trace level).  The
 # traced store records the same results as the untraced one: restarts
-# are read from the watchd log at every trace level (the Linux watchd
-# emits no mw.restart events).
+# are read from the watchd log at every trace level, and the Linux
+# watchd's mw.restart/mw.detect events (626 in this store) only add to
+# the trace.
 STORE_SHA256 = {
     "off": "c43b55a5660f812e0d77b100584632b0"
            "0fbe5b3898b55dc441a6893da400b616",
-    "full": "dd78027c871135149967e376678dbd80"
-            "71a2b1967403664fd740687ba27bfba3",
+    "full": "a1f8ce92d31c6ae2612de780356a212c"
+            "3517855444bfb54b9d37b0198b61328b",
 }
 
 
@@ -235,3 +237,19 @@ def test_tracing_does_not_change_linux_results():
     untraced = results("off")
     assert any(restarts for _fault, _outcome, restarts in untraced)
     assert results("outcome") == untraced
+
+
+@pytest.mark.parametrize("spec", [APACHE1_LINUX, APACHE2_LINUX],
+                         ids=lambda spec: spec.name)
+def test_linux_watchd_restarts_are_in_the_trace(spec):
+    """The Linux watchd emits ``mw.restart`` wherever it logs a
+    restart, so the trace-derived count equals the collector's (both
+    bounded by the client's finish, as ``collect`` bounds its count)."""
+    runs = Campaign(spec, MiddlewareKind.WATCHD,
+                    config=RunConfig(base_seed=2000,
+                                     trace_level="outcome")).run().runs
+    assert any(run.restarts_detected for run in runs)
+    for run in runs:
+        assert count_restarts_from_trace(
+            run.trace, until=run.client_record.finished_at) == \
+            run.restarts_detected, run.fault

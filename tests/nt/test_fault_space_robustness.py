@@ -11,7 +11,7 @@ strictly harsher than any single-parameter campaign fault.
 
 import pytest
 
-from repro.nt import Machine
+from repro.nt import CallHook, Machine
 from repro.nt.kernel32.runtime import IMPLEMENTATIONS
 from repro.nt.kernel32.signatures import injectable_signatures
 from repro.nt.process_manager import HarnessError
@@ -23,7 +23,7 @@ PATTERNS = {
 }
 
 
-class ForceAllArgs:
+class ForceAllArgs(CallHook):
     """Interception hook replacing every raw argument of every call."""
 
     def __init__(self, transform):

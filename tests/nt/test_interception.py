@@ -1,6 +1,6 @@
 """Tests for the interception layer (the SWIFI mechanism)."""
 
-from repro.nt import Buffer, Machine, OutCell
+from repro.nt import Buffer, CallHook, Machine, OutCell
 from repro.nt.kernel32 import constants as k
 from repro.nt.kernel32.signatures import get_signature
 from repro.trace import Tracer
@@ -8,7 +8,7 @@ from repro.trace import Tracer
 from .conftest import ScriptedProgram
 
 
-class RecordingHook:
+class RecordingHook(CallHook):
     def __init__(self):
         self.calls = []
 
@@ -17,7 +17,7 @@ class RecordingHook:
         return None
 
 
-class CorruptingHook:
+class CorruptingHook(CallHook):
     """Zeroes one parameter of one function at a chosen invocation."""
 
     def __init__(self, func, param_index, invocation=1):
@@ -115,7 +115,7 @@ def test_call_counts(machine, run_program):
     assert machine.interception.call_count("GetVersion") == 0
 
 
-class TotalCallsHook:
+class TotalCallsHook(CallHook):
     """Records the machine-wide call count each ``on_call`` sees."""
 
     def __init__(self, interception):
@@ -269,6 +269,46 @@ def test_shutdown_empties_both_hook_sets(machine):
     machine.shutdown()
     assert interception.every_call_hooks == ()
     assert interception.export_hooks == {}
+
+
+class ResultHook(CallHook):
+    """Records the results it is shown and replaces each with 7."""
+
+    def __init__(self, exports=None):
+        self.exports = exports
+        self.results = []
+
+    def on_return(self, process, sig, invocation, result):
+        self.results.append((sig.name, invocation, result))
+        return 7
+
+
+def test_the_base_hook_watches_every_call_and_changes_nothing(machine):
+    hook = CallHook()
+    assert hook.exports is None and hook.on_return is None
+    hook.install(machine)
+    assert machine.interception.every_call_hooks == (hook,)
+    hook.finalize()
+    assert hook.on_call(None, get_signature("GetTickCount"), 1, ()) is None
+
+
+def test_on_return_runs_only_for_hooks_filed_under_the_export(
+        machine, run_program):
+    filed = ResultHook(("GetVersion",))
+    every = ResultHook()
+    machine.interception.add_hook(filed)
+    machine.interception.add_hook(every)
+
+    def body(ctx):
+        tick = yield from ctx.k32.GetTickCount()
+        version = yield from ctx.k32.GetVersion()
+        return tick, version
+
+    _process, program = run_program(body)
+    assert [(name, inv) for name, inv, _result in filed.results] == [
+        ("GetVersion", 1)]
+    assert every.results == []  # an every-call hook sees no results
+    assert program.result[1] == 7 and program.result[0] != 7
 
 
 def test_signature_lookup_matches_dispatch():

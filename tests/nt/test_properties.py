@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.nt.context import K32Proxy, build_call_handler
 from repro.nt.handles import HandleTable, KernelObject
-from repro.nt.interception import InterceptionLayer
+from repro.nt.interception import CallHook, InterceptionLayer
 from repro.nt.kernel32.signatures import FunctionSig, ParamSpec, ParamType
 from repro.nt.memory import (
     AddressSpace,
@@ -131,7 +131,7 @@ def _shape(arg):
     return arg.raw, arg.kind, obj
 
 
-class _Rewriter:
+class _Rewriter(CallHook):
     """Records the raw words a hook sees; optionally rewrites one."""
 
     def __init__(self, rewrite):

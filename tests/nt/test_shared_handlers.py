@@ -9,7 +9,7 @@ call time.
 
 import pytest
 
-from repro.nt import Machine, context
+from repro.nt import CallHook, Machine, context
 from repro.nt.context import UnknownExportError, Win32Context
 from repro.nt.kernel32.signatures import REGISTRY
 from repro.posix import LIBC_REGISTRY, PosixContext
@@ -34,7 +34,7 @@ def _call_tick(ctx):
     return call
 
 
-class RecordingHook:
+class RecordingHook(CallHook):
     def __init__(self):
         self.calls = []
 
