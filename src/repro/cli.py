@@ -25,6 +25,7 @@ from .analysis.figures import OutcomeDistribution
 from .analysis.report import generate_experiments_report, shape_checks
 from .core.campaign import Campaign, profile_workload
 from .core.config import DtsConfig
+from .core.exec import backend_for
 from .core.faultlist import dump_fault_list, generate_fault_list
 from .core.faults import (
     FAMILY_SPECS,
@@ -495,15 +496,17 @@ def cmd_run(args, out) -> int:
     results = {}
     progress = CliProgress(out)
     try:
-        for family, spec_type in spec_types.items():
-            campaign = Campaign(
-                config.workload, config.middleware,
-                functions=functions if spec_type.takes_functions else None,
-                config=config.run_config(),
-                jobs=jobs, store=store,
-                progress=progress, mechanism=spec_type.mechanism,
-                prune=prune)
-            results[family] = campaign.run()
+        with backend_for(jobs) as backend:
+            for family, spec_type in spec_types.items():
+                campaign = Campaign(
+                    config.workload, config.middleware,
+                    functions=functions if spec_type.takes_functions
+                    else None,
+                    config=config.run_config(),
+                    backend=backend, store=store,
+                    progress=progress, mechanism=spec_type.mechanism,
+                    prune=prune)
+                results[family] = campaign.run()
     finally:
         progress.finish()
         if store is not None:
@@ -536,8 +539,6 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_reproduce(args, out) -> int:
-    from .core.exec import backend_for
-
     if args.write_report:
         # An unwritable report path fails now, not after the suite has
         # run; appending nothing leaves an existing report as it is.

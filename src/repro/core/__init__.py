@@ -1,7 +1,7 @@
 """The DTS (Dependability Test Suite) core — the paper's contribution.
 
 Pipeline: a fault list (:mod:`faultlist`) enumerates the kernel32 fault
-space; :mod:`plan` turns it into a wave-scheduled task DAG; an
+space; :mod:`plan` turns it into the probe/release schedule; an
 execution backend (:mod:`exec`) runs each task through :mod:`runner`
 with the :mod:`injector` armed; the :mod:`collector` classifies each
 run into Section 3's :mod:`outcomes`; and :mod:`store` checkpoints
@@ -13,7 +13,6 @@ from .campaign import (
     Campaign,
     WorkloadSetResult,
     profile_workload,
-    run_workload_set,
 )
 from .collector import RunResult, count_restarts
 from .exec import (
@@ -43,7 +42,7 @@ from .faultlist import (
 )
 from .faults import DEFAULT_FAULT_TYPES, FaultSpec, FaultType, ReturnFaultSpec
 from .injector import Injector
-from .return_injector import ReturnInjector, generate_return_fault_list
+from .return_injector import ReturnInjector
 from .outcomes import (
     ORDERED_OUTCOMES,
     FailureMode,
@@ -66,7 +65,6 @@ from .workload import (
 __all__ = [
     "Campaign",
     "WorkloadSetResult",
-    "run_workload_set",
     "profile_workload",
     "RunResult",
     "count_restarts",
@@ -98,7 +96,6 @@ __all__ = [
     "Injector",
     "ReturnFaultSpec",
     "ReturnInjector",
-    "generate_return_fault_list",
     "Outcome",
     "FailureMode",
     "ORDERED_OUTCOMES",

@@ -15,9 +15,10 @@ counts are produced), and per-function activation is still verified
 during injection runs.
 
 :class:`Campaign` is a facade over three layers: :mod:`repro.core.plan`
-turns the fault list into a wave-scheduled task DAG (the activation
-shortcut becomes probe-gated waves), :mod:`repro.core.exec` dispatches
-it through a serial or process-pool backend, and
+turns the fault list into the schedule — profile task, then per
+function a probe, its releases and its inferred members (the activation
+shortcut becomes probe-gated waves) — :mod:`repro.core.exec` walks it
+on a serial or process-pool backend, and
 :mod:`repro.core.store` checkpoints completed runs so campaigns resume
 and share results across figures.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .collector import RunResult
-from .exec import ExecutionBackend, backend_for, run_plan
+from .exec import ExecutionBackend, SerialBackend, run_plan
 from .faults import DEFAULT_FAULT_TYPES, FaultType, fault_family
 from .outcomes import Outcome
 from .plan import plan_campaign
@@ -102,10 +103,9 @@ class Campaign:
     """Runs one workload set.
 
     ``backend`` selects the execution strategy (default
-    :class:`~repro.core.exec.SerialBackend`); ``jobs`` is a shorthand
-    that builds a :class:`~repro.core.exec.ProcessPoolBackend` owned by
-    this campaign.  ``store`` checkpoints completed runs for resume and
-    cross-campaign caching.
+    :class:`~repro.core.exec.SerialBackend`); the caller owns it, so one
+    process pool serves many campaigns.  ``store`` checkpoints completed
+    runs for resume and cross-campaign caching.
     """
 
     def __init__(self, workload: WorkloadSpec | str,
@@ -114,17 +114,13 @@ class Campaign:
                  invocations: Sequence[int] = (1,),
                  functions: Optional[Sequence[str]] = None,
                  config: Optional[RunConfig] = None,
-                 profile_first: bool = True,
                  progress: Optional[ProgressCallback] = None,
                  mechanism: str = "parameter",
                  backend: Optional[ExecutionBackend] = None,
-                 jobs: Optional[int] = None,
                  store=None,
                  prune=None,
                  on_stage=None):
         spec_type = fault_family(mechanism)
-        if backend is not None and jobs is not None:
-            raise ValueError("pass either backend or jobs, not both")
         self.workload = (get_workload(workload)
                          if isinstance(workload, str) else workload)
         self.middleware = middleware
@@ -132,12 +128,10 @@ class Campaign:
         self.invocations = tuple(invocations)
         self.functions = list(functions) if functions is not None else None
         self.config = config or RunConfig()
-        self.profile_first = profile_first
         self.progress = progress
         self.spec_type = spec_type
         self.mechanism = spec_type.mechanism
-        self.backend = backend
-        self.jobs = jobs
+        self.backend = backend or SerialBackend()
         self.store = store
         # An EquivalenceManifest (repro.lint.valueflow): statically
         # equivalent faults are scheduled once and expanded afterwards.
@@ -155,10 +149,8 @@ class Campaign:
                                           self.workload.registry)
 
     def plan(self):
-        """The wave-scheduled task DAG for this campaign."""
-        return plan_campaign(self.fault_list(),
-                             profile_first=self.profile_first,
-                             prune=self.prune)
+        """The wave schedule for this campaign."""
+        return plan_campaign(self.fault_list(), prune=self.prune)
 
     def fingerprint(self) -> str:
         """The store key prefix for this campaign's configuration."""
@@ -169,44 +161,20 @@ class Campaign:
     def run(self) -> WorkloadSetResult:
         result = WorkloadSetResult(self.workload.name, self.middleware,
                                    self.config.watchd_version)
-        owns_backend = self.backend is None
-        backend = self.backend or backend_for(self.jobs)
-        try:
-            execution = run_plan(
-                self.plan(), self.workload, self.middleware, self.config,
-                backend=backend, store=self.store, progress=self.progress,
-                fingerprint=self.fingerprint() if self.store else None,
-                mechanism=self.mechanism, on_stage=self.on_stage)
-        finally:
-            if owns_backend:
-                backend.close()
-
+        execution = run_plan(
+            self.plan(), self.workload, self.middleware, self.config,
+            self.fingerprint(), self.backend, store=self.store,
+            progress=self.progress, on_stage=self.on_stage)
         result.profile_run = execution.profile_run
         result.runs = execution.runs
         result.skipped_functions = execution.skipped_functions
         result.cached_count = execution.cached_count
         result.executed_count = execution.executed_count
         result.inferred_count = execution.inferred_count
-        if result.profile_run is not None:
-            result.called_functions = set(
-                result.profile_run.called_functions)
+        result.called_functions = set(result.profile_run.called_functions)
         for run in result.runs:
             result.called_functions |= run.called_functions
         return result
-
-
-def run_workload_set(workload_name: str, middleware: MiddlewareKind,
-                     config: Optional[RunConfig] = None,
-                     functions: Optional[Sequence[str]] = None,
-                     progress: Optional[ProgressCallback] = None,
-                     backend: Optional[ExecutionBackend] = None,
-                     jobs: Optional[int] = None,
-                     store=None) -> WorkloadSetResult:
-    """Convenience wrapper: one workload set with defaults."""
-    campaign = Campaign(workload_name, middleware, functions=functions,
-                        config=config, progress=progress, backend=backend,
-                        jobs=jobs, store=store)
-    return campaign.run()
 
 
 def profile_workload(workload_name: str, middleware: MiddlewareKind,

@@ -125,7 +125,7 @@ def count_restarts(machine: Machine, middleware: MiddlewareKind,
 
 def collect(machine: Machine, workload: WorkloadSpec,
             middleware: MiddlewareKind, fault: Optional[FaultSpec],
-            injector, client, middleware_program, server_came_up: bool,
+            injector, client, server_came_up: bool,
             watchd_version: int) -> RunResult:
     """Assemble a :class:`RunResult` from a finished run's artifacts."""
     record: ClientRecord = client.record

@@ -5,9 +5,9 @@ items — campaign runs, load runs, files to lint — with results aligned
 to the batch.  :func:`run_batch` is the one checkpointing loop on top
 of it (serve from the store, execute the rest, record, report
 progress); the scheduler (:func:`run_plan`) walks a
-:class:`CampaignPlan` wave by wave through it, applies the activation
-gates, and hands every completed run back in canonical fault-list
-order.
+:class:`CampaignPlan` through it — the profile run, the probes, then
+the releases of the functions whose probe activated — and hands every
+completed run back in canonical fault-list order.
 
 **Determinism contract.**  Each run boots a fresh simulated machine
 seeded from ``(base seed, workload, middleware, fault key)`` and shares
@@ -28,7 +28,6 @@ from typing import Any, Callable, Optional, Sequence
 from .collector import RunResult, infer_result
 from .plan import CampaignPlan, RunTask
 from .runner import RunConfig, execute_run
-from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
 OnResult = Callable[[Any, Any], None]
@@ -299,104 +298,84 @@ def run_batch(tasks: Sequence, execute, execution: PlanExecution,
 
 def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
              middleware: MiddlewareKind, config: RunConfig,
-             backend: Optional[ExecutionBackend] = None,
-             store=None, progress=None,
-             fingerprint: Optional[str] = None,
-             mechanism: str = "parameter",
-             on_stage=None) -> PlanExecution:
-    """Execute a campaign plan wave by wave.
+             fingerprint: str, backend: ExecutionBackend,
+             store=None, progress=None, on_stage=None) -> PlanExecution:
+    """Execute a campaign plan: profile, probes, then releases.
 
-    Completed runs are checkpointed to ``store`` (when given) before
-    the progress callback fires, so an interrupt never loses a finished
-    run; runs already present in the store are served from it and not
-    re-executed.
+    Completed runs are checkpointed to ``store`` (when given) under
+    ``fingerprint`` before the progress callback fires, so an interrupt
+    never loses a finished run; runs already present in the store are
+    served from it and not re-executed.
 
     ``on_stage`` (when given) is called with ``"profiling"``,
     ``"probing"`` and ``"releasing"`` as the corresponding wave starts
     — the serve daemon's job state machine rides on it.
     """
-    backend = backend or SerialBackend()
-    if store is not None and fingerprint is None:
-        fingerprint = config_fingerprint(workload.name, middleware, config,
-                                         mechanism)
     execution = PlanExecution()
     safe_progress = SafeProgress(progress)
-    results: dict[str, RunResult] = {}
+    results: dict[RunTask, RunResult] = {}
 
     def execute(pending: list[RunTask], on_result) -> list[RunResult]:
         return backend.run_tasks(pending, workload, middleware, config,
                                  on_result=on_result)
 
-    def dispatch(tasks: Sequence[RunTask], counted: bool) -> None:
+    def dispatch(stage: str, tasks: Sequence[RunTask],
+                 counted: bool = True) -> None:
+        if on_stage is not None:
+            on_stage(stage)
         runs = run_batch(tasks, execute, execution, safe_progress,
                          store=store,
                          store_key=lambda task: (fingerprint, task.fault),
                          counted=counted)
-        for task, run in zip(tasks, runs):
-            results[task.task_id] = run
+        results.update(zip(tasks, runs))
 
-    # --- Wave 0: the fault-free profiling run --------------------------
-    eligible = list(plan.functions)
-    if plan.profile_task is not None:
-        if on_stage is not None:
-            on_stage("profiling")
-        dispatch([plan.profile_task], counted=False)
-        execution.profile_run = results[plan.profile_task.task_id]
-        called = set(execution.profile_run.called_functions)
+    # --- The fault-free profiling run gates the probes -----------------
+    dispatch("profiling", [plan.profile_task], counted=False)
+    execution.profile_run = results[plan.profile_task]
+    called = set(execution.profile_run.called_functions)
 
-        def gated(name: str) -> bool:
-            # Each fault names the export whose presence in the profile
-            # run's called set gates its probe (``profile_gate``); None
-            # means always probe — transport ops and resource pressure
-            # have no kernel32 footprint to gate on.
-            gate = plan.probes[name].fault.profile_gate
-            return gate is None or gate in called
+    def gated(probe: RunTask) -> bool:
+        # Each fault names the export whose presence in the profile
+        # run's called set gates its probe (``profile_gate``); None
+        # means always probe — transport ops and resource pressure
+        # have no kernel32 footprint to gate on.
+        gate = probe.fault.profile_gate
+        return gate is None or gate in called
 
-        eligible = [name for name in plan.functions if gated(name)]
-        execution.skipped_functions = set(plan.functions) - set(eligible)
-
+    eligible = [name for name, probe in plan.probes.items()
+                if gated(probe)]
+    execution.skipped_functions = set(plan.probes) - set(eligible)
     execution.total = sum(1 + len(plan.releases[name])
                           for name in eligible)
 
-    # --- Wave 1: probes (one fault per function) -----------------------
-    if on_stage is not None:
-        on_stage("probing")
-    dispatch([plan.probes[name] for name in eligible], counted=True)
+    # --- Probes (one fault per function) -------------------------------
+    dispatch("probing", [plan.probes[name] for name in eligible])
 
     # --- Activation gate: release the rest of each activated function --
     released = []
     for name in eligible:
-        probe_run = results[plan.probes[name].task_id]
-        if probe_run.activated:
+        if results[plan.probes[name]].activated:
             released.extend(plan.releases[name])
         else:
             # The paper's shortcut: the function is not called, so its
             # remaining faults would not activate either.
             execution.skipped_functions.add(name)
             execution.done += len(plan.releases[name])
-
-    # --- Wave 2: released faults ---------------------------------------
-    if on_stage is not None:
-        on_stage("releasing")
-    dispatch(released, counted=True)
+    dispatch("releasing", released)
 
     # --- Expansion: pruned faults inherit their representative's run --
     # Never checkpointed: on resume the representative is served from
     # the store and the expansion is recomputed, so a store only ever
-    # holds executed evidence.
-    for name in eligible:
+    # holds executed evidence.  A skipped function's inferred faults
+    # stay skipped: the full campaign would have skipped them too.
+    for name, group in plan.inferred.items():
         if name in execution.skipped_functions:
-            # The paper's shortcut applies to the whole function: the
-            # full campaign would have skipped these faults too.
             continue
-        for task in plan.inferred.get(name, ()):
-            representative = results.get(task.representative)
-            if representative is None:
-                continue
-            results[task.task_id] = infer_result(representative,
-                                                 task.fault)
+        for task in group:
+            results[task] = infer_result(results[task.representative],
+                                         task.fault)
             execution.inferred_count += 1
 
-    execution.runs = [results[task.task_id] for task in plan.tasks
-                      if task.task_id in results]
+    execution.runs = [results[task] for task in plan.tasks
+                      if task in results]
     return execution

@@ -233,8 +233,11 @@ class ReturnFaultSpec(FaultFamily):
         return ReturnInjector(self, target_role, registry)
 
     @staticmethod
-    def fault_space(functions, fault_types, invocations,
-                    registry=None) -> list[ReturnFaultSpec]:
+    def fault_space(functions: Optional[Iterable[str]] = None,
+                    fault_types: Sequence[FaultType] = DEFAULT_FAULT_TYPES,
+                    invocations: Sequence[int] = (1,),
+                    registry: Optional[dict] = None
+                    ) -> list[ReturnFaultSpec]:
         """One fault per function × invocation × type (parameters are
         irrelevant here) over ``registry`` (KERNEL32 when None); unknown
         names raise ``KeyError``."""
@@ -385,6 +388,13 @@ IO_ERROR_CHOICES = {
 # Ops whose byte-count argument a SHORT fault truncates.
 SHORT_IO_OPS = ("ReadFile", "WriteFile")
 
+# The default sustained fault spaces enumerate every fault over these
+# windows, with one short ratio and one delay per op.
+DEFAULT_WINDOWS = (FaultWindow("calls", 1, 100),
+                   FaultWindow("time", 5.0, 60.0))
+DEFAULT_SHORT_RATIO = 0.5
+DEFAULT_IO_DELAY = 1.0
+
 
 class IoFault(FaultFamily):
     """One sustained I/O-path fault.
@@ -465,16 +475,33 @@ class IoFault(FaultFamily):
         return IoInjector(self, target_role)
 
     @staticmethod
-    def fault_space(functions, fault_types, invocations, registry) -> list:
-        from .windowed import generate_io_fault_list
-
-        return generate_io_fault_list(ops=functions)
+    def fault_space(functions=None, fault_types=None, invocations=None,
+                    registry=None) -> list[IoFault]:
+        """Per op (``functions``, default every op) and default window:
+        every sensible errno, then a short-I/O ratio where the op has a
+        byte count, then a per-call delay.  Order is canonical — the
+        planner and the census rely on it."""
+        faults = []
+        for op in functions if functions is not None else IO_OPS:
+            for window in DEFAULT_WINDOWS:
+                for errno in IO_ERROR_CHOICES[op]:
+                    faults.append(IoFault(op, "error", errno, window))
+                if op in SHORT_IO_OPS:
+                    faults.append(IoFault(op, "short", DEFAULT_SHORT_RATIO,
+                                          window))
+                faults.append(IoFault(op, "delay", DEFAULT_IO_DELAY, window))
+        return faults
 
 
 # ----------------------------------------------------------------------
 # Resource-exhaustion faults
 # ----------------------------------------------------------------------
 RESOURCE_KINDS = ("memory", "handles", "cpu")
+
+# Per resource: full exhaustion (or a heavy tax) plus a partial tier.
+DEFAULT_SEVERITIES = {"memory": (1.0, 0.5),
+                      "handles": (1.0, 0.5),
+                      "cpu": (8.0, 3.0)}
 
 
 class ResourceFault(FaultFamily):
@@ -542,10 +569,15 @@ class ResourceFault(FaultFamily):
         return ResourceInjector(self, target_role)
 
     @staticmethod
-    def fault_space(functions, fault_types, invocations, registry) -> list:
-        from .windowed import generate_resource_fault_list
-
-        return generate_resource_fault_list(resources=functions)
+    def fault_space(functions=None, fault_types=None, invocations=None,
+                    registry=None) -> list[ResourceFault]:
+        """Per resource (``functions``, default every kind) and default
+        window, every default severity."""
+        return [ResourceFault(resource, severity, window)
+                for resource in (functions if functions is not None
+                                 else RESOURCE_KINDS)
+                for window in DEFAULT_WINDOWS
+                for severity in DEFAULT_SEVERITIES[resource]]
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,20 @@
-"""Campaign planning: the Figure-1 grid as an explicit task DAG.
+"""Campaign planning: the Figure-1 grid as the table the scheduler walks.
 
 The original tool walks the experiment grid with one nested serial
 loop.  This module factors the *planning* half of that loop out into a
 pure function: :func:`plan_campaign` turns a fault list into a
-:class:`CampaignPlan` — an explicit DAG of :class:`RunTask`\\ s that any
-execution backend (:mod:`repro.core.exec`) can dispatch, serially or in
-parallel, without re-deriving the paper's scheduling rules.
+:class:`CampaignPlan` — the fault-free profile task, then per function
+one probe, its releases and its inferred members — which
+:func:`repro.core.exec.run_plan` executes on any backend, serially or
+in parallel, without re-deriving the paper's scheduling rules.
 
 The activation shortcut (*"if an injected function is not called, all
 other injections for that function will be skipped"*) becomes **wave
 scheduling**: for every function the first fault is a *probe*; the
 function's remaining faults are *releases* that are dispatched only
-after the probe run reports activation.  The optional fault-free
-profiling run gates the probes themselves — probes of functions absent
-from the called-function set are cancelled outright.
+after the probe run reports activation.  The fault-free profiling run
+gates the probes themselves — probes of functions absent from the
+called-function set are cancelled outright.
 
 Nothing in this module touches a :class:`~repro.nt.machine.Machine`;
 planning is deterministic, cheap, and side-effect free.
@@ -22,11 +23,9 @@ planning is deterministic, cheap, and side-effect free.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .faultlist import faults_by_function
-
-PROFILE_TASK_ID = "profile"
 
 
 class TaskKind(enum.Enum):
@@ -48,110 +47,58 @@ class RunTask:
     indistinguishable from serial ones.
     """
 
-    __slots__ = ("task_id", "kind", "fault", "function", "order", "deps",
+    __slots__ = ("task_id", "kind", "fault", "function", "order",
                  "representative")
 
     def __init__(self, task_id: str, kind: TaskKind, fault,
                  function: Optional[str], order: int,
-                 deps: Sequence[str] = (),
-                 representative: Optional[str] = None):
+                 representative: Optional["RunTask"] = None):
         self.task_id = task_id
         self.kind = kind
         self.fault = fault
         self.function = function
         self.order = order
-        self.deps = tuple(deps)
-        # For INFERRED tasks: the task id whose run result this fault's
+        # For INFERRED tasks: the task whose run result this fault's
         # outcome is copied from.
         self.representative = representative
 
     def __repr__(self) -> str:
         return (f"<RunTask {self.task_id} {self.kind.value} "
-                f"order={self.order} deps={list(self.deps)}>")
+                f"order={self.order}>")
 
 
 class CampaignPlan:
-    """The full DAG for one workload set.
+    """The schedule for one workload set.
 
     ``tasks`` holds every injection task in canonical fault-list order;
-    ``probes`` and ``releases`` index them by function.  Wave 0 is the
-    profiling run (when planned), wave 1 the probes, wave 2 the
-    releases.
+    ``probes``, ``releases`` and ``inferred`` index them by function,
+    in fault-list order.
+    :func:`~repro.core.exec.run_plan` runs ``profile_task``, then the
+    probes, then the releases of the functions whose probe activated.
     """
 
-    def __init__(self, tasks: Sequence[RunTask],
-                 profile_task: Optional[RunTask],
+    def __init__(self, tasks: Sequence[RunTask], profile_task: RunTask,
                  probes: dict[str, RunTask],
                  releases: dict[str, tuple[RunTask, ...]],
-                 functions: Sequence[str],
-                 inferred: Optional[dict[str, tuple[RunTask, ...]]] = None):
+                 inferred: dict[str, tuple[RunTask, ...]]):
         self.tasks = list(tasks)
         self.profile_task = profile_task
         self.probes = probes
         self.releases = releases
-        self.functions = tuple(functions)
         # Pruned faults by function: scheduled nowhere, their results
         # are expanded from class representatives after the last wave.
-        self.inferred = inferred if inferred is not None else {}
-
-    # ------------------------------------------------------------------
-    @property
-    def injection_count(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def pruned_count(self) -> int:
-        return sum(len(group) for group in self.inferred.values())
-
-    @property
-    def scheduled_count(self) -> int:
-        return len(self.tasks) - self.pruned_count
-
-    def tasks_for_function(self, function: str) -> list[RunTask]:
-        probe = self.probes.get(function)
-        if probe is None:
-            return []
-        tasks = [probe, *self.releases[function],
-                 *self.inferred.get(function, ())]
-        tasks.sort(key=lambda task: task.order)
-        return tasks
-
-    def census(self) -> dict:
-        """Planned fault tuples by function — the plan-side census the
-        static↔dynamic oracle reconciles against.  ``per_function``
-        counts every injection task (probe + releases) per target."""
-        per_function = {name: len(self.tasks_for_function(name))
-                        for name in self.functions}
-        return {
-            "functions": len(self.functions),
-            "probes": len(self.probes),
-            "releases": sum(len(group) for group in
-                            self.releases.values()),
-            "inferred": self.pruned_count,
-            "profiled": self.profile_task is not None,
-            "per_function": per_function,
-        }
-
-    def waves(self) -> Iterator[list[RunTask]]:
-        """The wave schedule: profile, then probes, then releases."""
-        if self.profile_task is not None:
-            yield [self.profile_task]
-        yield [self.probes[name] for name in self.functions]
-        yield [task for name in self.functions
-               for task in self.releases[name]]
+        self.inferred = inferred
 
     def __repr__(self) -> str:
-        return (f"<CampaignPlan functions={len(self.functions)} "
-                f"tasks={len(self.tasks)} "
-                f"profiled={self.profile_task is not None}>")
+        return (f"<CampaignPlan functions={len(self.probes)} "
+                f"tasks={len(self.tasks)}>")
 
 
-def plan_campaign(faults: Sequence, profile_first: bool = True,
-                 prune=None) -> CampaignPlan:
-    """Turn an ordered fault list into the wave-scheduled DAG.
+def plan_campaign(faults: Sequence, prune=None) -> CampaignPlan:
+    """Turn an ordered fault list into the wave schedule.
 
-    Works for both fault-spec flavours (parameter and return-value
-    corruption) — anything with a ``.function`` attribute groups.
+    Works for every fault family — anything with a ``.function``
+    attribute groups.
 
     With ``prune`` (an :class:`~repro.lint.valueflow.EquivalenceManifest`,
     or anything with its ``group_key(fault)`` contract), faults that
@@ -161,25 +108,20 @@ def plan_campaign(faults: Sequence, profile_first: bool = True,
     class representative's run.  Faults the manifest does not cover —
     return-value faults, singleton classes — are always scheduled.
     """
-    grouped = faults_by_function(faults)
-    profile_task = None
-    if profile_first:
-        profile_task = RunTask(PROFILE_TASK_ID, TaskKind.PROFILE,
-                               fault=None, function=None, order=-1)
-    probe_deps = (PROFILE_TASK_ID,) if profile_task is not None else ()
-
+    profile_task = RunTask("profile", TaskKind.PROFILE, fault=None,
+                           function=None, order=-1)
     tasks: list[RunTask] = []
     probes: dict[str, RunTask] = {}
     releases: dict[str, tuple[RunTask, ...]] = {}
     inferred: dict[str, tuple[RunTask, ...]] = {}
-    order = 0
-    for function, group in grouped.items():
-        function_tasks: list[RunTask] = []
-        inferred_tasks: list[RunTask] = []
-        representatives: dict[tuple, str] = {}
+    for function, group in faults_by_function(faults).items():
+        scheduled: list[RunTask] = []
+        pruned: list[RunTask] = []
+        representatives: dict[tuple, RunTask] = {}
         # enumerate() — not list.index() — so duplicate faults that
         # compare equal still count correctly.
         for position, fault in enumerate(group):
+            order = len(tasks)
             class_key = None
             if prune is not None:
                 class_key = prune.group_key(fault)
@@ -187,28 +129,22 @@ def plan_campaign(faults: Sequence, profile_first: bool = True,
                     class_key += (fault.invocation,)
             if position == 0:
                 task = RunTask(f"probe:{function}", TaskKind.PROBE, fault,
-                               function, order, deps=probe_deps)
-                probes[function] = task
-            elif class_key is not None and class_key in representatives:
-                representative = representatives[class_key]
-                inferred_tasks.append(RunTask(
-                    f"inferred:{function}:{position}", TaskKind.INFERRED,
-                    fault, function, order, deps=(representative,),
-                    representative=representative))
-                order += 1
-                continue
+                               function, order)
+            elif class_key in representatives:
+                task = RunTask(f"inferred:{function}:{position}",
+                               TaskKind.INFERRED, fault, function, order,
+                               representative=representatives[class_key])
+                pruned.append(task)
             else:
                 task = RunTask(f"release:{function}:{position}",
-                               TaskKind.RELEASE, fault, function, order,
-                               deps=(f"probe:{function}",))
-            if class_key is not None:
-                representatives.setdefault(class_key, task.task_id)
-            function_tasks.append(task)
-            order += 1
-        tasks.extend(sorted(function_tasks + inferred_tasks,
-                            key=lambda t: t.order))
-        releases[function] = tuple(function_tasks[1:])
-        if inferred_tasks:
-            inferred[function] = tuple(inferred_tasks)
-    return CampaignPlan(tasks, profile_task, probes, releases,
-                        list(grouped), inferred=inferred)
+                               TaskKind.RELEASE, fault, function, order)
+            tasks.append(task)
+            if task.kind is not TaskKind.INFERRED:
+                if class_key is not None:
+                    representatives[class_key] = task
+                scheduled.append(task)
+        probes[function] = scheduled[0]
+        releases[function] = tuple(scheduled[1:])
+        if pruned:
+            inferred[function] = tuple(pruned)
+    return CampaignPlan(tasks, profile_task, probes, releases, inferred)

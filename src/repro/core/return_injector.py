@@ -47,9 +47,3 @@ class ReturnInjector(Injector):
             return None
         return self._fire(process, sig, invocation, result, {}, 0)
 
-
-def generate_return_fault_list(functions=None, fault_types=None,
-                               invocations=(1,)) -> list[ReturnFaultSpec]:
-    """Enumerate the return-value fault space (see
-    :meth:`ReturnFaultSpec.fault_space`)."""
-    return ReturnFaultSpec.fault_space(functions, fault_types, invocations)

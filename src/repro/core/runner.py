@@ -118,8 +118,7 @@ def boot(workload: WorkloadSpec, middleware: MiddlewareKind, fault,
     Boots a fresh machine (traced at ``config.trace_level``), installs
     the workload, arms ``fault`` against its target role (None: no
     fault), deploys the server (optionally under middleware) and waits
-    for it to listen.  Returns ``(machine, injector,
-    middleware_program, server_came_up)``.
+    for it to listen.  Returns ``(machine, injector, server_came_up)``.
     """
     level = TraceLevel.parse(config.trace_level)
     tracer = Tracer(level) if level is not TraceLevel.OFF else None
@@ -143,8 +142,8 @@ def boot(workload: WorkloadSpec, middleware: MiddlewareKind, fault,
         injector = fault.injector(workload.target_role, workload.registry)
         injector.install(machine)
 
-    middleware_program = workload.deploy_middleware(
-        machine, middleware, watchd_version=config.watchd_version)
+    workload.deploy_middleware(machine, middleware,
+                               watchd_version=config.watchd_version)
 
     machine.run_while(
         lambda: not machine.transport.is_listening(workload.port),
@@ -152,7 +151,7 @@ def boot(workload: WorkloadSpec, middleware: MiddlewareKind, fault,
     server_came_up = machine.transport.is_listening(workload.port)
     if tracer is not None:
         tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
-    return machine, injector, middleware_program, server_came_up
+    return machine, injector, server_came_up
 
 
 def terminate_workload(machine: Machine, injector, clients=()) -> None:
@@ -205,7 +204,7 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                  fault: Optional[FaultSpec],
                  config: Optional[RunConfig]) -> RunResult:
     config = config or RunConfig()
-    machine, injector, middleware_program, server_came_up = boot(
+    machine, injector, server_came_up = boot(
         workload, middleware, fault, config,
         config.seed_for(workload, middleware, fault))
     tracer = machine.tracer
@@ -229,7 +228,6 @@ def _execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
         fault=fault,
         injector=injector,
         client=client,
-        middleware_program=middleware_program,
         server_came_up=server_came_up,
         watchd_version=config.watchd_version,
     )

@@ -40,16 +40,7 @@ from ..nt.errors import (
 )
 from ..nt.interception import CallHook, CallOverride
 from ..nt.kernel32.signatures import REGISTRY, FunctionSig
-from .faults import (
-    FaultWindow,
-    IO_ERROR_CHOICES,
-    IO_OPS,
-    IoFault,
-    NET_IO_OPS,
-    RESOURCE_KINDS,
-    ResourceFault,
-    SHORT_IO_OPS,
-)
+from .faults import NET_IO_OPS
 
 # Win32 mappings of the errno-style failure names (network errnos are
 # transport-level conditions, not last-error codes).
@@ -341,49 +332,3 @@ class ResourceInjector(WindowedInjector):
         self.record_impact()
         return CallOverride(result=_failure_sentinel(sig.name),
                             last_error=ERROR_NO_SYSTEM_RESOURCES)
-
-
-# ----------------------------------------------------------------------
-# Default fault spaces
-# ----------------------------------------------------------------------
-DEFAULT_WINDOWS = (FaultWindow("calls", 1, 100),
-                   FaultWindow("time", 5.0, 60.0))
-DEFAULT_SHORT_RATIO = 0.5
-DEFAULT_IO_DELAY = 1.0
-DEFAULT_SEVERITIES = {"memory": (1.0, 0.5),
-                      "handles": (1.0, 0.5),
-                      "cpu": (8.0, 3.0)}
-
-
-def generate_io_fault_list(ops=None, windows=None) -> list[IoFault]:
-    """Enumerate the I/O fault space: per op and window, every sensible
-    errno, then a short-I/O ratio where the op has a byte count, then a
-    per-call delay.  Order is canonical — the planner and the census
-    rely on it."""
-    ops = tuple(ops) if ops is not None else IO_OPS
-    windows = tuple(windows) if windows is not None else DEFAULT_WINDOWS
-    faults = []
-    for op in ops:
-        for window in windows:
-            for errno in IO_ERROR_CHOICES[op]:
-                faults.append(IoFault(op, "error", errno, window))
-            if op in SHORT_IO_OPS:
-                faults.append(IoFault(op, "short", DEFAULT_SHORT_RATIO,
-                                      window))
-            faults.append(IoFault(op, "delay", DEFAULT_IO_DELAY, window))
-    return faults
-
-
-def generate_resource_fault_list(resources=None, severities=None,
-                                 windows=None) -> list[ResourceFault]:
-    """Enumerate the resource fault space: per resource and window,
-    every default severity (full exhaustion plus a partial tier)."""
-    resources = tuple(resources) if resources is not None else RESOURCE_KINDS
-    windows = tuple(windows) if windows is not None else DEFAULT_WINDOWS
-    table = severities if severities is not None else DEFAULT_SEVERITIES
-    faults = []
-    for resource in resources:
-        for window in windows:
-            for severity in table[resource]:
-                faults.append(ResourceFault(resource, severity, window))
-    return faults

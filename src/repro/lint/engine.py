@@ -38,6 +38,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Sequence
 
+from .core import walk_in_scope
+
 # Receiver roots considered *shared* between interleaved coroutines: the
 # instance a server/middleware method runs on, and everything reachable
 # from the per-process context / machine singletons.
@@ -487,15 +489,6 @@ class FunctionInfo:
         self.is_generator = is_generator
 
 
-def _own_scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(child, _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(child))
-
-
 class ModuleIndex:
     """Symbol table and generator CFGs for one parsed module."""
 
@@ -544,7 +537,7 @@ class ModuleIndex:
                 qualname = f"{prefix}{child.name}"
                 is_gen = not isinstance(child, ast.AsyncFunctionDef) and any(
                     isinstance(sub, (ast.Yield, ast.YieldFrom))
-                    for sub in _own_scope_nodes(child))
+                    for sub in walk_in_scope(child))
                 info = FunctionInfo(qualname, child, class_name, is_gen)
                 self.functions[qualname] = info
                 if class_name is not None:
@@ -624,7 +617,7 @@ class ModuleIndex:
         memo[qualname] = None
         info = self.functions[qualname]
         result = False
-        for node in _own_scope_nodes(info.node):
+        for node in walk_in_scope(info.node):
             if isinstance(node, ast.Yield):
                 result = True
                 break

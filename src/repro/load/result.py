@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.stats import MeanCI, mean_ci95
 from ..clients.record import ClientRecord
 from ..core.store import (
     client_record_from_dict,
@@ -125,9 +124,6 @@ class LoadRunResult:
     def mean_latency(self) -> Optional[float]:
         latencies = self.all_latencies()
         return sum(latencies) / len(latencies) if latencies else None
-
-    def latency_ci(self) -> Optional[MeanCI]:
-        return mean_ci95(self.all_latencies())
 
     def __repr__(self) -> str:
         return (f"<LoadRunResult {self.spec.workload}"

@@ -44,7 +44,7 @@ def _execute_load_run(spec: LoadSpec, rep: int,
                       config: Optional[RunConfig]) -> LoadRunResult:
     config = config or RunConfig()
     workload = get_workload(spec.workload)
-    machine, injector, _middleware, server_came_up = boot(
+    machine, injector, server_came_up = boot(
         workload, spec.middleware, spec.fault, config,
         spec.seed(config.base_seed, config.watchd_version, rep))
 

@@ -128,10 +128,6 @@ class Connection:
             self.open = False
             peer_inbox.put(RESET)
 
-    def closed_by(self, side: Side) -> bool:
-        return (self._client_closed if side is Side.CLIENT
-                else self._server_closed)
-
     def reset(self) -> None:
         """Tear the connection down; both inboxes drain as RESET."""
         if not self.open:

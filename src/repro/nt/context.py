@@ -321,10 +321,6 @@ class Win32Context:
         yield Sleep(seconds * machine.cpu_scale
                     * machine.pressure.cpu_tax(self.process.role))
 
-    def log_debug(self, message: str) -> None:
-        """Program-side diagnostics kept on the machine for tests."""
-        self.machine.debug_log.append((self.now, self.process.pid, message))
-
     def memory(self, address: int):
         """Resolve a raw pointer (e.g. a HeapAlloc result) back to its
         buffer — the program-side equivalent of dereferencing it."""

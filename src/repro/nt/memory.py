@@ -175,10 +175,6 @@ class AddressSpace:
         self._by_id.pop(id(obj), None)
         return True
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._by_address)
-
     # ------------------------------------------------------------------
     # Encoding / decoding of call arguments
     # ------------------------------------------------------------------

@@ -13,8 +13,9 @@ only.  Process semantics (generators, waiting, interrupts) live in
 
 Hot-path notes (the engine dominates multi-client load runs):
 
-- The heap holds ``(time, seq, timer)`` tuples, so sift comparisons
-  are C-level tuple comparisons instead of ``Timer.__lt__`` calls.
+- The heap holds ``(time, seq, timer)`` tuples with a unique ``seq``,
+  so sift comparisons are C-level tuple comparisons that never reach
+  the timer itself (``Timer`` defines no ordering).
 - Cancellation tombstones are counted, and the heap is compacted in
   place whenever tombstones outnumber live timers — a population of
   clients that each arm-and-cancel timeout timers would otherwise grow
@@ -169,9 +170,6 @@ class Timer:
     def active(self) -> bool:
         """True while the timer is still pending."""
         return not self.cancelled
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -6,7 +6,8 @@ runs a handful of injections, not the full 551-function sweep.
 
 import pytest
 
-from repro.core.campaign import Campaign, profile_workload, run_workload_set
+from repro.core.campaign import Campaign, profile_workload
+from repro.core.exec import ProcessPoolBackend, run_plan
 from repro.core.faults import FaultType
 from repro.core.outcomes import Outcome
 from repro.core.runner import RunConfig
@@ -37,18 +38,26 @@ def test_uncalled_functions_skipped_by_profiling(config):
     assert result.profile_run is not None
 
 
-def test_activation_shortcut_without_profiling(config):
-    # Without the profiling pre-pass, the first non-activated fault of
-    # a function skips the function's remaining faults (the paper's
-    # shortcut).
+def test_activation_shortcut_skips_releases_of_an_unactivated_probe(
+        config):
+    # SetErrorMode passes the profile gate (IIS calls it), but IIS never
+    # makes a 50th call, so its probe does not activate and the paper's
+    # shortcut skips the function's remaining faults.
     campaign = Campaign("IIS", MiddlewareKind.NONE,
-                        functions=["EraseTape"], config=config,
-                        profile_first=False)
-    result = campaign.run()
-    assert len(result.runs) == 1          # one probe run, then skipped
-    assert not result.runs[0].activated
-    assert "EraseTape" in result.skipped_functions
-    assert result.activated_count == 0
+                        functions=["SetErrorMode"], invocations=(50,),
+                        config=config)
+    plan = campaign.plan()
+    assert len(plan.releases["SetErrorMode"]) == 2
+    execution = run_plan(plan, campaign.workload, campaign.middleware,
+                         campaign.config, campaign.fingerprint(),
+                         campaign.backend)
+    assert "SetErrorMode" in execution.profile_run.called_functions
+    assert len(execution.runs) == 1       # one probe run, then skipped
+    assert not execution.runs[0].activated
+    assert execution.executed_count == 2  # the profile run and the probe
+    assert execution.skipped_functions == {"SetErrorMode"}
+    # The skipped releases count as done.
+    assert execution.done == execution.total == 3
 
 
 def test_outcome_fractions_sum_to_one(config):
@@ -96,13 +105,6 @@ def test_runs_for_fault_keys_filters(config):
     keys = {result.runs[0].fault.key}
     assert len(result.runs_for_fault_keys(keys)) == 1
     assert result.runs_for_fault_keys(set()) == []
-
-
-def test_run_workload_set_wrapper(config):
-    result = run_workload_set("IIS", MiddlewareKind.NONE, config=config,
-                              functions=["GetACP", "SetErrorMode"])
-    assert result.workload_name == "IIS"
-    assert result.middleware is MiddlewareKind.NONE
 
 
 def test_profile_workload_returns_table1_counts(config):
@@ -172,9 +174,10 @@ def test_pruned_census_is_bit_identical(config, manifest):
 def test_pruned_census_is_bit_identical_in_parallel(config, manifest):
     full = Campaign("IIS", MiddlewareKind.NONE,
                     functions=PRUNE_FUNCTIONS, config=config).run()
-    pruned = Campaign("IIS", MiddlewareKind.NONE,
-                      functions=PRUNE_FUNCTIONS, config=config,
-                      prune=manifest, jobs=2).run()
+    with ProcessPoolBackend(jobs=2) as backend:
+        pruned = Campaign("IIS", MiddlewareKind.NONE,
+                          functions=PRUNE_FUNCTIONS, config=config,
+                          prune=manifest, backend=backend).run()
     assert pruned.inferred_count > 0
     assert _census(pruned) == _census(full)
 

@@ -62,18 +62,16 @@ def test_chunk_size_does_not_change_results(config, serial_result):
 
 
 def test_jobs_shorthand_builds_pool(config, serial_result):
-    result = Campaign("IIS", MiddlewareKind.NONE,
-                      functions=FIGURE2_SLICE[:3], config=config,
-                      jobs=2).run()
+    # `repro run --jobs 2` shares one backend_for(2) pool across its
+    # campaigns.
+    with backend_for(2) as backend:
+        assert isinstance(backend, ProcessPoolBackend)
+        result = Campaign("IIS", MiddlewareKind.NONE,
+                          functions=FIGURE2_SLICE[:3], config=config,
+                          backend=backend).run()
     subset = {r.fault.key for r in result.runs}
     reference = [s for s in _signature(serial_result) if s[0] in subset]
     assert _signature(result) == reference
-
-
-def test_backend_and_jobs_are_exclusive(config):
-    with pytest.raises(ValueError):
-        Campaign("IIS", MiddlewareKind.NONE, config=config,
-                 backend=SerialBackend(), jobs=2)
 
 
 def test_shared_pool_survives_multiple_campaigns(config):

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.exec import ProcessPoolBackend
 from repro.core.runner import RunConfig
 from repro.core.store import RunStore
 from repro.core.workload import MiddlewareKind
@@ -30,17 +31,18 @@ def _kill_after(done, total, run):
         raise Killed
 
 
-def _campaign(mechanism, functions, store=None, jobs=None, progress=None):
+def _campaign(mechanism, functions, store=None, backend=None,
+              progress=None):
     return Campaign("IIS", MiddlewareKind.NONE, mechanism=mechanism,
                     functions=functions,
                     config=RunConfig(base_seed=4000, trace_level="off"),
-                    store=store, jobs=jobs, progress=progress)
+                    store=store, backend=backend, progress=progress)
 
 
-def _store_bytes(tmp_path, name, mechanism, functions, jobs=None):
+def _store_bytes(tmp_path, name, mechanism, functions, backend=None):
     path = tmp_path / name
     with RunStore(path) as store:
-        _campaign(mechanism, functions, store=store, jobs=jobs).run()
+        _campaign(mechanism, functions, store=store, backend=backend).run()
     return path.read_bytes()
 
 
@@ -51,8 +53,9 @@ def _store_bytes(tmp_path, name, mechanism, functions, jobs=None):
 def test_pool_store_is_byte_identical_to_serial(tmp_path, mechanism,
                                                 functions):
     serial = _store_bytes(tmp_path, "serial.jsonl", mechanism, functions)
-    pooled = _store_bytes(tmp_path, "pooled.jsonl", mechanism, functions,
-                          jobs=2)
+    with ProcessPoolBackend(jobs=2) as backend:
+        pooled = _store_bytes(tmp_path, "pooled.jsonl", mechanism,
+                              functions, backend=backend)
     assert serial == pooled
 
 

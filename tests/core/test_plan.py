@@ -1,12 +1,8 @@
-"""Tests for the campaign planner (the wave-scheduled task DAG)."""
+"""Tests for the campaign planner (the probe/release schedule)."""
 
 from repro.core.faultlist import generate_fault_list
-from repro.core.faults import FaultSpec, FaultType
-from repro.core.plan import (
-    PROFILE_TASK_ID,
-    TaskKind,
-    plan_campaign,
-)
+from repro.core.faults import FaultSpec, FaultType, ReturnFaultSpec
+from repro.core.plan import TaskKind, plan_campaign
 
 
 def _faults():
@@ -14,58 +10,60 @@ def _faults():
     return generate_fault_list(["ReadFile", "SetEvent"])
 
 
+def _scheduled(plan):
+    """The tasks the scheduler may dispatch: probes and releases."""
+    return [task for function, probe in plan.probes.items()
+            for task in (probe, *plan.releases[function])]
+
+
 def test_probe_release_structure():
     faults = _faults()
     plan = plan_campaign(faults)
-    assert plan.injection_count == 18
-    assert plan.functions == ("ReadFile", "SetEvent")
+    assert len(plan.tasks) == 18
+    assert list(plan.probes) == ["ReadFile", "SetEvent"]
     probe = plan.probes["ReadFile"]
     assert probe.kind is TaskKind.PROBE
     assert probe.fault == faults[0]
     assert len(plan.releases["ReadFile"]) == 14
     assert len(plan.releases["SetEvent"]) == 2
+    assert plan.inferred == {}
 
 
 def test_releases_depend_on_their_probe():
+    # A release belongs to its probe's function and follows the probe
+    # in canonical order: it runs only once that probe has activated.
     plan = plan_campaign(_faults())
-    for function in plan.functions:
-        probe = plan.probes[function]
+    for function, probe in plan.probes.items():
         for task in plan.releases[function]:
             assert task.kind is TaskKind.RELEASE
-            assert task.deps == (probe.task_id,)
+            assert task.function == function
+            assert task.order > probe.order
 
 
 def test_profile_gates_probes():
-    plan = plan_campaign(_faults(), profile_first=True)
-    assert plan.profile_task is not None
-    assert plan.profile_task.task_id == PROFILE_TASK_ID
+    plan = plan_campaign(_faults())
+    assert plan.profile_task.kind is TaskKind.PROFILE
     assert plan.profile_task.fault is None
-    for function in plan.functions:
-        assert plan.probes[function].deps == (PROFILE_TASK_ID,)
-
-
-def test_no_profile_means_ungated_probes():
-    plan = plan_campaign(_faults(), profile_first=False)
-    assert plan.profile_task is None
-    for function in plan.functions:
-        assert plan.probes[function].deps == ()
+    assert plan.profile_task not in plan.tasks
 
 
 def test_wave_schedule_shape():
     plan = plan_campaign(_faults())
-    waves = list(plan.waves())
-    assert [task.kind for task in waves[0]] == [TaskKind.PROFILE]
-    assert all(task.kind is TaskKind.PROBE for task in waves[1])
-    assert all(task.kind is TaskKind.RELEASE for task in waves[2])
-    assert len(waves[1]) == 2
-    assert len(waves[2]) == 16
+    probes = list(plan.probes.values())
+    releases = [task for group in plan.releases.values() for task in group]
+    assert all(task.kind is TaskKind.PROBE for task in probes)
+    assert all(task.kind is TaskKind.RELEASE for task in releases)
+    assert len(probes) == 2
+    assert len(releases) == 16
+    assert sorted(_scheduled(plan), key=lambda task: task.order) \
+        == plan.tasks
 
 
 def test_canonical_order_matches_fault_list():
     faults = _faults()
     plan = plan_campaign(faults)
-    ordered = sorted(plan.tasks, key=lambda task: task.order)
-    assert [task.fault for task in ordered] == faults
+    assert [task.order for task in plan.tasks] == list(range(len(faults)))
+    assert [task.fault for task in plan.tasks] == faults
 
 
 def test_duplicate_equal_faults_stay_distinct_tasks():
@@ -75,19 +73,17 @@ def test_duplicate_equal_faults_stay_distinct_tasks():
     twin = FaultSpec("SetEvent", 0, FaultType.ZERO)
     other = FaultSpec("SetEvent", 0, FaultType.ONES)
     plan = plan_campaign([fault, twin, other])
-    assert plan.injection_count == 3
+    assert len(plan.tasks) == 3
     assert len(plan.releases["SetEvent"]) == 2
     task_ids = [task.task_id for task in plan.tasks]
     assert len(set(task_ids)) == 3
 
 
 def test_return_fault_specs_plan_too():
-    from repro.core.return_injector import generate_return_fault_list
-
-    faults = generate_return_fault_list(["GetACP", "SetEvent"])
+    faults = ReturnFaultSpec.fault_space(["GetACP", "SetEvent"])
     plan = plan_campaign(faults)
-    assert plan.injection_count == 6
-    assert set(plan.functions) == {"GetACP", "SetEvent"}
+    assert len(plan.tasks) == 6
+    assert set(plan.probes) == {"GetACP", "SetEvent"}
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +95,10 @@ def _manifest(classes):
     return EquivalenceManifest(classes)
 
 
+def _inferred(plan):
+    return [task for group in plan.inferred.values() for task in group]
+
+
 def test_pruned_faults_become_inferred_tasks():
     faults = generate_fault_list(["SetEvent"])   # 1 param x 3 types
     manifest = _manifest([{"function": "SetEvent", "param": 0,
@@ -106,17 +106,14 @@ def test_pruned_faults_become_inferred_tasks():
                            "faults": ["zero", "ones", "flip"]}])
     plan = plan_campaign(faults, prune=manifest)
     # The probe (zero) represents the class; ones and flip are inferred.
-    assert plan.injection_count == 3
-    assert plan.scheduled_count == 1
-    assert plan.pruned_count == 2
+    assert len(plan.tasks) == 3
+    assert len(_scheduled(plan)) == 1
     assert plan.releases["SetEvent"] == ()
     inferred = plan.inferred["SetEvent"]
     assert [task.kind for task in inferred] == [TaskKind.INFERRED] * 2
     probe = plan.probes["SetEvent"]
     for task in inferred:
-        assert task.representative == probe.task_id
-        assert task.deps == (probe.task_id,)
-    assert plan.census()["inferred"] == 2
+        assert task.representative is probe
 
 
 def test_pruning_keeps_canonical_order_and_census():
@@ -125,13 +122,16 @@ def test_pruning_keeps_canonical_order_and_census():
                            "name": "hFile", "usage": "handle-checked",
                            "faults": ["zero", "ones", "flip"]}])
     plan = plan_campaign(faults, prune=manifest)
-    ordered = sorted(plan.tasks, key=lambda task: task.order)
-    assert [task.fault for task in ordered] == faults
-    assert plan.pruned_count == 2
+    assert [task.fault for task in plan.tasks] == faults
+    assert len(_inferred(plan)) == 2
     # Untouched functions keep their full release schedule.
     assert len(plan.releases["SetEvent"]) == 2
-    per_function = plan.census()["per_function"]
-    assert per_function["ReadFile"] == 15   # probe + releases + inferred
+    assert "SetEvent" not in plan.inferred
+    # Every fault is a probe, a release or an inferred member.
+    assert 1 + len(plan.releases["ReadFile"]) \
+        + len(plan.inferred["ReadFile"]) == 15
+    assert sorted(_scheduled(plan) + _inferred(plan),
+                  key=lambda task: task.order) == plan.tasks
 
 
 def test_partial_class_prunes_only_listed_faults():
@@ -142,11 +142,11 @@ def test_partial_class_prunes_only_listed_faults():
     plan = plan_campaign(faults, prune=manifest)
     # zero (probe) is outside the class; ones is scheduled as the
     # class representative, flip is inferred from it.
-    assert plan.scheduled_count == 2
-    assert plan.pruned_count == 1
+    assert len(_scheduled(plan)) == 2
     (inferred,) = plan.inferred["SetEvent"]
     assert inferred.fault.fault_type is FaultType.FLIP
-    assert inferred.representative == "release:SetEvent:1"
+    assert inferred.representative is plan.releases["SetEvent"][0]
+    assert inferred.representative.fault.fault_type is FaultType.ONES
 
 
 def test_distinct_invocations_are_never_cross_pruned():
@@ -156,22 +156,19 @@ def test_distinct_invocations_are_never_cross_pruned():
                            "faults": ["zero", "ones", "flip"]}])
     plan = plan_campaign(faults, prune=manifest)
     # Each invocation collapses within itself only: 2 classes of 3.
-    assert plan.injection_count == 6
-    assert plan.scheduled_count == 2
-    assert plan.pruned_count == 4
-    for task in plan.inferred["SetEvent"]:
-        representative = next(t for t in plan.tasks
-                              if t.task_id == task.representative)
-        assert representative.fault.invocation == task.fault.invocation
+    assert len(plan.tasks) == 6
+    assert len(_scheduled(plan)) == 2
+    assert len(_inferred(plan)) == 4
+    for task in _inferred(plan):
+        assert task.representative in _scheduled(plan)
+        assert task.representative.fault.invocation == task.fault.invocation
 
 
 def test_return_faults_are_never_pruned():
-    from repro.core.return_injector import generate_return_fault_list
-
-    faults = generate_return_fault_list(["SetEvent"])
+    faults = ReturnFaultSpec.fault_space(["SetEvent"])
     manifest = _manifest([{"function": "SetEvent", "param": 0,
                            "name": "hEvent", "usage": "handle-checked",
                            "faults": ["zero", "ones", "flip"]}])
     plan = plan_campaign(faults, prune=manifest)
-    assert plan.pruned_count == 0
-    assert plan.scheduled_count == plan.injection_count
+    assert plan.inferred == {}
+    assert len(_scheduled(plan)) == len(plan.tasks) == 3

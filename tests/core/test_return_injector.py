@@ -10,7 +10,6 @@ from repro.core import (
     ReturnInjector,
     RunConfig,
     execute_run,
-    generate_return_fault_list,
     get_workload,
 )
 from repro.core.faults import FaultType
@@ -39,17 +38,17 @@ class TestSpec:
 
 class TestGeneration:
     def test_covers_parameterless_exports_too(self):
-        faults = generate_return_fault_list(functions=["GetTickCount"])
+        faults = ReturnFaultSpec.fault_space(functions=["GetTickCount"])
         assert len(faults) == 3  # the param mechanism yields zero here
 
     def test_full_space_is_functions_times_types(self):
         from repro.nt.kernel32.signatures import REGISTRY
 
-        assert len(generate_return_fault_list()) == 3 * len(REGISTRY)
+        assert len(ReturnFaultSpec.fault_space()) == 3 * len(REGISTRY)
 
     def test_unknown_function_rejected(self):
         with pytest.raises(KeyError):
-            generate_return_fault_list(functions=["Bogus"])
+            ReturnFaultSpec.fault_space(functions=["Bogus"])
 
 
 class _Prog:

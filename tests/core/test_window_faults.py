@@ -11,19 +11,17 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.faults import (
+    DEFAULT_WINDOWS,
     FaultWindow,
     IoFault,
     ResourceFault,
 )
 from repro.core.runner import RunConfig, execute_run
 from repro.core.windowed import (
-    DEFAULT_WINDOWS,
     HANDLE_ALLOCATING_EXPORTS,
     IoInjector,
     ResourceInjector,
     WindowedInjector,
-    generate_io_fault_list,
-    generate_resource_fault_list,
 )
 from repro.core.workload import MiddlewareKind, get_workload
 
@@ -123,13 +121,13 @@ class TestResourceFaultSpec:
 
 class TestDefaultFaultLists:
     def test_io_space_enumerates_every_op_per_window(self):
-        faults = generate_io_fault_list()
+        faults = IoFault.fault_space()
         assert len(faults) == 32
         assert len(set(fault.key for fault in faults)) == 32
         assert {fault.window for fault in faults} == set(DEFAULT_WINDOWS)
 
     def test_resource_space_covers_every_kind(self):
-        faults = generate_resource_fault_list()
+        faults = ResourceFault.fault_space()
         assert len(faults) == 12
         assert {fault.resource for fault in faults} \
             == {"memory", "handles", "cpu"}

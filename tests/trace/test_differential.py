@@ -4,17 +4,14 @@ Serial and process-pool campaigns must produce *byte-identical* JSONL
 trace streams per run — a far stronger determinism contract than the
 outcome-level signature `tests/core/test_exec.py` pins, because every
 scm/mw/call event (with its virtual timestamp) has to line up, not just
-the final classification.  The worker counts come from the
-``REPRO_TRACE_JOBS`` environment variable (default ``1,4``) so CI can
-run each width as its own job.
+the final classification.  The serial-vs-pool check runs at one and at
+four workers.
 """
-
-import os
 
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.exec import ProcessPoolBackend, SerialBackend
+from repro.core.exec import SerialBackend, backend_for
 from repro.core.runner import RunConfig, execute_run
 from repro.core.workload import MiddlewareKind, get_workload
 from repro.trace import TraceLevel, trace_to_jsonl
@@ -26,11 +23,6 @@ SLICE = ["SetErrorMode", "CreateEventA", "CreateFileA", "ReadFile",
          "CloseHandle", "WaitForSingleObject"]
 WORKLOAD = "IIS"
 MIDDLEWARE = MiddlewareKind.WATCHD
-
-
-def _jobs_under_test() -> list[int]:
-    raw = os.environ.get("REPRO_TRACE_JOBS", "1,4")
-    return [int(part) for part in raw.split(",") if part.strip()]
 
 
 @pytest.fixture(scope="module")
@@ -58,16 +50,11 @@ def test_serial_runs_are_traced(serial_result):
         assert any(kind.startswith("call.") for kind in kinds)
 
 
-@pytest.mark.parametrize("jobs", _jobs_under_test())
+@pytest.mark.parametrize("jobs", (1, 4))
 def test_pool_traces_byte_identical_to_serial(config, serial_result, jobs):
-    if jobs <= 1:
-        backend = SerialBackend()
+    with backend_for(jobs) as backend:
         pool_result = Campaign(WORKLOAD, MIDDLEWARE, functions=SLICE,
                                config=config, backend=backend).run()
-    else:
-        with ProcessPoolBackend(jobs=jobs) as backend:
-            pool_result = Campaign(WORKLOAD, MIDDLEWARE, functions=SLICE,
-                                   config=config, backend=backend).run()
     assert _trace_bytes(pool_result) == _trace_bytes(serial_result)
 
 
