@@ -314,18 +314,22 @@ class CliProgress:
     def __init__(self, out):
         self.out = out
         self.started = time.monotonic()
-        self.printed = False
+        self.shown = 0      # the ``done`` count on the line, 0: no line
 
-    def __call__(self, done, total, run) -> None:
+    def __call__(self, execution) -> None:
+        """Observe a run ledger; redraw when its ``done`` count moves."""
+        done, total = execution.done, execution.total
+        if done == self.shown:
+            return
         elapsed = max(time.monotonic() - self.started, 1e-9)
         rate = done / elapsed
         eta = (total - done) / rate if rate > 0 else 0.0
         print(f"\r  {done}/{total} runs  {rate:7.1f} runs/s  "
               f"ETA {eta:5.1f}s", end="", file=self.out, flush=True)
-        self.printed = True
+        self.shown = done
 
     def finish(self) -> None:
-        if self.printed:
+        if self.shown:
             print(file=self.out)
 
 

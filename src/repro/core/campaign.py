@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .collector import RunResult
-from .exec import ExecutionBackend, SerialBackend, run_plan
+from .exec import ExecutionBackend, PlanExecution, SerialBackend, run_plan
 from .faults import DEFAULT_FAULT_TYPES, FaultType, fault_family
 from .outcomes import Outcome
 from .plan import plan_campaign
@@ -36,7 +36,9 @@ from .runner import RunConfig, execute_run
 from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
-ProgressCallback = Callable[[int, int, Optional[RunResult]], None]
+# Observes the run ledger: called as each wave starts and on every
+# advance of ``execution.done`` towards ``execution.total``.
+ProgressCallback = Callable[[PlanExecution], None]
 
 
 class WorkloadSetResult:
@@ -105,7 +107,8 @@ class Campaign:
     ``backend`` selects the execution strategy (default
     :class:`~repro.core.exec.SerialBackend`); the caller owns it, so one
     process pool serves many campaigns.  ``store`` checkpoints completed
-    runs for resume and cross-campaign caching.
+    runs for resume and cross-campaign caching.  ``progress`` observes
+    the run ledger (:class:`~repro.core.exec.PlanExecution`) live.
     """
 
     def __init__(self, workload: WorkloadSpec | str,
@@ -118,8 +121,7 @@ class Campaign:
                  mechanism: str = "parameter",
                  backend: Optional[ExecutionBackend] = None,
                  store=None,
-                 prune=None,
-                 on_stage=None):
+                 prune=None):
         spec_type = fault_family(mechanism)
         self.workload = (get_workload(workload)
                          if isinstance(workload, str) else workload)
@@ -136,9 +138,6 @@ class Campaign:
         # An EquivalenceManifest (repro.lint.valueflow): statically
         # equivalent faults are scheduled once and expanded afterwards.
         self.prune = prune
-        # Wave-start hook ("profiling"/"probing"/"releasing") — the
-        # serve daemon's job state machine observes campaigns with it.
-        self.on_stage = on_stage
 
     # ------------------------------------------------------------------
     def fault_list(self) -> list:
@@ -164,7 +163,7 @@ class Campaign:
         execution = run_plan(
             self.plan(), self.workload, self.middleware, self.config,
             self.fingerprint(), self.backend, store=self.store,
-            progress=self.progress, on_stage=self.on_stage)
+            progress=self.progress)
         result.profile_run = execution.profile_run
         result.runs = execution.runs
         result.skipped_functions = execution.skipped_functions

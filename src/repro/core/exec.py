@@ -3,11 +3,12 @@
 A backend maps a picklable function over a batch of independent work
 items — campaign runs, load runs, files to lint — with results aligned
 to the batch.  :func:`run_batch` is the one checkpointing loop on top
-of it (serve from the store, execute the rest, record, report
-progress); the scheduler (:func:`run_plan`) walks a
+of it (serve from the store, execute the rest, record, advance the
+ledger); the scheduler (:func:`run_plan`) walks a
 :class:`CampaignPlan` through it — the profile run, the probes, then
 the releases of the functions whose probe activated — and hands every
-completed run back in canonical fault-list order.
+completed run back in canonical fault-list order.  The run ledger
+(:class:`PlanExecution`) is the one progress record.
 
 **Determinism contract.**  Each run boots a fresh simulated machine
 seeded from ``(base seed, workload, middleware, fault key)`` and shares
@@ -211,69 +212,69 @@ def backend_for(jobs: Optional[int]) -> ExecutionBackend:
 
 
 # ----------------------------------------------------------------------
-# Progress guarding
-# ----------------------------------------------------------------------
-class SafeProgress:
-    """Shields the campaign from exceptions in user progress code.
-
-    The first exception disables further reporting; the campaign grid
-    itself is never aborted by a broken progress bar.
-    """
-
-    def __init__(self, callback):
-        self._callback = callback
-        self.broken = callback is None
-
-    def __call__(self, done: int, total: int,
-                 run: Optional[RunResult]) -> None:
-        if self.broken:
-            return
-        try:
-            self._callback(done, total, run)
-        except Exception:
-            self.broken = True
-
-
-# ----------------------------------------------------------------------
-# The checkpointing loop and the scheduler
+# The run ledger, the checkpointing loop and the scheduler
 # ----------------------------------------------------------------------
 class PlanExecution:
-    """What :func:`run_plan` (and the load grid runner) hands back."""
+    """The run ledger: the one progress record of a campaign's waves or
+    a load grid, and what :func:`run_plan` (and the load grid runner)
+    hands back.  ``done`` (out of ``total``) moves only in
+    :meth:`advance`, the one caller of the observer
+    ``progress(execution)``.  The observer's first ``Exception`` stops
+    further reports — a broken progress bar never aborts a grid — while
+    a ``BaseException`` (an interrupt, a cancellation) propagates.
+    """
 
-    __slots__ = ("profile_run", "runs", "skipped_functions",
+    __slots__ = ("profile_run", "runs", "skipped_functions", "stage",
                  "total", "done", "executed_count", "cached_count",
-                 "inferred_count")
+                 "inferred_count", "last_run", "progress")
 
-    def __init__(self, total: int = 0):
+    def __init__(self, total: int = 0, progress=None):
         self.profile_run: Optional[RunResult] = None
         self.runs: list = []
         self.skipped_functions: set[str] = set()
+        self.stage: Optional[str] = None
         self.total = total
         self.done = 0
         self.executed_count = 0
         self.cached_count = 0
         self.inferred_count = 0
+        self.last_run = None    # None: a stage entry or skipped runs
+        self.progress = progress
+
+    def enter(self, stage: str) -> None:
+        """Start ``stage`` and report it once."""
+        self.stage = stage
+        self.advance(None, 0)
+
+    def advance(self, run, count: int = 1) -> None:
+        """Account for ``count`` more scheduled runs and report."""
+        self.done += count
+        self.last_run = run
+        if self.progress is None:
+            return
+        try:
+            self.progress(self)
+        except Exception:
+            self.progress = None
 
 
 def run_batch(tasks: Sequence, execute, execution: PlanExecution,
-              progress: SafeProgress, store=None, store_key=None,
-              counted: bool = True) -> list:
+              store=None, store_key=None, counted: bool = True) -> list:
     """Serve ``tasks`` from the store, execute the rest, checkpoint.
 
     ``store_key(task)`` is the task's ``(fingerprint, key)`` in
     ``store``; ``execute(pending, on_result)`` runs the uncached tasks
-    on a backend.  Every executed run is checkpointed before the
-    progress callback fires, so an interrupt never loses a finished
-    run.  ``counted`` runs advance ``execution.done``.  Returns the
-    runs aligned with ``tasks``.
+    on a backend.  Every executed run is checkpointed before the ledger
+    reports it, so an interrupt never loses a finished run.  ``counted``
+    runs advance ``execution``.  Returns the runs aligned with
+    ``tasks``.
     """
     runs = [None] * len(tasks)
     pending = []
 
     def advance(run) -> None:
         if counted:
-            execution.done += 1
-            progress(execution.done, execution.total, run)
+            execution.advance(run)
 
     for index, task in enumerate(tasks):
         cached = store.get(*store_key(task)) if store is not None else None
@@ -299,20 +300,19 @@ def run_batch(tasks: Sequence, execute, execution: PlanExecution,
 def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
              middleware: MiddlewareKind, config: RunConfig,
              fingerprint: str, backend: ExecutionBackend,
-             store=None, progress=None, on_stage=None) -> PlanExecution:
+             store=None, progress=None) -> PlanExecution:
     """Execute a campaign plan: profile, probes, then releases.
 
     Completed runs are checkpointed to ``store`` (when given) under
-    ``fingerprint`` before the progress callback fires, so an interrupt
+    ``fingerprint`` before the ledger reports them, so an interrupt
     never loses a finished run; runs already present in the store are
     served from it and not re-executed.
 
-    ``on_stage`` (when given) is called with ``"profiling"``,
-    ``"probing"`` and ``"releasing"`` as the corresponding wave starts
-    — the serve daemon's job state machine rides on it.
+    ``progress(execution)`` observes the ledger: once as each wave
+    (``"profiling"``, ``"probing"``, ``"releasing"``) starts, and on
+    every advance — the serve daemon's job state machine rides on it.
     """
-    execution = PlanExecution()
-    safe_progress = SafeProgress(progress)
+    execution = PlanExecution(progress=progress)
     results: dict[RunTask, RunResult] = {}
 
     def execute(pending: list[RunTask], on_result) -> list[RunResult]:
@@ -321,10 +321,8 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
 
     def dispatch(stage: str, tasks: Sequence[RunTask],
                  counted: bool = True) -> None:
-        if on_stage is not None:
-            on_stage(stage)
-        runs = run_batch(tasks, execute, execution, safe_progress,
-                         store=store,
+        execution.enter(stage)
+        runs = run_batch(tasks, execute, execution, store=store,
                          store_key=lambda task: (fingerprint, task.fault),
                          counted=counted)
         results.update(zip(tasks, runs))
@@ -360,7 +358,7 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
             # The paper's shortcut: the function is not called, so its
             # remaining faults would not activate either.
             execution.skipped_functions.add(name)
-            execution.done += len(plan.releases[name])
+            execution.advance(None, len(plan.releases[name]))
     dispatch("releasing", released)
 
     # --- Expansion: pruned faults inherit their representative's run --

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from ..core.exec import (
     ExecutionBackend,
     PlanExecution,
-    SafeProgress,
     backend_for,
     run_batch,
 )
@@ -67,12 +66,13 @@ def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
     Runs go to ``backend`` when given (the serve daemon shares its
     warm pool), else to a backend for ``jobs`` workers owned by this
     call.  Results come back in task order regardless; completed runs
-    are checkpointed to ``store`` (when given) before the progress
-    callback fires, and cached runs are served without re-execution.
+    are checkpointed to ``store`` (when given) before the ledger reports
+    them to ``progress`` (stage ``"running"``), and cached runs are
+    served without re-execution.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    execution = PlanExecution(total=len(tasks))
+    execution = PlanExecution(total=len(tasks), progress=progress)
     owned = backend is None
     backend = backend or backend_for(jobs)
 
@@ -81,8 +81,9 @@ def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
                            pending, on_result)
 
     try:
+        execution.enter("running")
         execution.runs = run_batch(
-            tasks, execute, execution, SafeProgress(progress), store=store,
+            tasks, execute, execution, store=store,
             store_key=lambda task: (task.spec.fingerprint(config),
                                     task.spec.key(task.rep)))
     finally:

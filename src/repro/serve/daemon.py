@@ -12,8 +12,8 @@ Endpoints, all JSON:
 
 ``GET /campaigns/<id>``
     One job's status: state machine position (queued → profiling →
-    probing → releasing → done/failed/cancelled), wave-level progress
-    counts, cache hits, fingerprints.
+    probing → releasing → done/failed/cancelled), live progress counts
+    read from the running job's run ledger, cache hits, fingerprints.
 
 ``GET /campaigns/<id>/results``
     The job's completed runs, streamed as JSONL — one
@@ -23,8 +23,9 @@ Endpoints, all JSON:
 
 ``DELETE /campaigns/<id>``
     Cancel: a queued job flips to ``cancelled`` immediately, a running
-    one unwinds at its next completed run (checkpointed runs stay in
-    the store, so a resubmission resumes).
+    one unwinds at its ledger's next report — a completed run or a
+    wave start (checkpointed runs stay in the store, so a resubmission
+    resumes).
 
 ``GET /healthz``
     Liveness plus store/queue gauges.

@@ -12,9 +12,12 @@ one run store,
 which is what dedups overlapping campaigns: the scheduler consults the
 store by ``(config fingerprint, fault key)`` before dispatching any
 run, so the overlap of a second campaign is served from cache and
-surfaces as ``cached_count`` in its status.
+surfaces as ``cached`` in its status.
 
-The state machine mirrors the wave schedule::
+A job's progress is the run's own ledger
+(:class:`~repro.core.exec.PlanExecution`), which the job's observer
+keeps a reference to; a status read sees the live counts, never a copy.
+The state machine mirrors the ledger's stage, i.e. the wave schedule::
 
     queued → profiling → probing → releasing → done
                                              ↘ failed / cancelled
@@ -29,14 +32,14 @@ import threading
 import time
 from typing import Optional
 
-from ..core.exec import backend_for
+from ..core.exec import PlanExecution, backend_for
 from .spec import CampaignJobSpec, LoadJobSpec
 
 
 class JobCancelled(BaseException):
     """Raised inside a running job to unwind it on DELETE.
 
-    A ``BaseException`` on purpose: the campaign's progress guard
+    A ``BaseException`` on purpose: the run ledger's observer guard
     swallows ``Exception`` (a broken progress bar must not abort a
     grid), and cancellation must not be swallowed.
     """
@@ -58,11 +61,6 @@ class JobState(enum.Enum):
                         JobState.CANCELLED)
 
 
-_STAGE_STATES = {"profiling": JobState.PROFILING,
-                 "probing": JobState.PROBING,
-                 "releasing": JobState.RELEASING}
-
-
 class Job:
     """One submission and everything observable about it."""
 
@@ -71,11 +69,8 @@ class Job:
         self.spec = spec
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
-        self.total = 0
-        self.done = 0
-        self.cached_count = 0
-        self.executed_count = 0
-        self.skipped_functions = 0
+        # The running job's run ledger, read live; empty until it starts.
+        self.execution = PlanExecution()
         self.activated_count = 0
         # Monotonic stamps: only ever differenced (elapsed seconds).
         self.submitted_at = time.monotonic()
@@ -99,6 +94,10 @@ class Job:
         return self._finished.wait(timeout)
 
     def _finish(self, state: JobState) -> None:
+        # A status reads only the ledger's counts: drop its runs, or a
+        # long-lived daemon would keep every run of every job alive.
+        self.execution.runs = []
+        self.execution.profile_run = self.execution.last_run = None
         self.state = state
         self.finished_at = time.monotonic()
         self._finished.set()
@@ -107,6 +106,7 @@ class Job:
     def status_dict(self) -> dict:
         """The JSON body of ``GET /campaigns/<id>``."""
         stopped = self.finished_at or time.monotonic()
+        execution = self.execution
         return {
             "id": self.job_id,
             "kind": self.spec.kind,
@@ -114,11 +114,11 @@ class Job:
             "error": self.error,
             "elapsed_seconds": round(stopped - self.submitted_at, 3),
             "progress": {
-                "total": self.total,
-                "done": self.done,
-                "cached": self.cached_count,
-                "executed": self.executed_count,
-                "skipped_functions": self.skipped_functions,
+                "total": execution.total,
+                "done": execution.done,
+                "cached": execution.cached_count,
+                "executed": execution.executed_count,
+                "skipped_functions": len(execution.skipped_functions),
                 "activated": self.activated_count,
             },
             "fingerprints": list(self.fingerprints),
@@ -172,7 +172,7 @@ class JobQueue:
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Request cancellation; queued jobs flip immediately, running
-        jobs unwind at their next completed run."""
+        jobs unwind at their ledger's next report."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
@@ -224,36 +224,27 @@ class JobQueue:
         else:
             job._finish(JobState.DONE)
 
-    def _progress(self, job: Job):
-        def observe(done: int, total: int, run) -> None:
-            job.done = done
-            job.total = total
+    def _observer(self, job: Job):
+        """Hold the job's run ledger and follow its stage; unwind first
+        once a cancel is requested, so a cancelled job stays cancelled."""
+        def observe(execution: PlanExecution) -> None:
             if job.cancel_requested:
                 raise JobCancelled(job.job_id)
+            job.execution = execution
+            job.state = JobState(execution.stage)
         return observe
 
     def _execute_campaign(self, job: Job) -> None:
         spec = job.spec
         job.fingerprints = [spec.fingerprint()]
-
-        def stage(name: str) -> None:
-            job.state = _STAGE_STATES[name]
-
         campaign = spec.campaign(store=self.store, backend=self.backend,
-                                 progress=self._progress(job),
-                                 on_stage=stage)
-        result = campaign.run()
-        job.cached_count = result.cached_count
-        job.executed_count = result.executed_count
-        job.skipped_functions = len(result.skipped_functions)
-        job.activated_count = result.activated_count
-        job.done = job.total = max(job.total, job.done)
+                                 progress=self._observer(job))
+        job.activated_count = campaign.run().activated_count
 
     def _execute_load(self, job: Job) -> None:
         from ..load import run_load_tasks
 
         spec = job.spec
-        job.state = JobState.RUNNING
         config = spec.run_config()
         tasks = spec.tasks()
         seen = set()
@@ -262,8 +253,5 @@ class JobQueue:
             if fingerprint not in seen:
                 seen.add(fingerprint)
                 job.fingerprints.append(fingerprint)
-        execution = run_load_tasks(tasks, config, store=self.store,
-                                   progress=self._progress(job),
-                                   backend=self.backend)
-        job.cached_count = execution.cached_count
-        job.executed_count = execution.executed_count
+        run_load_tasks(tasks, config, store=self.store,
+                       progress=self._observer(job), backend=self.backend)

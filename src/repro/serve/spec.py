@@ -99,8 +99,7 @@ class CampaignJobSpec:
         return config_fingerprint(self.workload, self.middleware,
                                   self.run_config(), self.mechanism)
 
-    def campaign(self, store=None, backend=None, progress=None,
-                 on_stage=None):
+    def campaign(self, store=None, backend=None, progress=None):
         """The :class:`~repro.core.campaign.Campaign` this spec names."""
         from ..core.campaign import Campaign
 
@@ -108,8 +107,7 @@ class CampaignJobSpec:
                         functions=self.functions,
                         config=self.run_config(),
                         mechanism=self.mechanism,
-                        store=store, backend=backend, progress=progress,
-                        on_stage=on_stage)
+                        store=store, backend=backend, progress=progress)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -230,7 +228,7 @@ def spec_from_dict(data) -> "CampaignJobSpec | LoadJobSpec":
     if not isinstance(data, dict):
         raise SpecError("submission must be a JSON object")
     kind = data.get("kind", "campaign")
-    spec_cls = _KINDS.get(kind)
+    spec_cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if spec_cls is None:
         raise SpecError(f"unknown kind {kind!r} "
                         f"(want one of {', '.join(sorted(_KINDS))})")

@@ -19,10 +19,22 @@ def config():
     return RunConfig(base_seed=77)
 
 
+def _run(campaign):
+    """Run ``campaign`` with an observer on its run ledger: the last
+    report must account for every scheduled run."""
+    reports = []
+    campaign.progress = lambda execution: reports.append(
+        (execution.done, execution.total))
+    result = campaign.run()
+    done, total = reports[-1]
+    assert done == total
+    return result
+
+
 def test_campaign_runs_all_faults_of_called_functions(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["SetErrorMode", "GetACP"], config=config)
-    result = campaign.run()
+    result = _run(campaign)
     # SetErrorMode has 1 parameter -> 3 faults; GetACP has none.
     assert len(result.runs) == 3
     assert result.activated_count == 3
@@ -32,7 +44,7 @@ def test_uncalled_functions_skipped_by_profiling(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["SetErrorMode", "EraseTape"],
                         config=config)
-    result = campaign.run()
+    result = _run(campaign)
     assert "EraseTape" in result.skipped_functions
     assert all(r.fault.function != "EraseTape" for r in result.runs)
     assert result.profile_run is not None
@@ -48,22 +60,26 @@ def test_activation_shortcut_skips_releases_of_an_unactivated_probe(
                         config=config)
     plan = campaign.plan()
     assert len(plan.releases["SetErrorMode"]) == 2
+    reports = []
     execution = run_plan(plan, campaign.workload, campaign.middleware,
                          campaign.config, campaign.fingerprint(),
-                         campaign.backend)
+                         campaign.backend,
+                         progress=lambda execution: reports.append(
+                             (execution.done, execution.total)))
     assert "SetErrorMode" in execution.profile_run.called_functions
     assert len(execution.runs) == 1       # one probe run, then skipped
     assert not execution.runs[0].activated
     assert execution.executed_count == 2  # the profile run and the probe
     assert execution.skipped_functions == {"SetErrorMode"}
-    # The skipped releases count as done.
+    # The skipped releases count as done, and the last report says so.
     assert execution.done == execution.total == 3
+    assert reports[-1] == (3, 3)
 
 
 def test_outcome_fractions_sum_to_one(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["CreateEventA"], config=config)
-    result = campaign.run()
+    result = _run(campaign)
     fractions = result.outcome_fractions()
     assert sum(fractions.values()) == pytest.approx(1.0)
     assert result.failure_coverage == \
@@ -73,17 +89,22 @@ def test_outcome_fractions_sum_to_one(config):
 def test_empty_workload_set_has_zero_fractions(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["EraseTape"], config=config)
-    result = campaign.run()
+    result = _run(campaign)
     assert result.activated_count == 0
     assert all(v == 0.0 for v in result.outcome_fractions().values())
 
 
 def test_progress_callback_invoked(config):
     seen = []
+
+    def observe(execution):
+        if execution.last_run is not None:
+            seen.append((execution.done, execution.total,
+                         execution.last_run.outcome))
+
     campaign = Campaign(
         "IIS", MiddlewareKind.NONE, functions=["SetErrorMode"],
-        config=config, progress=lambda done, total, run: seen.append(
-            (done, total, run.outcome)))
+        config=config, progress=observe)
     campaign.run()
     assert len(seen) == 3
     assert seen[-1][0] == seen[-1][1] == 3
@@ -93,7 +114,7 @@ def test_fault_type_restriction(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["SetErrorMode"],
                         fault_types=(FaultType.FLIP,), config=config)
-    result = campaign.run()
+    result = _run(campaign)
     assert len(result.runs) == 1
     assert result.runs[0].fault.fault_type is FaultType.FLIP
 
@@ -101,7 +122,7 @@ def test_fault_type_restriction(config):
 def test_runs_for_fault_keys_filters(config):
     campaign = Campaign("IIS", MiddlewareKind.NONE,
                         functions=["SetErrorMode"], config=config)
-    result = campaign.run()
+    result = _run(campaign)
     keys = {result.runs[0].fault.key}
     assert len(result.runs_for_fault_keys(keys)) == 1
     assert result.runs_for_fault_keys(set()) == []
@@ -124,9 +145,9 @@ def test_campaign_accepts_spec_object(config):
 
 def test_campaign_is_deterministic(config):
     def distribution():
-        return Campaign("Apache2", MiddlewareKind.NONE,
-                        functions=["OpenMutexA", "Sleep"],
-                        config=config).run().outcome_counts()
+        return _run(Campaign("Apache2", MiddlewareKind.NONE,
+                             functions=["OpenMutexA", "Sleep"],
+                             config=config)).outcome_counts()
 
     assert distribution() == distribution()
 
@@ -159,11 +180,11 @@ def _census(result):
 
 
 def test_pruned_census_is_bit_identical(config, manifest):
-    full = Campaign("IIS", MiddlewareKind.NONE,
-                    functions=PRUNE_FUNCTIONS, config=config).run()
-    pruned = Campaign("IIS", MiddlewareKind.NONE,
-                      functions=PRUNE_FUNCTIONS, config=config,
-                      prune=manifest).run()
+    full = _run(Campaign("IIS", MiddlewareKind.NONE,
+                         functions=PRUNE_FUNCTIONS, config=config))
+    pruned = _run(Campaign("IIS", MiddlewareKind.NONE,
+                           functions=PRUNE_FUNCTIONS, config=config,
+                           prune=manifest))
     assert pruned.inferred_count > 0
     executed = [run for run in pruned.runs if not run.inferred]
     assert len(executed) == len(full.runs) - pruned.inferred_count
@@ -172,12 +193,12 @@ def test_pruned_census_is_bit_identical(config, manifest):
 
 
 def test_pruned_census_is_bit_identical_in_parallel(config, manifest):
-    full = Campaign("IIS", MiddlewareKind.NONE,
-                    functions=PRUNE_FUNCTIONS, config=config).run()
+    full = _run(Campaign("IIS", MiddlewareKind.NONE,
+                         functions=PRUNE_FUNCTIONS, config=config))
     with ProcessPoolBackend(jobs=2) as backend:
-        pruned = Campaign("IIS", MiddlewareKind.NONE,
-                          functions=PRUNE_FUNCTIONS, config=config,
-                          prune=manifest, backend=backend).run()
+        pruned = _run(Campaign("IIS", MiddlewareKind.NONE,
+                               functions=PRUNE_FUNCTIONS, config=config,
+                               prune=manifest, backend=backend))
     assert pruned.inferred_count > 0
     assert _census(pruned) == _census(full)
 
@@ -186,14 +207,14 @@ def test_pruned_campaign_kill_and_resume(config, manifest, tmp_path):
     from repro.core.store import RunStore
 
     path = tmp_path / "runs.jsonl"
-    reference = Campaign("IIS", MiddlewareKind.NONE,
-                         functions=PRUNE_FUNCTIONS, config=config).run()
+    reference = _run(Campaign("IIS", MiddlewareKind.NONE,
+                              functions=PRUNE_FUNCTIONS, config=config))
 
     class Killed(BaseException):
         """Stands in for SIGINT: not caught by the progress guard."""
 
-    def kill_after(done, total, run):
-        if done == 2:
+    def kill_after(execution):
+        if execution.done == 2:
             raise Killed
 
     with RunStore(path) as store:
@@ -204,9 +225,9 @@ def test_pruned_campaign_kill_and_resume(config, manifest, tmp_path):
                      progress=kill_after).run()
 
     with RunStore(path) as store:
-        resumed = Campaign("IIS", MiddlewareKind.NONE,
-                           functions=PRUNE_FUNCTIONS, config=config,
-                           prune=manifest, store=store).run()
+        resumed = _run(Campaign("IIS", MiddlewareKind.NONE,
+                                functions=PRUNE_FUNCTIONS, config=config,
+                                prune=manifest, store=store))
     # Only executed evidence is checkpointed; inferred results are
     # re-expanded on resume and the census still matches the full run.
     assert resumed.cached_count > 0

@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.exec import (
+    PlanExecution,
     ProcessPoolBackend,
-    SafeProgress,
     SerialBackend,
     backend_for,
 )
@@ -97,47 +97,53 @@ def test_pool_rejects_zero_jobs():
 def test_progress_exception_does_not_abort_campaign(config):
     calls = []
 
-    def broken_progress(done, total, run):
-        calls.append(done)
+    def broken_progress(execution):
+        calls.append((execution.stage, execution.done))
         raise RuntimeError("progress bar fell over")
 
     result = Campaign("IIS", MiddlewareKind.NONE,
                       functions=["SetErrorMode", "CreateEventA"],
                       config=config, progress=broken_progress).run()
     # The campaign finished the whole grid; the callback was disabled
-    # after its first failure instead of aborting mid-grid.
+    # after its first failure (the profiling-stage report) instead of
+    # aborting mid-grid.
     assert result.activated_count > 3
-    assert calls == [1]
+    assert calls == [("profiling", 0)]
 
 
 def test_progress_counts_are_monotonic_and_complete(config):
     seen = []
     Campaign("IIS", MiddlewareKind.NONE,
              functions=["SetErrorMode", "CreateEventA"], config=config,
-             progress=lambda done, total, run: seen.append((done, total))).run()
+             progress=lambda execution: seen.append(
+                 (execution.done, execution.total))).run()
     dones = [done for done, _ in seen]
     assert dones == sorted(dones)
     assert seen[-1][0] == seen[-1][1]
 
 
 def test_safe_progress_disables_after_first_error():
+    """The ledger's observer guard: the first ``Exception`` stops
+    further reports, while ``done`` keeps moving."""
     failures = []
 
-    def explode(done, total, run):
-        failures.append(done)
+    def explode(execution):
+        failures.append(execution.done)
         raise ValueError("boom")
 
-    safe = SafeProgress(explode)
-    safe(1, 10, None)
-    safe(2, 10, None)
+    execution = PlanExecution(total=10, progress=explode)
+    execution.advance(None)
+    execution.advance(None)
     assert failures == [1]
-    assert safe.broken
+    assert execution.progress is None
+    assert execution.done == 2
 
 
 def test_safe_progress_with_none_callback_is_noop():
-    safe = SafeProgress(None)
-    safe(1, 2, None)  # must not raise
-    assert safe.broken
+    execution = PlanExecution(total=2)
+    execution.enter("probing")
+    execution.advance(None, 2)  # must not raise
+    assert (execution.stage, execution.done) == ("probing", 2)
 
 
 # ----------------------------------------------------------------------

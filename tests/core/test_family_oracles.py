@@ -26,8 +26,8 @@ class Killed(BaseException):
     """Stands in for SIGINT: not caught by the progress guard."""
 
 
-def _kill_after(done, total, run):
-    if done == KILL_AFTER:
+def _kill_after(execution):
+    if execution.done == KILL_AFTER:
         raise Killed
 
 

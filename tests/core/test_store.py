@@ -247,8 +247,8 @@ def test_interrupted_campaign_resumes_only_missing_runs(tmp_path):
     class Killed(BaseException):
         """Stands in for SIGINT: not caught by the progress guard."""
 
-    def kill_after(done, total, run):
-        if done == 4:
+    def kill_after(execution):
+        if execution.done == 4:
             raise Killed
 
     with RunStore(path) as store:

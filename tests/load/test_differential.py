@@ -32,12 +32,19 @@ def _jobs_under_test() -> list[int]:
 def _run_to_store(path, jobs: int) -> bytes:
     config = RunConfig(base_seed=2000)
     tasks = plan_load_tasks(SPEC, reps=REPS, sweep=SWEEP)
+    reports = []
     store = RunStore(path)
     try:
-        execution = run_load_tasks(tasks, config, jobs=jobs, store=store)
+        execution = run_load_tasks(
+            tasks, config, jobs=jobs, store=store,
+            progress=lambda execution: reports.append(
+                (execution.stage, execution.done, execution.total)))
     finally:
         store.close()
     assert len(execution.runs) == len(SWEEP) * REPS
+    # The grid reports its stage first and ends with every run done.
+    assert reports[0] == ("running", 0, len(tasks))
+    assert reports[-1] == ("running", len(tasks), len(tasks))
     return path.read_bytes()
 
 

@@ -194,6 +194,17 @@ def test_post_answers_deeply_nested_json_with_400(server):
     assert _request(server.url, "GET", "/healthz")[0] == 200
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_post_with_a_non_string_kind_is_a_400(server, kind):
+    """An unhashable ``kind`` bounces like any unknown kind instead of
+    dropping the connection, and the daemon keeps answering."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _request(server.url, "POST", "/campaigns", {"kind": kind})
+    assert excinfo.value.code == 400
+    assert "unknown kind" in excinfo.value.read().decode("utf-8")
+    assert _request(server.url, "GET", "/healthz")[0] == 200
+
+
 # ----------------------------------------------------------------------
 # Kill -9 and restart on the same store (real subprocess)
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Unit tests for the job queue and its per-job state machine."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core.store import ShardedRunStore
 from repro.load import LoadSpec
-from repro.serve import CampaignJobSpec, JobQueue, JobState, LoadJobSpec
+from repro.serve import CampaignJobSpec, Job, JobQueue, JobState, LoadJobSpec
 
 FUNCTIONS = ["SetErrorMode", "CreateEventA", "CreateFileA"]
 
@@ -38,12 +39,14 @@ def test_campaign_job_runs_to_done(queue):
     _wait(job)
     assert job.state is JobState.DONE
     assert job.error is None
-    assert job.executed_count > 0
-    assert job.done == job.total > 0
+    assert job.execution.executed_count > 0
+    assert job.execution.done == job.execution.total > 0
+    # The finished job keeps the ledger's counts, not its runs.
+    assert job.execution.runs == [] and job.execution.profile_run is None
     assert job.fingerprints == [job.spec.fingerprint()]
     status = job.status_dict()
     assert status["state"] == "done"
-    assert status["progress"]["executed"] == job.executed_count
+    assert status["progress"]["executed"] == job.execution.executed_count
     assert status["elapsed_seconds"] >= 0
 
 
@@ -60,16 +63,17 @@ def test_overlapping_campaigns_share_the_store(queue):
     """The second submission of an overlapping spec is served from the
     cross-campaign run cache, visible as ``cached_count``."""
     first = _wait(queue.submit(_campaign_spec()))
-    assert first.cached_count == 0
+    assert first.execution.cached_count == 0
     second = _wait(queue.submit(_campaign_spec()))
     assert second.state is JobState.DONE
-    assert second.executed_count == 0
-    assert second.cached_count == first.executed_count
+    assert second.execution.executed_count == 0
+    assert second.execution.cached_count == first.execution.executed_count
     # A partial overlap re-executes only the new functions.
     third = _wait(queue.submit(_campaign_spec(
         functions=FUNCTIONS + ["WaitForSingleObject"])))
-    assert third.cached_count > 0
-    assert 0 < third.executed_count < first.executed_count
+    assert third.execution.cached_count > 0
+    assert 0 < third.execution.executed_count \
+        < first.execution.executed_count
 
 
 def test_failed_job_reports_error(queue):
@@ -87,42 +91,45 @@ def test_load_job_runs_to_done(queue):
     spec = LoadJobSpec(LoadSpec("IIS", clients=3), reps=2, sweep=[3, 5])
     job = _wait(queue.submit(spec))
     assert job.state is JobState.DONE
-    assert job.executed_count == 4  # 2 client counts x 2 reps
+    assert job.execution.executed_count == 4  # 2 client counts x 2 reps
+    assert job.execution.done == job.execution.total == 4
     assert len(job.fingerprints) == 2  # one per swept client count
 
 
 def test_campaign_walks_the_stage_machine(tmp_path):
     """The wave schedule surfaces as state transitions: profiling
-    before probing before releasing before done."""
-    observed = []
+    before probing before releasing before done.  A status read mid-job
+    sees the run ledger itself, so executed runs show while the job
+    runs, not only once it ends."""
+    states = []
 
     class SpyingStore(ShardedRunStore):
-        def __init__(self, path, job_box):
-            super().__init__(path, segments=2)
-            self.job_box = job_box
-
         def put(self, fingerprint, fault, result):
-            if self.job_box:
-                observed.append(self.job_box[0].state)
+            if job_box and states[-1:] != [job_box[0].state.value]:
+                states.append(job_box[0].state.value)
             super().put(fingerprint, fault, result)
 
     job_box = []
-    store = SpyingStore(tmp_path / "store.d", job_box)
+    store = SpyingStore(tmp_path / "store.d", segments=2)
     queue = JobQueue(store)
     try:
         job = queue.submit(_campaign_spec())
         job_box.append(job)
+        deadline = time.monotonic() + 60.0
+        while job.status_dict()["progress"]["done"] < 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.005)
+        progress = job.status_dict()["progress"]
+        assert progress["done"] >= 2, "campaign never started executing"
+        assert progress["executed"] > 0
         _wait(job)
     finally:
         queue.close()
         store.close()
-    assert job.state is JobState.DONE
-    states = [state.value for state in observed]
-    assert states[0] == "profiling"
-    assert "releasing" in states
-    order = {"profiling": 0, "probing": 1, "releasing": 2}
-    ranks = [order[state] for state in states]
-    assert ranks == sorted(ranks)
+    states.append(job.state.value)
+    assert states == ["profiling", "probing", "releasing", "done"]
+    final = job.status_dict()["progress"]
+    assert final["done"] == final["total"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -140,11 +147,48 @@ def test_cancel_queued_job_is_immediate(tmp_path):
         _wait(first)
         time.sleep(0.05)  # let the worker skip the cancelled entry
         assert second.state is JobState.CANCELLED
-        assert second.executed_count == 0
+        assert second.execution.executed_count == 0
     finally:
         queue.close()
         store.close()
     assert queue.cancel("job-99") is None
+
+
+def test_job_cancelled_as_it_starts_never_shows_a_wave_state(
+        tmp_path, monkeypatch):
+    """A cancel that lands after the worker took the job but before its
+    first wave still finds it marked queued, so the job ends at once;
+    the worker must then unwind without moving it back to profiling."""
+    states = []
+
+    def set_state(job, state):
+        states.append(state.value)
+        job.__dict__["state"] = state
+
+    monkeypatch.setattr(Job, "state", property(
+        lambda job: job.__dict__["state"], set_state), raising=False)
+    taken, release = threading.Event(), threading.Event()
+
+    class GatedSpec(CampaignJobSpec):
+        def fingerprint(self):
+            taken.set()
+            assert release.wait(30)
+            return super().fingerprint()
+
+    store = ShardedRunStore(tmp_path / "store.d", segments=2)
+    queue = JobQueue(store)
+    try:
+        job = queue.submit(GatedSpec("IIS", functions=FUNCTIONS))
+        assert taken.wait(30)
+        queue.cancel(job.job_id)
+        release.set()
+        _wait(job)
+    finally:
+        release.set()
+        queue.close()
+        store.close()
+    assert states == ["queued", "cancelled", "cancelled"]
+    assert len(store) == 0
 
 
 def test_cancel_running_job_keeps_checkpoints(tmp_path):
@@ -155,9 +199,9 @@ def test_cancel_running_job_keeps_checkpoints(tmp_path):
     try:
         job = queue.submit(_campaign_spec())
         deadline = time.monotonic() + 60.0
-        while job.done < 2 and time.monotonic() < deadline:
+        while job.execution.done < 2 and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert job.done >= 2, "campaign never started executing"
+        assert job.execution.done >= 2, "campaign never started executing"
         queue.cancel(job.job_id)
         _wait(job)
         assert job.state is JobState.CANCELLED
@@ -166,8 +210,8 @@ def test_cancel_running_job_keeps_checkpoints(tmp_path):
 
         resumed = _wait(queue.submit(_campaign_spec()))
         assert resumed.state is JobState.DONE
-        assert resumed.cached_count >= 2
-        assert resumed.executed_count < resumed.total
+        assert resumed.execution.cached_count >= 2
+        assert resumed.execution.executed_count < resumed.execution.total
     finally:
         queue.close()
         store.close()
@@ -239,19 +283,19 @@ def test_cancel_running_load_job_keeps_checkpoints(tmp_path):
     try:
         job = queue.submit(spec)
         deadline = time.monotonic() + 60.0
-        while job.done < 1 and time.monotonic() < deadline:
+        while job.execution.done < 1 and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert job.done >= 1, "load job never started executing"
+        assert job.execution.done >= 1, "load job never started executing"
         queue.cancel(job.job_id)
         _wait(job)
         assert job.state is JobState.CANCELLED
         checkpointed = len(store)
-        assert job.done <= checkpointed <= 24
+        assert job.execution.done <= checkpointed <= 24
 
         resumed = _wait(queue.submit(spec))
         assert resumed.state is JobState.DONE
-        assert resumed.cached_count == checkpointed
-        assert resumed.executed_count == 24 - checkpointed
+        assert resumed.execution.cached_count == checkpointed
+        assert resumed.execution.executed_count == 24 - checkpointed
     finally:
         queue.close()
         store.close()

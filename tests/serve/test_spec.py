@@ -8,7 +8,7 @@ resubmitted JSON body producing the identical store fingerprint.
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.store import config_fingerprint
@@ -136,6 +136,34 @@ def test_load_submission_embeds_loadspec():
 def test_bad_submissions_raise_spec_error(body, fragment):
     with pytest.raises(SpecError, match=fragment):
         spec_from_dict(body)
+
+
+# Any JSON object a client can POST either decodes or bounces with
+# SpecError (HTTP 400); anything else escaping drops the connection.
+FIELD_NAMES = sorted({*CampaignJobSpec("IIS").to_dict(),
+                      *LoadJobSpec(LoadSpec("IIS")).to_dict(),
+                      *LoadSpec("IIS").to_dict()})
+field_names = st.sampled_from(FIELD_NAMES) | st.text(max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(("campaign", "load", "IIS", "watchd", "parameter")),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(field_names, inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(body=st.dictionaries(field_names, json_values, max_size=6),
+       kind=st.sampled_from((None, "campaign", "load")))
+def test_any_json_object_decodes_or_raises_spec_error(body, kind):
+    if kind is not None:
+        body = dict(body, kind=kind)
+    try:
+        spec = spec_from_dict(body)
+    except SpecError:
+        return
+    assert isinstance(spec, (CampaignJobSpec, LoadJobSpec))
 
 
 def _load(**fields) -> dict:
