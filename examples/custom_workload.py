@@ -40,7 +40,7 @@ class EchoServer:
             CONFIG_PATH, k.GENERIC_READ, 0, None, k.OPEN_EXISTING, 0, None)
         if handle in (0, INVALID_HANDLE_VALUE):
             yield from k32.ExitProcess(1)
-        buffer = Buffer(b"\0" * 128)
+        buffer = Buffer.zeroed(128)
         ok = yield from k32.ReadFile(handle, buffer, 128, OutCell(), None)
         if not ok:
             yield from k32.ExitProcess(1)

@@ -29,6 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 from .collector import RunResult, infer_result
 from .plan import CampaignPlan, RunTask
 from .runner import RunConfig, execute_run
+from .store import fault_key_str
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
 OnResult = Callable[[Any, Any], None]
@@ -262,8 +263,9 @@ def run_batch(tasks: Sequence, execute, execution: PlanExecution,
               store=None, store_key=None, counted: bool = True) -> list:
     """Serve ``tasks`` from the store, execute the rest, checkpoint.
 
-    ``store_key(task)`` is the task's ``(fingerprint, key)`` in
-    ``store``; ``execute(pending, on_result)`` runs the uncached tasks
+    ``store_key(task)`` is the task's ``(fingerprint, key string)`` in
+    ``store``, built once per task for both the lookup and the
+    checkpoint; ``execute(pending, on_result)`` runs the uncached tasks
     on a backend.  Every executed run is checkpointed before the ledger
     reports it, so an interrupt never loses a finished run.  ``counted``
     runs advance ``execution``.  Returns the runs aligned with
@@ -271,13 +273,17 @@ def run_batch(tasks: Sequence, execute, execution: PlanExecution,
     """
     runs = [None] * len(tasks)
     pending = []
+    keys = {}   # id(task) -> store key; ``tasks`` keeps every id alive
 
     def advance(run) -> None:
         if counted:
             execution.advance(run)
 
     for index, task in enumerate(tasks):
-        cached = store.get(*store_key(task)) if store is not None else None
+        cached = None
+        if store is not None:
+            key = keys[id(task)] = store_key(task)
+            cached = store.get(*key)
         if cached is None:
             pending.append(index)
         else:
@@ -287,7 +293,7 @@ def run_batch(tasks: Sequence, execute, execution: PlanExecution,
 
     def record(task, run) -> None:
         if store is not None:
-            store.put(*store_key(task), run)
+            store.put(*keys[id(task)], run)
         execution.executed_count += 1
         advance(run)
 
@@ -323,7 +329,8 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
                  counted: bool = True) -> None:
         execution.enter(stage)
         runs = run_batch(tasks, execute, execution, store=store,
-                         store_key=lambda task: (fingerprint, task.fault),
+                         store_key=lambda task: (fingerprint,
+                                                 fault_key_str(task.fault)),
                          counted=counted)
         results.update(zip(tasks, runs))
 

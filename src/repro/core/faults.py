@@ -36,6 +36,7 @@ import enum
 from typing import Iterable, Optional, Sequence
 
 from ..nt.kernel32.signatures import REGISTRY
+from .injector import Injector
 
 MASK32 = 0xFFFFFFFF
 
@@ -153,8 +154,6 @@ class FaultSpec(FaultFamily):
                 f"{self.fault_type.value}@{self.invocation}>")
 
     def injector(self, target_role: str, registry):
-        from .injector import Injector
-
         return Injector(self, target_role, registry)
 
     @staticmethod

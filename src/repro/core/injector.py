@@ -10,12 +10,15 @@ which process.
 from __future__ import annotations
 
 import difflib
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..nt.interception import CallHook
 from ..nt.kernel32.signatures import REGISTRY, FunctionSig
 from ..nt.memory import MASK32
-from .faults import FaultSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # faults imports this module to build injectors.
+    from .faults import FaultSpec
 
 
 def _registry_label(registry) -> str:

@@ -22,6 +22,7 @@ import math
 from typing import Optional
 
 from ..nt.machine import Machine
+from ..servers.apache import SHUTDOWN_EVENT
 from ..sim import collector_paused, derive_seed
 from ..trace import TraceLevel, Tracer
 from .collector import RunResult, collect
@@ -165,8 +166,6 @@ def terminate_workload(machine: Machine, injector, clients=()) -> None:
     master); and a sustained-fault window still open is closed so its
     activation trace event always has a deactivation pair.
     """
-    from ..servers.apache import SHUTDOWN_EVENT
-
     for role in ("mscs", "watchd"):
         for process in machine.processes.processes_with_role(role):
             if process.alive:

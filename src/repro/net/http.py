@@ -19,9 +19,34 @@ HTTP_NOT_FOUND = 404
 HTTP_SERVER_ERROR = 500
 
 
-def content_checksum(data: bytes) -> int:
-    """Stable checksum standing in for a full-body comparison."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+# Bodies this long are checked against the remembered ones before
+# being checksummed: a byte comparison of the 115 kB static page costs
+# a few microseconds, its CRC tens.  Shorter bodies are cheaper to CRC.
+_MEMO_MIN_SIZE = 4096
+_MEMO_ENTRIES = 4
+# (copy of a body, its checksum), newest first; replaced whole, never
+# mutated, so a concurrent reader always sees a consistent tuple.
+_memo: tuple[tuple[bytes, int], ...] = ()
+
+
+def content_checksum(data: bytes | bytearray) -> int:
+    """Stable checksum standing in for a full-body comparison.
+
+    A long body byte-equal to one of the last few distinct long bodies
+    returns that body's remembered checksum; every other body is
+    checksummed.  The memo compares ``bytes``/``bytearray`` bodies only
+    (a ``memoryview`` compares element by element, slower than the CRC).
+    """
+    global _memo
+    if len(data) < _MEMO_MIN_SIZE or isinstance(data, memoryview):
+        return zlib.crc32(data) & 0xFFFFFFFF
+    memo = _memo
+    for body, checksum in memo:
+        if body == data:
+            return checksum
+    checksum = zlib.crc32(data) & 0xFFFFFFFF
+    _memo = ((bytes(data), checksum),) + memo[:_MEMO_ENTRIES - 1]
+    return checksum
 
 
 class HttpRequest:

@@ -106,13 +106,7 @@ def _read_common(frame: Frame, h_index: int, buf_index: int, count_index: int,
         # Reading more bytes than the caller's buffer holds overruns it.
         raise AccessViolation(frame.args[buf_index].raw + len(buffer.data),
                               "write")
-    chunk = file_obj.read(count)
-    read = len(chunk)
-    data = buffer.data
-    data[:read] = chunk
-    # Bytes beyond the read are unspecified; zero them so a short
-    # (corrupted-length) read visibly changes the content checksum.
-    data[read:] = bytes(len(data) - read)
+    read = file_obj.read_into(buffer.data, count)
     if read_cell_index is not None:
         cell = frame.opt_out_cell(read_cell_index)
         if cell is not None:
@@ -248,7 +242,7 @@ def set_end_of_file(frame: Frame) -> int:
     file_obj = _file_from_handle(frame, 0)
     if file_obj is None:
         return frame.fail(ERROR_INVALID_HANDLE)
-    del file_obj.data[file_obj.position:]
+    file_obj.truncate()
     return frame.succeed(1)
 
 

@@ -72,7 +72,7 @@ def _alloc(frame: Frame, heap: HeapObject, size: int) -> int:
         # A sustained memory-pressure fault window is open: the
         # allocation fails exactly as an exhausted heap would.
         return frame.fail(ERROR_NOT_ENOUGH_MEMORY, 0)
-    block = Buffer(b"\0" * size, label="heap-block")
+    block = Buffer.zeroed(size, label="heap-block")
     address = frame.machine.address_space.intern(block)
     heap.allocations.add(address)
     return frame.succeed(address)
@@ -223,7 +223,7 @@ def virtual_alloc(frame: Frame) -> int:
         return frame.fail(ERROR_NOT_ENOUGH_MEMORY, 0)
     if frame.machine.pressure.deny_alloc(frame.process.role):
         return frame.fail(ERROR_NOT_ENOUGH_MEMORY, 0)
-    block = Buffer(b"\0" * size, label="virtual")
+    block = Buffer.zeroed(size, label="virtual")
     return frame.succeed(frame.machine.address_space.intern(block))
 
 

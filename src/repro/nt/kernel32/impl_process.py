@@ -28,7 +28,7 @@ from ..errors import (
     StructuredException,
     ThreadExit,
 )
-from ..memory import AccessViolation, OutCell
+from ..memory import AccessViolation, CString, OutCell
 from ..objects import ThreadEntry, ThreadObject
 from . import constants as k
 from .runtime import Frame, k32impl
@@ -216,8 +216,6 @@ def get_startup_info_a(frame: Frame) -> int:
 
 @k32impl("GetCommandLineA")
 def get_command_line_a(frame: Frame) -> int:
-    from ..memory import CString
-
     return frame.machine.address_space.intern(
         CString(frame.process.command_line)
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..ini import ini_value
 from .impl_files import _write_string
 from .runtime import Frame, k32impl
 
@@ -17,23 +18,10 @@ _WIN_INI = "C:\\WINNT\\win.ini"
 
 def _ini_lookup(frame: Frame, path: str, section: Optional[str],
                 key: Optional[str]) -> Optional[str]:
-    """Minimal INI parsing over the in-memory filesystem."""
-    data = frame.machine.fs.read_file(path)
-    if data is None or section is None or key is None:
+    """INI lookup over the in-memory filesystem."""
+    if section is None or key is None:
         return None
-    current = None
-    for raw_line in data.decode("latin-1", "replace").splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith(";"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            continue
-        if current == section.lower() and "=" in line:
-            name, _, value = line.partition("=")
-            if name.strip().lower() == key.lower():
-                return value.strip()
-    return None
+    return ini_value(frame.machine.fs.read_file(path), section, key)
 
 
 @k32impl("GetPrivateProfileStringA")

@@ -9,8 +9,8 @@ the fault campaign a class of silently-absorbed pointer corruptions.
 
 from __future__ import annotations
 
-from ..errors import ERROR_INVALID_PARAMETER, StructuredException
-from ..memory import Buffer, CString
+from ..errors import ERROR_INVALID_PARAMETER, StructuredException, error_name
+from ..memory import Buffer, CString, OutCell
 from . import constants as k
 from .impl_files import _write_string
 from .runtime import Frame, k32impl
@@ -171,8 +171,6 @@ def get_cp_info(frame: Frame) -> int:
     cell = frame.pointer(1)
     if code_page not in (0, 1, 437, 850, 1252, 65001):
         return frame.fail(ERROR_INVALID_PARAMETER)
-    from ..memory import OutCell
-
     if isinstance(cell, OutCell):
         cell.value = {"MaxCharSize": 1, "DefaultChar": "?"}
     return frame.succeed(1)
@@ -187,8 +185,6 @@ def format_message_a(frame: Frame) -> int:
     buffer = frame.buffer(4)
     capacity = frame.uint(5)
     frame.opt_pointer(6)
-    from ..errors import error_name
-
     text = f"{error_name(message_id)} (0x{message_id:08X})"
     if capacity == 0:
         return frame.fail(ERROR_INVALID_PARAMETER, 0)

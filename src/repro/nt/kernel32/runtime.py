@@ -43,6 +43,7 @@ from ..memory import (
     opt_string_at,
     string_at,
 )
+from ..process_manager import ProcessObject
 from .signatures import FunctionSig, ParamType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -138,8 +139,6 @@ class Frame:
     def process_handle(self, index: int) -> Optional["NTProcess"]:
         """Resolve a process handle, honouring the NT pseudo-handle:
         ``0xFFFFFFFF`` (-1) means *the calling process*."""
-        from ..process_manager import ProcessObject
-
         raw = self.args[index].raw
         if raw == INVALID_HANDLE_VALUE:
             return self.process

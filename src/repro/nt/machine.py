@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..net.transport import Transport
+from ..net.transport import ConnectionLeakError, Transport
 from ..sim import Engine, RandomStreams
 from .eventlog import EventLog
 from .filesystem import FileSystem
@@ -170,8 +170,6 @@ class Machine:
         HttpClient bug) fails loudly instead of silently accumulating
         half-open connections across a loaded campaign.
         """
-        from ..net.transport import ConnectionLeakError
-
         if self.transport.client_leaks:
             raise ConnectionLeakError(list(self.transport.client_leaks))
 

@@ -41,6 +41,14 @@ class Buffer:
         self.data = bytearray(data)
         self.label = label
 
+    @classmethod
+    def zeroed(cls, size: int, label: str = "") -> "Buffer":
+        """``size`` zero bytes, allocated once (no template to copy)."""
+        buffer = cls.__new__(cls)
+        buffer.data = bytearray(size)
+        buffer.label = label
+        return buffer
+
     def __len__(self) -> int:
         return len(self.data)
 

@@ -163,7 +163,14 @@ class SemaphoreObject(Waitable):
 
 
 class FileObject(KernelObject):
-    """An open file over the in-memory filesystem."""
+    """An open file over the in-memory filesystem.
+
+    ``data`` is the filesystem's immutable ``bytes`` until the handle's
+    first mutation (a write or ``SetEndOfFile``) copies it into a private
+    ``bytearray``.  Most handles only read — the web workloads open their
+    115 kB page on every static request — so opening copies nothing, and
+    a write through one handle never shows through another.
+    """
 
     kind = "file"
 
@@ -171,28 +178,54 @@ class FileObject(KernelObject):
                  readable: bool = True):
         super().__init__(path)
         self.path = path
-        self.data = bytearray(data)
+        self.data = data
         self.writable = writable
         self.readable = readable
         self.position = 0
         self.deleted = False
 
-    def read(self, count: int) -> bytes:
-        # memoryview slicing avoids the intermediate bytearray copy —
-        # the web workloads stream a 115 kB page through here on every
-        # static request, so each read would otherwise copy twice.
+    def _mutable(self) -> bytearray:
+        """The handle's private copy, made on first use."""
+        data = self.data
+        if type(data) is not bytearray:
+            data = self.data = bytearray(data)
+        return data
+
+    def read_into(self, dest: bytearray, count: int) -> int:
+        """Read up to ``count`` bytes at the position into the start of
+        ``dest`` and return how many were read.
+
+        The bytes go straight from the file into ``dest``: one copy.
+        ``dest`` must hold ``count`` bytes (the callers fault first).
+        Bytes of ``dest`` beyond the read are unspecified; they are
+        zeroed so a short (corrupted-length) read visibly changes the
+        content checksum.
+        """
         start = self.position
-        chunk = bytes(memoryview(self.data)[start:start + count])
-        self.position = start + len(chunk)
-        return chunk
+        # Assigned through a memoryview: a bytearray slice assignment
+        # copies a non-bytearray source into a temporary first.
+        with memoryview(self.data)[start:start + count] as chunk, \
+                memoryview(dest) as target:
+            read = len(chunk)
+            target[:read] = chunk
+            if read < len(target):
+                target[read:] = bytes(len(target) - read)
+        self.position = start + read
+        return read
 
     def write(self, payload: bytes) -> int:
+        data = self._mutable()
         end = self.position + len(payload)
-        if end > len(self.data):
-            self.data.extend(b"\0" * (end - len(self.data)))
-        self.data[self.position:end] = payload
+        if end > len(data):
+            data.extend(bytes(end - len(data)))
+        data[self.position:end] = payload
         self.position = end
         return len(payload)
+
+    def truncate(self) -> None:
+        """Cut the file at the position (``SetEndOfFile``).  The access
+        mask is not checked: a read-only handle truncates its own view."""
+        del self._mutable()[self.position:]
 
     @property
     def size(self) -> int:

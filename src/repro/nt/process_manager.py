@@ -121,8 +121,6 @@ class NTProcess:
     # Threads
     # ------------------------------------------------------------------
     def start_main_thread(self) -> None:
-        from .context import Win32Context  # local import: cycle with context
-
         # Programs may declare an alternative context class (the Linux
         # port's programs use PosixContext); the default is Win32.
         context_class = getattr(self.program, "context_class", Win32Context)
@@ -313,3 +311,8 @@ class ProcessManager:
         """End-of-run cleanup: kill everything still alive."""
         for process in self.live_processes():
             process.terminate(exit_code=1)
+
+
+# Bound last, once the classes above exist: ``context`` imports
+# ``kernel32``, whose modules import this one for ``ProcessObject``.
+from .context import Win32Context  # noqa: E402

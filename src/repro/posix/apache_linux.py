@@ -20,7 +20,7 @@ from ..net.http import (
 )
 from ..net.transport import RESET, Side
 from ..nt.memory import Buffer, OutCell
-from ..servers import content
+from ..servers import base, content
 from ..sim import TIMED_OUT, Sleep, Wait
 from .context import PosixContext
 from .libc import ERR, O_CREAT, O_WRONLY
@@ -63,7 +63,7 @@ class LinuxApacheMaster:
         fd = yield from libc.open(CONF_PATH, 0, 0)
         if fd == ERR:
             yield from libc._exit(1)
-        conf = Buffer(b"\0" * 256)
+        conf = Buffer.zeroed(256)
         got = yield from libc.read(fd, conf, 256)
         yield from libc.close(fd)
         if got in (0, ERR) or b"Port=80" not in bytes(conf.data):
@@ -145,17 +145,17 @@ class LinuxApacheChild:
         block = ctx.memory(block_ptr)
         if got == ERR or block is None:
             return HttpResponse(HTTP_SERVER_ERROR, b"read failure")
-        body = bytes(block.data[:size])
+        response = HttpResponse(HTTP_OK, base.heap_body(block, size))
         yield from ctx.compute(STATIC_SERVICE_TIME)
         yield from libc.free(block_ptr)
-        return HttpResponse(HTTP_OK, body)
+        return response
 
     def _serve_cgi(self, ctx):
         libc = ctx.libc
         fd = yield from libc.open(CGI_SCRIPT, 0, 0)
         if fd == ERR:
             return HttpResponse(HTTP_SERVER_ERROR, b"no cgi script")
-        source = Buffer(b"\0" * 512)
+        source = Buffer.zeroed(512)
         got = yield from libc.read(fd, source, 512)
         yield from libc.close(fd)
         if got in (0, ERR):

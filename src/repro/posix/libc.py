@@ -197,12 +197,7 @@ def libc_read(frame):
         return _fail(frame, EACCES)
     if count > len(buffer.data):
         raise AccessViolation(frame.args[1].raw + len(buffer.data), "write")
-    chunk = file_obj.read(count)
-    read = len(chunk)
-    data = buffer.data
-    data[:read] = chunk
-    data[read:] = bytes(len(data) - read)
-    return read
+    return file_obj.read_into(buffer.data, count)
 
 
 @libc_impl("write")
@@ -260,7 +255,7 @@ def libc_malloc(frame):
         heap = HeapObject(f"libc-heap:{frame.process.pid}")
         frame.process._default_heap = heap
         frame.process._default_heap_handle = frame.new_handle(heap)
-    block = Buffer(b"\0" * size, label="malloc")
+    block = Buffer.zeroed(size, label="malloc")
     address = frame.machine.address_space.intern(block)
     heap.allocations.add(address)
     return address

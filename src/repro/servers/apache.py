@@ -42,8 +42,8 @@ from .base import (
     ServerBehavior,
     abort,
     env_flag,
+    heap_body,
     parse_ini_int,
-    parse_ini_str,
 )
 
 MASTER_IMAGE = "apache.exe"
@@ -84,7 +84,7 @@ class ApacheMaster:
     def main(self, ctx):
         k32 = ctx.k32
         # Locate ServerRoot from the image path.
-        path_buffer = Buffer(b"\0" * 260)
+        path_buffer = Buffer.zeroed(260)
         yield from k32.GetModuleFileNameA(0, path_buffer, 260)
 
         # Read httpd.conf into a stack buffer (1.3-era style).
@@ -93,7 +93,7 @@ class ApacheMaster:
             k.OPEN_EXISTING, k.FILE_ATTRIBUTE_NORMAL, None)
         if conf_handle in (0, INVALID_HANDLE_VALUE):
             yield from abort(ctx)  # no configuration, no server
-        conf_buffer = Buffer(b"\0" * 4096)
+        conf_buffer = Buffer.zeroed(4096)
         read_count = OutCell()
         ok = yield from k32.ReadFile(conf_handle, conf_buffer, 4096,
                                      read_count, None)
@@ -211,7 +211,7 @@ class ApacheChild:
             content.APACHE_MIME, k.GENERIC_READ, k.FILE_SHARE_READ, None,
             k.OPEN_EXISTING, k.FILE_ATTRIBUTE_NORMAL, None)
         if mime_handle not in (0, INVALID_HANDLE_VALUE):
-            mime_buffer = Buffer(b"\0" * 1024)
+            mime_buffer = Buffer.zeroed(1024)
             yield from k32.ReadFile(mime_handle, mime_buffer, 1024, None, None)
             yield from k32.CloseHandle(mime_handle)
 
@@ -274,11 +274,11 @@ class ApacheChild:
         yield from k32.CloseHandle(handle)
         if ok != 1:
             return HttpResponse(HTTP_SERVER_ERROR, b"read failure")
-        block = ctx.memory(block_ptr)
-        body = bytes(block.data[:size]) if block is not None else b""
+        # Sized and checksummed now: the body is the heap block itself.
+        response = HttpResponse(HTTP_OK, heap_body(ctx.memory(block_ptr), size))
         yield from ctx.compute(BEHAVIOR.static_service_time)
         yield from k32.HeapFree(heap, 0, block_ptr)
-        return HttpResponse(HTTP_OK, body)
+        return response
 
     def _serve_cgi(self, ctx, heap, request):
         k32 = ctx.k32
@@ -300,7 +300,7 @@ class ApacheChild:
         yield from k32.GetExitCodeProcess(info.value["hProcess"], exit_code)
         if status != WAIT_OBJECT_0 or exit_code.value != 0:
             return HttpResponse(HTTP_SERVER_ERROR, b"cgi failure")
-        output = Buffer(b"\0" * content.CGI_PAGE_SIZE)
+        output = Buffer.zeroed(content.CGI_PAGE_SIZE)
         read_count = OutCell()
         ok = yield from k32.ReadFile(read_end.value, output,
                                      content.CGI_PAGE_SIZE, read_count, None)
@@ -332,7 +332,7 @@ class CgiInterpreter:
             k.OPEN_EXISTING, k.FILE_ATTRIBUTE_NORMAL, None)
         if handle in (0, INVALID_HANDLE_VALUE):
             yield from abort(ctx)
-        script_buffer = Buffer(b"\0" * 512)
+        script_buffer = Buffer.zeroed(512)
         read_count = OutCell()
         ok = yield from k32.ReadFile(handle, script_buffer, 512, read_count, None)
         yield from k32.CloseHandle(handle)

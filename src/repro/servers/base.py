@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..nt.ini import ini_value
 from ..nt.memory import Buffer
 
 # Environment markers the fault-tolerance middleware leaves behind; the
@@ -49,42 +50,33 @@ def abort(ctx, code: int = 1):
 
 def env_flag(ctx, name: str):
     """``GetEnvironmentVariableA`` probe used for the middleware markers."""
-    buffer = Buffer(b"\0" * 32)
+    buffer = Buffer.zeroed(32)
     length = yield from ctx.k32.GetEnvironmentVariableA(name, buffer, 32)
     return length > 0
+
+
+def heap_body(block, size: int):
+    """The first ``size`` bytes of the heap block a page was read into
+    (empty when the pointer resolved to nothing).
+
+    When the block holds no more than ``size`` bytes — always, unless
+    a fault corrupted the allocation size — this is the block's own
+    ``bytearray``, not a copy: build the :class:`HttpResponse` from it
+    at once, before the block is reused or freed.
+    """
+    if block is None:
+        return b""
+    data = block.data
+    return data if len(data) <= size else data[:size]
 
 
 def parse_ini_int(data: Optional[bytes], section: str, key: str,
                   default: int) -> int:
     """INI lookup over bytes already read (a corrupted read loses keys)."""
-    if not data:
+    value = ini_value(data, section, key)
+    if value is None:
         return default
-    current = None
-    for raw_line in data.decode("latin-1", "replace").splitlines():
-        line = raw_line.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-        elif current == section.lower() and "=" in line:
-            name, _, value = line.partition("=")
-            if name.strip().lower() == key.lower():
-                try:
-                    return int(value.strip())
-                except ValueError:
-                    return default
-    return default
-
-
-def parse_ini_str(data: Optional[bytes], section: str, key: str,
-                  default: str) -> str:
-    if not data:
+    try:
+        return int(value)
+    except ValueError:
         return default
-    current = None
-    for raw_line in data.decode("latin-1", "replace").splitlines():
-        line = raw_line.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-        elif current == section.lower() and "=" in line:
-            name, _, value = line.partition("=")
-            if name.strip().lower() == key.lower():
-                return value.strip()
-    return default

@@ -46,7 +46,7 @@ from .base import (
     ServerBehavior,
     abort,
     env_flag,
-    parse_ini_str,
+    heap_body,
 )
 
 IIS_IMAGE = "inetinfo.exe"
@@ -110,17 +110,17 @@ class IisServer:
         # --- System identity ------------------------------------------
         yield from k32.GetVersionExA(OutCell())
         yield from k32.GetSystemInfo(OutCell())
-        yield from k32.GetComputerNameA(Buffer(b"\0" * 32), OutCell(32))
-        yield from k32.GetSystemDirectoryA(Buffer(b"\0" * 64), 64)
-        yield from k32.GetWindowsDirectoryA(Buffer(b"\0" * 64), 64)
-        yield from k32.GetModuleFileNameA(0, Buffer(b"\0" * 260), 260)
+        yield from k32.GetComputerNameA(Buffer.zeroed(32), OutCell(32))
+        yield from k32.GetSystemDirectoryA(Buffer.zeroed(64), 64)
+        yield from k32.GetWindowsDirectoryA(Buffer.zeroed(64), 64)
+        yield from k32.GetModuleFileNameA(0, Buffer.zeroed(260), 260)
         yield from k32.GetCurrentProcessId()
         yield from k32.GetTickCount()
 
         yield from ctx.compute(0.45)
 
         # --- Configuration (papered-over on failure: degradations) ----
-        docroot_buffer = Buffer(b"\0" * 128)
+        docroot_buffer = Buffer.zeroed(128)
         copied = yield from k32.GetPrivateProfileStringA(
             "w3svc", "HomeDirectory", "C:\\WebDefault", docroot_buffer, 128,
             content.IIS_CONFIG)
@@ -145,14 +145,14 @@ class IisServer:
         yield from k32.CloseHandle(metabase_handle)
 
         # --- String plumbing over the script map ----------------------
-        script_buffer = Buffer(b"\0" * 128)
+        script_buffer = Buffer.zeroed(128)
         yield from k32.lstrcpyA(script_buffer, content.IIS_CGI_SCRIPT)
         yield from k32.lstrlenA(script_buffer)
         yield from k32.lstrcmpiA("GET", "get")
         yield from k32.MultiByteToWideChar(k.CP_ACP, 0, "wwwroot", 7,
-                                           Buffer(b"\0" * 32), 32)
+                                           Buffer.zeroed(32), 32)
         yield from k32.WideCharToMultiByte(k.CP_ACP, 0, "wwwroot", 7,
-                                           Buffer(b"\0" * 32), 32, None, None)
+                                           Buffer.zeroed(32), 32, None, None)
 
         # --- Content directory scan -----------------------------------
         find_data = OutCell()
@@ -214,7 +214,7 @@ class IisServer:
         if (yield from env_flag(ctx, CLUSTER_ENV_MARKER)):
             # Under MSCS: notes the cluster, reusing already-loaded APIs.
             yield from k32.GetTickCount()
-            yield from k32.GetComputerNameA(Buffer(b"\0" * 32), OutCell(32))
+            yield from k32.GetComputerNameA(Buffer.zeroed(32), OutCell(32))
 
         yield from ctx.compute(BEHAVIOR.startup_time)
 
@@ -281,10 +281,10 @@ class IisServer:
         # The ReadFile result goes unchecked — IIS style.
         yield from k32.ReadFile(handle, block_ptr, size, read_count, None)
         yield from k32.CloseHandle(handle)
-        block = ctx.memory(block_ptr)
-        body = bytes(block.data[:size]) if block is not None else b""
+        # Sized and checksummed now: the body is the heap block itself.
+        response = HttpResponse(HTTP_OK, heap_body(ctx.memory(block_ptr), size))
         yield from ctx.compute(BEHAVIOR.static_service_time)
-        return HttpResponse(HTTP_OK, body)
+        return response
 
     def _serve_cgi(self, ctx, request):
         k32 = ctx.k32
@@ -306,7 +306,7 @@ class IisServer:
         yield from k32.GetExitCodeProcess(info.value["hProcess"], exit_code)
         if status != WAIT_OBJECT_0 or exit_code.value != 0:
             return HttpResponse(HTTP_SERVER_ERROR, b"cgi failure")
-        output = Buffer(b"\0" * content.CGI_PAGE_SIZE)
+        output = Buffer.zeroed(content.CGI_PAGE_SIZE)
         read_count = OutCell()
         ok = yield from k32.ReadFile(read_end.value, output,
                                      content.CGI_PAGE_SIZE, read_count, None)

@@ -90,10 +90,10 @@ class SqlServer:
         yield from k32.GetSystemInfo(OutCell())
         yield from k32.GetCurrentProcessId()
         yield from k32.GetTickCount()
-        yield from k32.GetModuleFileNameA(0, Buffer(b"\0" * 260), 260)
+        yield from k32.GetModuleFileNameA(0, Buffer.zeroed(260), 260)
 
         # --- Configuration ----------------------------------------------
-        data_path_buffer = Buffer(b"\0" * 128)
+        data_path_buffer = Buffer.zeroed(128)
         copied = yield from k32.GetPrivateProfileStringA(
             "sqlserver", "MasterDataFile", content.SQL_DATA_FILE,
             data_path_buffer, 128, content.SQL_CONFIG)
@@ -105,15 +105,15 @@ class SqlServer:
             port = content.SQL_PORT
 
         # --- Sort order / locale plumbing --------------------------------
-        yield from k32.lstrcpyA(Buffer(b"\0" * 64), "dictionary_iso_1")
+        yield from k32.lstrcpyA(Buffer.zeroed(64), "dictionary_iso_1")
         yield from k32.lstrcmpiA("dictionary", "DICTIONARY")
         yield from k32.lstrlenA("dictionary_iso_1")
         yield from k32.MultiByteToWideChar(k.CP_ACP, 0, "master", 6,
-                                           Buffer(b"\0" * 16), 16)
+                                           Buffer.zeroed(16), 16)
         yield from k32.WideCharToMultiByte(k.CP_ACP, 0, "master", 6,
-                                           Buffer(b"\0" * 16), 16, None, None)
+                                           Buffer.zeroed(16), 16, None, None)
         yield from k32.CompareStringA(0x0409, 0, "a", 1, "a", 1)
-        yield from k32.FormatMessageA(0, None, 0, 0, Buffer(b"\0" * 64), 64,
+        yield from k32.FormatMessageA(0, None, 0, 0, Buffer.zeroed(64), 64,
                                       None)
 
         # --- Recovery: load the master database -------------------------
@@ -198,7 +198,7 @@ class SqlServer:
             # corruption, matching the paper's observation that the
             # middleware-induced extra functions only ever produced
             # normal-success outcomes.
-            quorum = Buffer(b"\0" * 64, label="quorum")
+            quorum = Buffer.zeroed(64, label="quorum")
             yield from k32.IsBadReadPtr(quorum, 64)
             yield from k32.IsBadWritePtr(quorum, 64)
             yield from k32.lstrcmpA("primary", "primary")

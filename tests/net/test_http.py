@@ -1,5 +1,7 @@
 """Tests for the HTTP/SQL message model."""
 
+import zlib
+
 from repro.net.http import (
     HTTP_NOT_FOUND,
     HTTP_OK,
@@ -23,6 +25,39 @@ class TestChecksum:
 
     def test_32_bit_range(self):
         assert 0 <= content_checksum(b"") <= 0xFFFFFFFF
+
+
+class TestChecksumMemo:
+    def test_repeated_long_body_is_checksummed_once(self, monkeypatch):
+        page = b"memo test page " * 2000
+        crcs = []
+
+        def counted_crc32(data, *rest):
+            crcs.append(len(data))
+            return real_crc32(data, *rest)
+
+        real_crc32 = zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", counted_crc32)
+        assert content_checksum(page) == real_crc32(page)
+        # Byte-equal, in a fresh bytearray: the remembered checksum.
+        assert content_checksum(bytearray(page)) == real_crc32(page)
+        assert crcs == [len(page)]
+
+    def test_same_length_different_body_after_a_hit(self):
+        page = bytearray(b"memo hit page " * 2000)
+        expected = zlib.crc32(page)
+        assert content_checksum(bytes(page)) == expected
+        assert content_checksum(page) == expected          # a hit
+        page[len(page) // 2] ^= 0x01                       # same object
+        assert content_checksum(page) == zlib.crc32(page) != expected
+        other = bytes(len(page))                           # same length
+        assert content_checksum(other) == zlib.crc32(other)
+
+    def test_memoryview_body_is_checksummed(self):
+        page = b"memo view page " * 2000
+        content_checksum(page)
+        view = memoryview(page)[1:]
+        assert content_checksum(view) == zlib.crc32(view)
 
 
 class TestHttpResponse:

@@ -144,9 +144,23 @@ class TestSemaphoreObject:
 class TestFileObject:
     def test_positioned_reads(self):
         file_obj = FileObject("f", b"abcdef", writable=False)
-        assert file_obj.read(2) == b"ab"
-        assert file_obj.read(10) == b"cdef"
-        assert file_obj.read(1) == b""
+        dest = bytearray(b"\xff" * 6)
+        assert file_obj.read_into(dest, 2) == 2
+        assert dest == b"ab\0\0\0\0"     # the rest of ``dest`` is zeroed
+        assert file_obj.read_into(dest, 6) == 4
+        assert dest == b"cdef\0\0"
+        assert file_obj.read_into(dest, 1) == 0
+        assert dest == bytes(6)
+        assert file_obj.position == 6
+
+    def test_open_shares_and_first_write_copies(self):
+        stored = b"abcdef"
+        file_obj = FileObject("f", stored, writable=True)
+        assert file_obj.data is stored
+        file_obj.write(b"X")
+        assert stored == b"abcdef"
+        assert type(file_obj.data) is bytearray
+        assert file_obj.data == b"Xbcdef"
 
     def test_write_extends(self):
         file_obj = FileObject("f", b"", writable=True)

@@ -107,6 +107,48 @@ class TestFileApi:
         _, program = run_program(body)
         assert program.result == (1, 3, b"abc" + b"\0" * 5)
 
+    def test_handles_never_see_each_others_changes(self, machine,
+                                                   run_program):
+        machine.fs.write_file("c:\\data.txt", b"0123456789")
+
+        def contents(ctx, handle):
+            yield from ctx.k32.SetFilePointer(handle, 0, None, k.FILE_BEGIN)
+            buffer = Buffer(bytes(16))
+            read = OutCell()
+            yield from ctx.k32.ReadFile(handle, buffer, 16, read, None)
+            return bytes(buffer.data[:read.value])
+
+        def body(ctx):
+            def open_file(access):
+                return ctx.k32.CreateFileA(
+                    "c:\\data.txt", access, k.FILE_SHARE_READ, None,
+                    k.OPEN_EXISTING, 0, None)
+
+            writer = yield from open_file(k.GENERIC_READ | k.GENERIC_WRITE)
+            reader = yield from open_file(k.GENERIC_READ)
+            truncator = yield from open_file(k.GENERIC_READ)
+            yield from ctx.k32.WriteFile(writer, Buffer(b"AB"), 2, None, None)
+            yield from ctx.k32.SetFilePointer(writer, 4, None, k.FILE_BEGIN)
+            yield from ctx.k32.SetEndOfFile(writer)
+            # SetEndOfFile does not check the access mask: a read-only
+            # handle truncates its own view, and only that.
+            yield from ctx.k32.SetFilePointer(truncator, 3, None,
+                                              k.FILE_BEGIN)
+            truncated = yield from ctx.k32.SetEndOfFile(truncator)
+            seen = []
+            for handle in (writer, reader, truncator):
+                seen.append((yield from contents(ctx, handle)))
+            before_close = ctx.machine.fs.read_file("c:\\data.txt")
+            for handle in (truncator, reader, writer):
+                yield from ctx.k32.CloseHandle(handle)
+            return truncated, seen, before_close
+
+        _, program = run_program(body)
+        assert program.result == (1, [b"AB23", b"0123456789", b"012"],
+                                   b"0123456789")
+        # Only the writable handle writes back, on close.
+        assert machine.fs.read_file("c:\\data.txt") == b"AB23"
+
     def test_write_persists_on_close(self, machine, run_program):
         def body(ctx):
             handle = yield from ctx.k32.CreateFileA(

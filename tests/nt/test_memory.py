@@ -157,3 +157,11 @@ def test_out_cell_holds_value():
     cell.value = 9
     assert cell.value == 9
     assert "count" in repr(cell)
+
+
+def test_zeroed_buffer():
+    buffer = Buffer.zeroed(5, label="block")
+    assert type(buffer.data) is bytearray
+    assert buffer.data == bytes(5)
+    assert buffer.label == "block"
+    assert len(Buffer.zeroed(0)) == 0
