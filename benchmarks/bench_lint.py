@@ -11,9 +11,10 @@ pool, and every configuration is checked to produce identical findings
 It also prices the whole-program tiers: the interprocedural rule set
 against the base (pre-call-graph) set, and the value-flow rule set
 against the interprocedural one, best-of-N serially, each gated at
-< 2x — call-graph and value-flow construction are shared through
-keyed caches, so each tier's overhead should stay a fraction of one
-extra per-module pass.
+< 2x — every tier reads each file's one parse and one ``ModuleIndex``,
+and the call graph and the value-flow facts are built once per run
+(single-slot caches keyed by the parsed modules), so each tier's
+overhead should stay a fraction of one extra per-module pass.
 
 As a script it writes the measurements to JSON for CI trending::
 

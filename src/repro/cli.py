@@ -62,17 +62,27 @@ class CliError(Exception):
         self.code = code
 
 
-def _count(text: str) -> int:
-    """argparse type of ``--jobs`` and ``serve --segments``: a count
-    >= 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"want an integer, got {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"want an integer, got {text!r}") from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {count}")
+        return count
+
+    return parse
+
+
+# ``--jobs`` and ``serve --segments``: a count >= 1.
+_count = _int_at_least(1)
+# ``lint --equiv-sample``: 0 checks every class.
+_sample_count = _int_at_least(0)
 
 
 def _port(text: str) -> int:
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="dynamic oracle for the equivalence manifest: "
                            "execute every member of sampled classes and "
                            "fail on outcome divergence")
-    lint.add_argument("--equiv-sample", type=int, default=None,
+    lint.add_argument("--equiv-sample", type=_sample_count, default=None,
                       metavar="N",
                       help="classes sampled by --equiv-check "
                            "(default: 6; 0 checks every class)")
@@ -826,23 +836,22 @@ def cmd_lint(args, out) -> int:
               f"{args.write_baseline}", file=out)
         return 0
 
-    # The census and the equivalence oracle read the parsed module set,
-    # not the findings: one rule-free parse serves both.
-    modules = (parse_modules(paths)
-               if args.census_diff or args.equiv_check else None)
+    # The census and the equivalence oracle read the modules the lint
+    # pass parsed, so the call graph and the value-flow facts the rules
+    # built are reused rather than rebuilt.
     census_report = None
     if args.census_diff:
         from .lint.censusdiff import census_diff
 
         census_report = census_diff(
-            modules, store_paths=args.census_store or ())
+            result.modules, store_paths=args.census_store or ())
 
     equiv_report = None
     if args.equiv_check:
         from .lint.valueflow import equiv_check
 
         sample = args.equiv_sample if args.equiv_sample is not None else 6
-        equiv_report = equiv_check(modules, sample=sample)
+        equiv_report = equiv_check(result.modules, sample=sample)
 
     if args.output_format == "json":
         import json as json_module

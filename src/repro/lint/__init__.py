@@ -17,6 +17,13 @@ compute per-parameter usage facts; the same facts power the
 fault-equivalence manifest that ``repro run --prune-equivalent``
 uses to collapse the campaign grid.
 
+One lint run parses each file once, and each parsed module builds one
+:class:`~repro.lint.engine.ModuleIndex` (``ParsedModule.index``) that
+every tier reads: its symbol table, its import map with relative
+imports resolved, and its class table.  The call graph and the
+value-flow facts are built once per run, and ``--census-diff`` /
+``--equiv-check`` reuse the lint pass's modules (``LintResult.modules``).
+
 ==========================  ==========================================
 rule                        catches
 ==========================  ==========================================

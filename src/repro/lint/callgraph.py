@@ -22,8 +22,11 @@ builds:
   through import maps including relative imports, ``yield from``
   delegation, calls inside ``lambda`` bodies — the ``ThreadEntry`` /
   ``register_image`` factory idiom — and bound-method references
-  passed as arguments).  Roots are discovered from the process-image
-  registrations the simulator itself uses: every
+  passed as arguments).  The graph derives no names itself: each
+  module's one :class:`~repro.lint.engine.ModuleIndex` owns its import
+  map and its class table (class keys and ``ast.Name`` bases), and a
+  lint run builds the graph once.  Roots are discovered from the
+  process-image registrations the simulator itself uses: every
   ``register_image(..., role=...)`` / ``spawn(..., role=...)`` site
   names a class whose ``main`` generator is an entry point, keyed by
   the role faults are injected into.
@@ -41,20 +44,13 @@ permutation (property-tested, like the engine's index).
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .engine import (
-    ModuleIndex,
-    ProjectIndex,
-    attribute_chain,
-    module_name_for_path,
-)
+from .engine import ProjectIndex, attribute_chain
 from .core import ParsedModule, sim_api_call, unwrap_yield
 
 # Function key: (module dotted name, qualified function name).
 FuncKey = tuple  # tuple[str, str]
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # API write calls whose *data* parameter lands in restart-surviving
 # storage (the simulated filesystem / a pipe another process persists).
@@ -246,64 +242,6 @@ class FunctionSummary:
         # names dereferenced via subscript/attribute (use sites for the
         # unexamined-result check)
         self.subscript_uses: list[tuple] = []
-
-
-# ----------------------------------------------------------------------
-# Relative import resolution
-# ----------------------------------------------------------------------
-def resolve_relative(module_name: str, level: int,
-                     target: Optional[str], is_package: bool) -> Optional[str]:
-    """``from ..net.http import X`` inside ``repro.servers.apache`` ->
-    ``repro.net.http``."""
-    parts = module_name.split(".")
-    if not is_package:
-        parts = parts[:-1]
-    drop = level - 1
-    if drop > len(parts):
-        return None
-    base = parts[:len(parts) - drop] if drop else parts
-    if target:
-        base = base + target.split(".")
-    return ".".join(base) if base else None
-
-
-def _module_is_package(path: str) -> bool:
-    return path.replace("\\", "/").endswith("__init__.py")
-
-
-class _ImportMap:
-    """One module's name-resolution map, including relative imports
-    (which :class:`~repro.lint.engine.ModuleIndex` skips — the race
-    rules never needed them, the call graph does)."""
-
-    def __init__(self, module_name: str, index: ModuleIndex):
-        self.module_alias: dict[str, str] = dict(index.imports)
-        self.symbol: dict[str, tuple] = dict(index.from_imports)
-        is_package = _module_is_package(index.path)
-        for node in ast.walk(index.tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                resolved = resolve_relative(module_name, node.level,
-                                            node.module, is_package)
-                if resolved is None:
-                    continue
-                for alias in node.names:
-                    self.symbol[alias.asname or alias.name] = \
-                        (resolved, alias.name)
-
-    def imported_symbol(self, name: str) -> Optional[tuple]:
-        return self.symbol.get(name)
-
-    def imported_module(self, name: str) -> Optional[str]:
-        target = self.module_alias.get(name)
-        if target is not None:
-            return target
-        # `from ..middleware import watchd as watchd_module` binds a
-        # *module* through a from-import.
-        entry = self.symbol.get(name)
-        if entry is not None:
-            module, symbol = entry
-            return f"{module}.{symbol}"
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -600,8 +538,7 @@ class _Resolver:
         self.graph = graph
 
     def module_globals(self, module_name: str) -> frozenset:
-        index = self.graph.project.modules.get(module_name)
-        return index.module_globals if index is not None else frozenset()
+        return self.graph.project.modules[module_name].module_globals
 
     # ------------------------------------------------------------------
     def resolve(self, summary: FunctionSummary,
@@ -622,9 +559,8 @@ class _Resolver:
             if class_key is not None:
                 return self.graph.lookup_method(class_key, func.attr)
             # Module-qualified call: `watchd_module.install(machine)`.
-            imports = self.graph.import_map(module_name)
-            target_module = imports.imported_module(receiver) \
-                if imports else None
+            index = self.graph.project.modules[module_name]
+            target_module = index.imported_module(receiver)
             if target_module is not None:
                 return self.graph.lookup_function(target_module, func.attr)
         return None
@@ -635,19 +571,17 @@ class _Resolver:
         key = self.graph.lookup_function(module_name, name)
         if key is not None:
             return key
-        imports = self.graph.import_map(module_name)
-        if imports is not None:
-            entry = imports.imported_symbol(name)
-            if entry is not None:
-                target_module, symbol = entry
-                resolved = self.graph.lookup_function(target_module, symbol)
-                if resolved is not None:
-                    return resolved
-                # An imported *class*: its constructor + main matter to
-                # reachability only through registrations; constructor
-                # edges keep __init__ state analysable.
-                return self.graph.lookup_method(
-                    (target_module, symbol), "__init__")
+        entry = self.graph.project.modules[module_name].from_imports.get(name)
+        if entry is not None:
+            target_module, symbol = entry
+            resolved = self.graph.lookup_function(target_module, symbol)
+            if resolved is not None:
+                return resolved
+            # An imported *class*: its constructor + main matter to
+            # reachability only through registrations; constructor
+            # edges keep __init__ state analysable.
+            return self.graph.lookup_method(
+                (target_module, symbol), "__init__")
         # A class defined in this module, instantiated by bare name.
         return self.graph.lookup_method((module_name, name), "__init__")
 
@@ -696,9 +630,8 @@ class _Resolver:
                 return self._class_by_name(summary, ctor.id)
             if isinstance(ctor, ast.Attribute) and \
                     isinstance(ctor.value, ast.Name):
-                imports = self.graph.import_map(summary.module_name)
-                target_module = imports.imported_module(ctor.value.id) \
-                    if imports else None
+                index = self.graph.project.modules[summary.module_name]
+                target_module = index.imported_module(ctor.value.id)
                 if target_module is not None and \
                         self.graph.has_class((target_module, ctor.attr)):
                     return (target_module, ctor.attr)
@@ -715,11 +648,9 @@ class _Resolver:
         module_name = summary.module_name
         if self.graph.has_class((module_name, name)):
             return (module_name, name)
-        imports = self.graph.import_map(module_name)
-        if imports is not None:
-            entry = imports.imported_symbol(name)
-            if entry is not None and self.graph.has_class(entry):
-                return entry
+        entry = self.graph.project.modules[module_name].from_imports.get(name)
+        if entry is not None and self.graph.has_class(entry):
+            return entry
         return None
 
 
@@ -733,9 +664,6 @@ class CallGraph:
         self.project = project
         self.summaries: dict[FuncKey, FunctionSummary] = {}
         self.registrations: list[RoleRegistration] = []
-        self._import_maps: dict[str, _ImportMap] = {}
-        self._classes: dict[FuncKey, ast.ClassDef] = {}
-        self._class_bases: dict[FuncKey, tuple] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -744,9 +672,6 @@ class CallGraph:
         return cls(ProjectIndex.build(modules))
 
     def _build(self) -> None:
-        for module_name in sorted(self.project.modules):
-            index = self.project.modules[module_name]
-            self._collect_classes(module_name, index.tree)
         resolver = _Resolver(self)
         for module_name in sorted(self.project.modules):
             index = self.project.modules[module_name]
@@ -769,33 +694,17 @@ class CallGraph:
         self.registrations.sort(
             key=lambda reg: (reg.role, reg.module, reg.line))
 
-    def _collect_classes(self, module_name: str, tree: ast.Module,
-                         prefix: str = "") -> None:
-        for node in ast.iter_child_nodes(tree):
-            if isinstance(node, ast.ClassDef):
-                key = (module_name, f"{prefix}{node.name}")
-                self._classes[key] = node
-                self._class_bases[key] = tuple(
-                    base.id for base in node.bases
-                    if isinstance(base, ast.Name))
-                self._collect_classes(module_name, node,
-                                      prefix=f"{prefix}{node.name}.")
-
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def import_map(self, module_name: str) -> Optional[_ImportMap]:
-        cached = self._import_maps.get(module_name)
-        if cached is None:
-            index = self.project.modules.get(module_name)
-            if index is None:
-                return None
-            cached = _ImportMap(module_name, index)
-            self._import_maps[module_name] = cached
-        return cached
+    def _bases(self, class_key: FuncKey) -> Optional[tuple]:
+        """The ``ast.Name`` bases of a known class, None if unknown."""
+        module_name, class_name = class_key
+        index = self.project.modules.get(module_name)
+        return None if index is None else index.class_bases.get(class_name)
 
     def has_class(self, class_key: FuncKey) -> bool:
-        return class_key in self._classes
+        return self._bases(class_key) is not None
 
     def lookup_function(self, module_name: str,
                         name: str) -> Optional[FuncKey]:
@@ -814,7 +723,7 @@ class CallGraph:
         if key in self.summaries:
             return key
         if follow_bases:
-            for base in self._class_bases.get(class_key, ()):
+            for base in self._bases(class_key) or ():
                 resolved = self.lookup_method((module_name, base), method,
                                               follow_bases=True)
                 if resolved is not None:
@@ -881,14 +790,6 @@ class CallGraph:
             for api_call in self.summaries[key].api_calls:
                 exports.add((api_call.api, api_call.name))
         return exports
-
-    def callers_of(self, key: FuncKey) -> list[tuple[FuncKey, CallSite]]:
-        out = []
-        for caller_key in sorted(self.summaries):
-            for site in self.summaries[caller_key].calls:
-                if site.callee == key:
-                    out.append((caller_key, site))
-        return out
 
     # ------------------------------------------------------------------
     # Derived interprocedural sets

@@ -31,7 +31,6 @@ from .core import (
     Finding,
     ParsedModule,
     Rule,
-    iter_functions,
     sim_api_call,
     suggest,
     walk_in_scope,
@@ -82,12 +81,13 @@ class SignatureConformanceRule(Rule):
     # ------------------------------------------------------------------
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         findings: list[Finding] = []
-        for qualname, fn in iter_functions(module.tree):
-            registration = _impl_registration(fn)
+        for info in module.index.defs:
+            registration = _impl_registration(info.node)
             if registration is not None:
-                findings.extend(self._check_impl(module, qualname, fn,
-                                                 registration))
-            findings.extend(self._check_call_sites(module, qualname, fn))
+                findings.extend(self._check_impl(module, info.qualname,
+                                                 info.node, registration))
+            findings.extend(self._check_call_sites(module, info.qualname,
+                                                   info.node))
         findings.extend(self._check_dispatch_bypass(module))
         return findings
 

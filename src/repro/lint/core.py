@@ -18,7 +18,11 @@ Architecture
   (``check_project``), and non-Python fault-list files
   (``check_fault_file``).
 - :class:`Analyzer` — collects files, parses each once, runs the
-  rules, and applies a baseline.
+  rules, and applies a baseline.  Each :class:`ParsedModule` carries
+  its one :class:`~repro.lint.engine.ModuleIndex`, built on first read,
+  and the :class:`LintResult` carries the modules, so every tier and
+  every CLI pass after the findings (census, equivalence oracle) reads
+  one parse and one index per file.
 
 The baseline file maps finding keys to allowed occurrence counts, so
 deliberate hazards (the simulated servers' sloppy error handling *is*
@@ -32,7 +36,7 @@ import ast
 import functools
 import json
 import os
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.exec import backend_for
 
@@ -92,12 +96,28 @@ class Finding:
 class ParsedModule:
     """One successfully parsed Python source file."""
 
-    __slots__ = ("path", "tree", "source")
+    __slots__ = ("path", "tree", "source", "_index")
 
     def __init__(self, path: str, tree: ast.Module, source: str):
         self.path = path
         self.tree = tree
         self.source = source
+        self._index = None
+
+    @property
+    def index(self):
+        """The module's :class:`~repro.lint.engine.ModuleIndex`, built
+        once on first read and shared by every tier."""
+        if self._index is None:
+            from .engine import ModuleIndex
+
+            self._index = ModuleIndex(self.path, self.tree)
+        return self._index
+
+    def __reduce__(self):
+        # A pool worker's index stays behind: the parent rebuilds it on
+        # demand instead of unpickling every CFG and symbol table.
+        return ParsedModule, (self.path, self.tree, self.source)
 
 
 class FaultListFile:
@@ -145,29 +165,6 @@ def walk_in_scope(node: ast.AST) -> Iterator[ast.AST]:
         yield child
         if not isinstance(child, _SCOPE_NODES):
             stack.extend(ast.iter_child_nodes(child))
-
-
-def is_generator(fn: ast.AST) -> bool:
-    """Whether a function node is a generator (yields in its own scope)."""
-    return any(isinstance(node, (ast.Yield, ast.YieldFrom))
-               for node in walk_in_scope(fn))
-
-
-def iter_functions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef]]:
-    """All function definitions with dotted qualified names."""
-
-    def visit(node: ast.AST, prefix: str) -> Iterator[tuple[str, ast.FunctionDef]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _FUNCTION_NODES):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from visit(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-
-    return visit(tree, "")
 
 
 def sim_api_call(node: ast.AST) -> Optional[tuple[str, str, ast.Call]]:
@@ -226,7 +223,12 @@ def load_baseline(path: str) -> dict[str, int]:
     suppress = data.get("suppress", {})
     if not isinstance(suppress, dict):
         raise ValueError(f"{path}: 'suppress' must be an object")
-    return {str(key): int(count) for key, count in suppress.items()}
+    for key, count in suppress.items():
+        if isinstance(count, bool) or not isinstance(count, int) or \
+                count < 0:
+            raise ValueError(f"{path}: count of {key!r} must be a "
+                             f"non-negative integer, got {count!r}")
+    return dict(suppress)
 
 
 def dump_baseline(findings: Iterable[Finding],
@@ -318,11 +320,12 @@ class LintResult:
     """Outcome of one analyzer run."""
 
     __slots__ = ("findings", "suppressed", "files_checked",
-                 "checked_paths")
+                 "checked_paths", "modules")
 
     def __init__(self, findings: list[Finding], suppressed: int,
                  files_checked: int,
-                 checked_paths: frozenset = frozenset()):
+                 checked_paths: frozenset = frozenset(),
+                 modules: Sequence[ParsedModule] = ()):
         self.findings = findings
         self.suppressed = suppressed
         self.files_checked = files_checked
@@ -330,6 +333,9 @@ class LintResult:
         # regeneration uses them to tell "file fixed" (in scope, no
         # findings) from "file out of scope" (entry kept).
         self.checked_paths = checked_paths
+        # The parsed modules the rules read, for the passes that run
+        # after the findings (census, equivalence oracle).
+        self.modules = modules
 
     @property
     def clean(self) -> bool:
@@ -421,13 +427,13 @@ class Analyzer:
             frozenset(self._display_path(path) for path in fault_files)
         return LintResult(fresh, suppressed,
                           len(py_files) + len(fault_files),
-                          checked_paths=checked)
+                          checked_paths=checked, modules=modules)
 
 
 def parse_modules(paths: Sequence[str]) -> list:
     """Every Python module under ``paths``, parsed with no rule run —
-    the input of the census, equivalence and manifest passes, which
-    read the module set rather than the findings."""
+    the input of ``--emit-equivalence``, which reads the module set
+    rather than the findings."""
     analyzer = Analyzer([])
     py_files, _fault_files = analyzer.collect(paths)
     tasks = [(path, analyzer._display_path(path)) for path in py_files]

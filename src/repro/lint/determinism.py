@@ -182,7 +182,7 @@ class DeterminismRule(Rule):
                    "global RNG state, or hash-salted iteration order")
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        index = ModuleIndex(module.path, module.tree)
+        index = module.index
         findings: list[Finding] = []
         set_types = _SetTypes(index)
         findings.extend(self._check_clock_and_rng(module, index))

@@ -9,9 +9,14 @@ suspended*, *which state is shared between interleaved coroutines*, and
 they (and any adopting rule) share:
 
 - :class:`ModuleIndex` — one module's symbol table: top-level
-  bindings, the import map, every function with its dotted qualname and
-  owning class, and whether a delegation target can actually suspend
+  bindings, the import map (relative from-imports resolved against the
+  module's dotted name), the class table with each class's ``ast.Name``
+  bases, every function with its dotted qualname and owning class, and
+  whether a delegation target can actually suspend
   (:meth:`ModuleIndex.can_suspend` follows ``yield from`` chains).
+  A lint run builds exactly one per parsed module
+  (:attr:`~repro.lint.core.ParsedModule.index`), and every tier — the
+  per-file rules, the call graph, the census — reads that one.
 - :class:`GeneratorCFG` — one generator function sliced into
   *segments*: maximal regions that execute atomically between two
   suspension points (``yield`` / ``yield from``).  Each shared-state
@@ -38,7 +43,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Sequence
 
-from .core import walk_in_scope
+from .core import _FUNCTION_NODES, walk_in_scope
 
 # Receiver roots considered *shared* between interleaved coroutines: the
 # instance a server/middleware method runs on, and everything reachable
@@ -167,16 +172,6 @@ class GeneratorCFG:
         self.branches: list[Branch] = []
         self.segment_count = 1
 
-    def segment_accesses(self) -> dict:
-        """``segment -> {"reads": set, "writes": set}`` of chain texts."""
-        table: dict[int, dict[str, set]] = {}
-        for access in self.accesses:
-            bucket = table.setdefault(access.segment,
-                                      {"reads": set(), "writes": set()})
-            side = "reads" if access.kind == "read" else "writes"
-            bucket[side].add(chain_text(access.chain))
-        return table
-
     def summary(self) -> dict:
         """Canonical, comparison-friendly description of the CFG."""
         return {
@@ -185,9 +180,6 @@ class GeneratorCFG:
             "accesses": [(a.segment, a.kind, chain_text(a.chain), a.line)
                          for a in self.accesses],
         }
-
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 class _CfgBuilder:
@@ -495,14 +487,24 @@ class ModuleIndex:
     def __init__(self, path: str, tree: ast.Module):
         self.path = path
         self.tree = tree
+        self.name = module_name_for_path(path)
         self.module_globals = frozenset(self._top_level_names(tree))
         self.imports: dict[str, str] = {}          # alias -> module
-        self.from_imports: dict[str, tuple] = {}   # alias -> (module, name)
+        # alias -> (module, name), relative from-imports resolved
+        self.from_imports: dict[str, tuple] = {}
+        # class qualname -> its ``ast.Name`` bases, for the top-level
+        # classes and the classes nested directly in them
+        self.class_bases: dict[str, tuple] = {}
+        # Every def in source order, duplicates included (a property's
+        # getter and setter share a qualname); ``functions`` keeps the
+        # last def of each qualname.
+        self.defs: list[FunctionInfo] = []
         self.functions: dict[str, FunctionInfo] = {}
         self._methods: dict[tuple, FunctionInfo] = {}
         self._cfgs: dict[str, GeneratorCFG] = {}
         self._suspend_memo: dict[str, Optional[bool]] = {}
         self._collect_imports(tree)
+        self._collect_classes(tree, prefix="")
         self._collect_functions(tree, prefix="", class_name=None)
 
     # ------------------------------------------------------------------
@@ -519,16 +521,29 @@ class ModuleIndex:
                 yield stmt.target.id
 
     def _collect_imports(self, tree: ast.Module) -> None:
+        is_package = self.path.replace("\\", "/").endswith("__init__.py")
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.imports[alias.asname or alias.name.split(".")[0]] \
                         = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and not node.level:
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module if not node.level else resolve_relative(
+                    self.name, node.level, node.module, is_package)
+                if not module:
+                    continue
                 for alias in node.names:
                     self.from_imports[alias.asname or alias.name] = \
-                        (node.module, alias.name)
+                        (module, alias.name)
+
+    def _collect_classes(self, node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qualname = f"{prefix}{child.name}"
+                self.class_bases[qualname] = tuple(
+                    base.id for base in child.bases
+                    if isinstance(base, ast.Name))
+                self._collect_classes(child, f"{qualname}.")
 
     def _collect_functions(self, node: ast.AST, prefix: str,
                            class_name: Optional[str]) -> None:
@@ -539,6 +554,7 @@ class ModuleIndex:
                     isinstance(sub, (ast.Yield, ast.YieldFrom))
                     for sub in walk_in_scope(child))
                 info = FunctionInfo(qualname, child, class_name, is_gen)
+                self.defs.append(info)
                 self.functions[qualname] = info
                 if class_name is not None:
                     self._methods.setdefault((class_name, child.name), info)
@@ -558,6 +574,15 @@ class ModuleIndex:
         if info is not None and info.class_name is None:
             return info
         return None
+
+    def imported_module(self, name: str) -> Optional[str]:
+        """The dotted module an alias names, or None.  A from-import
+        can bind a module too: ``from ..middleware import watchd``."""
+        target = self.imports.get(name)
+        if target is not None:
+            return target
+        entry = self.from_imports.get(name)
+        return ".".join(entry) if entry is not None else None
 
     def method(self, class_name: Optional[str],
                name: str) -> Optional[FunctionInfo]:
@@ -660,6 +685,22 @@ def module_name_for_path(path: str) -> str:
     return ".".join(parts) if parts else path
 
 
+def resolve_relative(module_name: str, level: int,
+                     target: Optional[str], is_package: bool) -> Optional[str]:
+    """``from ..net.http import X`` inside ``repro.servers.apache`` ->
+    ``repro.net.http``."""
+    parts = module_name.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    drop = level - 1
+    if drop > len(parts):
+        return None
+    base = parts[:len(parts) - drop] if drop else parts
+    if target:
+        base = base + target.split(".")
+    return ".".join(base) if base else None
+
+
 class ProjectIndex:
     """Module indexes for a whole tree, keyed by dotted module name."""
 
@@ -668,18 +709,12 @@ class ProjectIndex:
 
     @classmethod
     def build(cls, modules: Sequence) -> "ProjectIndex":
-        """Index every :class:`~repro.lint.core.ParsedModule` given."""
+        """Gather the index of every :class:`~repro.lint.core.ParsedModule`
+        given (each module builds its own once)."""
         index = cls()
         for module in modules:
-            name = module_name_for_path(module.path)
-            index.modules[name] = ModuleIndex(module.path, module.tree)
+            index.modules[module.index.name] = module.index
         return index
-
-    def module_for_path(self, path: str) -> Optional[ModuleIndex]:
-        for module in self.modules.values():
-            if module.path == path:
-                return module
-        return None
 
     def summary(self) -> dict:
         """Canonical nested-dict form, for stability comparisons."""

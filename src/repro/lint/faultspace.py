@@ -25,7 +25,14 @@ from typing import Iterable, Iterator, Optional
 
 from ..core.faults import FaultSpec, FaultType, FaultWindow, IoFault, ResourceFault
 from ..nt.kernel32.signatures import REGISTRY
-from .core import FaultListFile, Finding, ParsedModule, Rule, iter_functions, suggest, walk_in_scope
+from .core import (
+    FaultListFile,
+    Finding,
+    ParsedModule,
+    Rule,
+    suggest,
+    walk_in_scope,
+)
 
 RULE = "fault-space"
 
@@ -121,7 +128,8 @@ class FaultSpaceRule(Rule):
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         findings: list[Finding] = []
         scopes = [("", module.tree)]
-        scopes.extend(iter_functions(module.tree))
+        scopes.extend((info.qualname, info.node)
+                      for info in module.index.defs)
         seen: set[int] = set()
         for symbol, scope in scopes:
             for node in walk_in_scope(scope):

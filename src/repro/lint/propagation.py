@@ -140,14 +140,16 @@ class ErrorPropagationRule(Rule):
             if name in summary.checked_names or name in returned:
                 continue
             bind_line, origin = origins[name]
+            # The bind line goes in the suggestion, which the baseline
+            # key leaves out, so a line drift keeps the key.
             yield Finding(
                 RULE, path, uses[name],
-                f"'{name}' holds the result of {origin} bound at line "
-                f"{bind_line} but is used without ever being examined — "
-                "a failed call propagates as a corrupted parameter",
+                f"'{name}' holds the result of {origin} but is used "
+                "without ever being examined — a failed call propagates "
+                "as a corrupted parameter",
                 symbol=summary.qualname,
-                suggestion=f"test '{name}' against the failure value "
-                           "before using it")
+                suggestion=f"test '{name}' (bound at line {bind_line}) "
+                           "against the failure value before using it")
 
     def _swallowed_failures(self, summary: FunctionSummary, path: str,
                             producers: dict) -> Iterable[Finding]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import Finding, ParsedModule, Rule
-from .engine import Access, GeneratorCFG, ModuleIndex, chain_text
+from .engine import Access, GeneratorCFG, chain_text
 
 RULE = "yield-race"
 
@@ -69,7 +69,7 @@ class YieldRaceRule(Rule):
                    "acted on after it without re-validation")
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        index = ModuleIndex(module.path, module.tree)
+        index = module.index
         findings: list[Finding] = []
         for info in index.generators():
             cfg = index.cfg(info.qualname)

@@ -27,7 +27,6 @@ from .core import (
     Finding,
     ParsedModule,
     Rule,
-    iter_functions,
     sim_api_call,
     unwrap_yield,
     walk_in_scope,
@@ -90,8 +89,9 @@ class UncheckedReturnRule(Rule):
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         findings: list[Finding] = []
-        for qualname, fn in iter_functions(module.tree):
-            findings.extend(self._check_function(module, qualname, fn))
+        for info in module.index.defs:
+            findings.extend(self._check_function(module, info.qualname,
+                                                 info.node))
         return findings
 
     def _check_function(self, module: ParsedModule, qualname: str,

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from typing import Optional
 
-from .core import Finding, ParsedModule, Rule, is_generator, iter_functions, walk_in_scope
+from .core import Finding, ParsedModule, Rule, walk_in_scope
 from .engine import ModuleIndex
 
 RULE = "sim-hang"
@@ -104,19 +104,17 @@ class SimHangRule(Rule):
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         findings: list[Finding] = []
-        index = ModuleIndex(module.path, module.tree)
-        for qualname, fn in iter_functions(module.tree):
-            if isinstance(fn, ast.AsyncFunctionDef) or not is_generator(fn):
+        index = module.index
+        for info in index.defs:
+            if not info.is_generator:
                 continue
-            info = index.functions.get(qualname)
-            class_name = info.class_name if info is not None else None
-            for node in walk_in_scope(fn):
+            for node in walk_in_scope(info.node):
                 if isinstance(node, ast.While) and \
-                        not _loop_can_progress(node, index, class_name):
+                        not _loop_can_progress(node, index, info.class_name):
                     findings.append(Finding(
                         RULE, module.path, node.lineno,
                         "while-loop in a generator process body neither "
                         "yields nor can terminate: the discrete-event "
                         "engine would wedge (the paper's hang outcome)",
-                        symbol=qualname))
+                        symbol=info.qualname))
         return findings

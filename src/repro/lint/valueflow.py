@@ -46,7 +46,7 @@ import hashlib
 import json
 from typing import Iterable, Optional, Sequence
 
-from .core import Finding, ParsedModule, Rule
+from .core import Finding, ParsedModule, Rule, walk_in_scope
 
 # ----------------------------------------------------------------------
 # Abstract values
@@ -1053,18 +1053,6 @@ def equiv_check(modules: Sequence[ParsedModule], sample: int = 6,
 # ----------------------------------------------------------------------
 # The rules
 # ----------------------------------------------------------------------
-def _function_scope_nodes(node: ast.FunctionDef) -> Iterable[ast.AST]:
-    """Walk a function without descending into nested def/class."""
-    queue = list(node.body)
-    while queue:
-        current = queue.pop()
-        yield current
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef, ast.Lambda)):
-            continue
-        queue.extend(ast.iter_child_nodes(current))
-
-
 def _is_trivial_body(body: Sequence[ast.stmt]) -> bool:
     """pass / docstring / ellipsis / bare raise — interface stubs."""
     for stmt in body:
@@ -1138,7 +1126,7 @@ class DeadParamRule(Rule):
             if not isinstance(node, ast.FunctionDef) or \
                     _is_trivial_body(node.body):
                 continue
-            loaded = {n.id for n in _function_scope_nodes(node)
+            loaded = {n.id for n in walk_in_scope(node)
                       if isinstance(n, ast.Name)}
             arguments = node.args
             formals = [a.arg for a in (arguments.posonlyargs +
@@ -1221,7 +1209,7 @@ class UseBeforeValidateRule(Rule):
     @staticmethod
     def _nullable_locals(node: ast.FunctionDef) -> set:
         names = set()
-        for current in _function_scope_nodes(node):
+        for current in walk_in_scope(node):
             if not isinstance(current, ast.Assign):
                 continue
             value = current.value
@@ -1282,11 +1270,10 @@ class UseBeforeValidateRule(Rule):
             yield Finding(
                 self.name, path, use_line,
                 f"{name} is dereferenced here but its None-check only "
-                f"happens later (line {check_line}) — the validation "
-                "cannot protect this use",
+                "happens later — the validation cannot protect this use",
                 symbol=qualname,
-                suggestion=f"hoist the `if {name} is None` check above "
-                           f"line {use_line}")
+                suggestion=f"hoist the `if {name} is None` check on line "
+                           f"{check_line} above line {use_line}")
 
     @staticmethod
     def _checked_names(test: ast.expr) -> Iterable[str]:

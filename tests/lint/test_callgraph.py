@@ -8,7 +8,6 @@ from repro.lint.callgraph import (
     CallGraph,
     callgraph_for,
     failure_test,
-    resolve_relative,
 )
 from repro.lint.escape import CorruptionEscapeRule
 from repro.lint.propagation import ErrorPropagationRule
@@ -143,22 +142,6 @@ class TestFailureTest:
         import ast
         node = ast.parse(test, mode="eval").body
         assert failure_test(node) == expected
-
-
-class TestResolveRelative:
-    def test_sibling(self):
-        assert resolve_relative("pkg.server", 1, "helpers", False) == \
-            "pkg.helpers"
-
-    def test_parent(self):
-        assert resolve_relative("a.b.c", 2, "d", False) == "a.d"
-
-    def test_package_init(self):
-        assert resolve_relative("pkg", 1, "helpers", True) == \
-            "pkg.helpers"
-
-    def test_overflow_is_none(self):
-        assert resolve_relative("pkg", 3, "x", False) is None
 
 
 class TestStability:

@@ -76,6 +76,20 @@ class TestExitCodes:
         assert "baseline" in out.getvalue()
 
 
+    @pytest.mark.parametrize("count", ["null", "[1]", "1.7", "true"])
+    def test_malformed_baseline_count_is_one_line_exit_two(
+            self, clean_tree, tmp_path, count):
+        bad = tmp_path / "baseline.json"
+        bad.write_text('{"version": 1, "suppress": {"k": %s}}' % count,
+                       encoding="utf-8")
+        out = StringIO()
+        code = main(["lint", "--baseline", str(bad), str(clean_tree)],
+                    out=out)
+        assert code == 2
+        assert out.getvalue().startswith("cannot read baseline: ")
+        assert out.getvalue().count("\n") == 1
+
+
 class TestOutputFormats:
     def test_json_output_parses_and_carries_findings(self):
         code, text = run_cli("--format", "json", FIXTURES)
@@ -368,6 +382,18 @@ class TestEquivalenceCli:
         code, text = run_cli("--equiv-sample", "3", str(clean_tree))
         assert code == 2
         assert "--equiv-check" in text
+
+    def test_negative_equiv_sample_is_a_usage_error(self, clean_tree,
+                                                    monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run executed before the usage check")
+
+        monkeypatch.setattr("repro.core.runner.execute_run", no_runs)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--equiv-check", "--equiv-sample", "-1",
+                    str(clean_tree))
+        assert exit_info.value.code == 2
+        assert "--equiv-sample" in capsys.readouterr().err
 
     def test_equiv_check_rejects_sarif(self, clean_tree):
         code, text = run_cli("--equiv-check", "--format", "sarif",

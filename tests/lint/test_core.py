@@ -1,6 +1,7 @@
 """Framework-level tests: findings, baseline semantics, the analyzer."""
 
 import json
+import textwrap
 
 import pytest
 
@@ -67,8 +68,67 @@ class TestBaseline:
         with pytest.raises(ValueError):
             load_baseline(str(path))
 
+    @pytest.mark.parametrize("count", [None, [1], 1.7, True, -1, "2"])
+    def test_load_rejects_a_count_that_is_not_a_non_negative_int(
+            self, tmp_path, count):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1,
+                                    "suppress": {"rule|p.py||m": count}}))
+        with pytest.raises(ValueError, match="non-negative integer"):
+            load_baseline(str(path))
+
     def test_default_baseline_name(self):
         assert DEFAULT_BASELINE == "lint-baseline.json"
+
+
+# One finding of each rule whose message once quoted a line number:
+# error-propagation ("bound at line N") and use-before-validate.
+DRIFT_SOURCES = {
+    "workload.py": """
+        def main(ctx):
+            handle = yield from ctx.k32.CreateFileA(
+                "x", 1, 0, None, 3, 0, None)
+            yield from ctx.k32.CloseHandle(handle)
+    """,
+    "impl.py": """
+        @k32impl("SetEvent")
+        def set_event(frame):
+            event = frame.handle_object(0)
+            label = event.label
+            if event is None:
+                return frame.fail(6)
+            return frame.succeed(1)
+    """,
+}
+
+
+class TestBaselineLineDrift:
+    """A blank line above a binding moves every line number below it;
+    the baseline keys must not move with them."""
+
+    def _lint(self, tmp_path, baseline=None, pad=False):
+        for name, source in DRIFT_SOURCES.items():
+            text = textwrap.dedent(source)
+            if pad:  # a blank line between the def and the binding
+                text = text.replace("):\n", "):\n\n", 1)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return run_lint([str(tmp_path)], baseline=baseline)
+
+    def test_keys_survive_a_blank_line_above_the_binding(self, tmp_path):
+        before = self._lint(tmp_path).findings
+        assert {"error-propagation", "use-before-validate"} <= \
+            {finding.rule for finding in before}
+        after = self._lint(tmp_path, pad=True).findings
+        assert [f.line + 1 for f in before] == [f.line for f in after]
+        assert sorted(f.key for f in before) == \
+            sorted(f.key for f in after)
+
+    def test_baseline_still_suppresses_after_the_drift(self, tmp_path):
+        before = self._lint(tmp_path).findings
+        baseline = json.loads(dump_baseline(before))["suppress"]
+        result = self._lint(tmp_path, baseline=baseline, pad=True)
+        assert result.findings == []
+        assert result.suppressed == len(before)
 
 
 class TestAnalyzer:

@@ -16,6 +16,7 @@ from repro.lint.engine import (
     ProjectIndex,
     build_cfg,
     module_name_for_path,
+    resolve_relative,
 )
 
 SERVER_DIR = os.path.join("src", "repro", "servers")
@@ -197,6 +198,76 @@ class TestModuleNames:
     def test_package_init_maps_to_package(self):
         assert module_name_for_path("src/repro/lint/__init__.py") == \
             "repro.lint"
+
+
+class TestResolveRelative:
+    def test_sibling(self):
+        assert resolve_relative("pkg.server", 1, "helpers", False) == \
+            "pkg.helpers"
+
+    def test_parent(self):
+        assert resolve_relative("a.b.c", 2, "d", False) == "a.d"
+
+    def test_package_init(self):
+        assert resolve_relative("pkg", 1, "helpers", True) == \
+            "pkg.helpers"
+
+    def test_overflow_is_none(self):
+        assert resolve_relative("pkg", 3, "x", False) is None
+
+
+class TestNameTable:
+    """The index owns the module's names: imports (relative ones
+    resolved), the class table, and every def."""
+
+    def test_relative_from_imports_resolve_against_the_module(self):
+        index = index_of("""
+            import os.path
+            from ..net import http
+            from .helpers import read_config as read
+        """, path="src/repro/servers/apache.py")
+        assert index.name == "repro.servers.apache"
+        assert index.from_imports["read"] == \
+            ("repro.servers.helpers", "read_config")
+        assert index.imported_module("http") == "repro.net.http"
+        assert index.imported_module("os") == "os.path"
+        assert index.imported_module("read_config") is None
+
+    def test_package_relative_import(self):
+        index = index_of("from . import engine\n",
+                         path="src/repro/sim/__init__.py")
+        assert index.imported_module("engine") == "repro.sim.engine"
+
+    def test_class_table_holds_name_bases(self):
+        index = index_of("""
+            class Base:
+                pass
+
+            class Server(Base, mixins.Logged):
+                class Inner(Base):
+                    pass
+
+            def factory():
+                class Local(Base):
+                    pass
+        """)
+        assert index.class_bases == {"Base": (), "Server": ("Base",),
+                                     "Server.Inner": ("Base",)}
+
+    def test_defs_keep_every_same_named_definition(self):
+        index = index_of("""
+            class Box:
+                @property
+                def size(self):
+                    return 1
+
+                @size.setter
+                def size(self, value):
+                    pass
+        """)
+        assert [info.qualname for info in index.defs] == \
+            ["Box.size", "Box.size"]
+        assert index.functions["Box.size"] is index.defs[-1]
 
 
 # A tiny grammar of sim-style modules for the stability property.

@@ -33,6 +33,22 @@ class TestPositives:
         assert len(findings) == 1
         assert "libc.open" in findings[0].message
 
+    def test_every_same_named_def_is_checked(self, lint_source):
+        # A property's getter and setter share one qualname; the rule
+        # walks both definitions.
+        findings = lint_source("""
+            class Box:
+                @property
+                def handle(self):
+                    self.k32.CreateEventA(None, True, False, "get")
+
+                @handle.setter
+                def handle(self, value):
+                    self.k32.CreateEventA(None, True, False, "set")
+        """, rules=RULES)
+        assert [(f.line, f.symbol) for f in findings] == \
+            [(5, "Box.handle"), (9, "Box.handle")]
+
     def test_plain_call_without_yield_also_flagged(self, lint_source):
         findings = lint_source("""
             def helper(k32):
