@@ -17,8 +17,8 @@ during injection runs.
 :class:`Campaign` is a facade over three layers: :mod:`repro.core.plan`
 turns the fault list into the schedule — profile task, then per
 function a probe, its releases and its inferred members (the activation
-shortcut becomes probe-gated waves) — :mod:`repro.core.exec` walks it
-on a serial or process-pool backend, and
+shortcut becomes a gate on recording releases) — :mod:`repro.core.exec`
+walks it on a serial or process-pool backend, and
 :mod:`repro.core.store` checkpoints completed runs so campaigns resume
 and share results across figures.
 """
@@ -34,9 +34,10 @@ from .outcomes import Outcome
 from .plan import plan_campaign
 from .runner import RunConfig, execute_run
 from .store import config_fingerprint
-from .workload import MiddlewareKind, WorkloadSpec, get_workload
+from .workload import (MiddlewareKind, WorkloadSpec, get_workload,
+                       resolve_middleware)
 
-# Observes the run ledger: called as each wave starts and on every
+# Observes the run ledger: called as each stage starts and on every
 # advance of ``execution.done`` towards ``execution.total``.
 ProgressCallback = Callable[[PlanExecution], None]
 
@@ -112,7 +113,7 @@ class Campaign:
     """
 
     def __init__(self, workload: WorkloadSpec | str,
-                 middleware: MiddlewareKind = MiddlewareKind.NONE,
+                 middleware: MiddlewareKind | str = MiddlewareKind.NONE,
                  fault_types: Sequence[FaultType] = DEFAULT_FAULT_TYPES,
                  invocations: Sequence[int] = (1,),
                  functions: Optional[Sequence[str]] = None,
@@ -125,11 +126,13 @@ class Campaign:
         spec_type = fault_family(mechanism)
         self.workload = (get_workload(workload)
                          if isinstance(workload, str) else workload)
-        self.middleware = middleware
         self.fault_types = tuple(fault_types)
         self.invocations = tuple(invocations)
         self.functions = list(functions) if functions is not None else None
         self.config = config or RunConfig()
+        # A name ("watchd", "watchd2") must agree with the config's version.
+        self.middleware, _ = resolve_middleware(middleware,
+                                                self.config.watchd_version)
         self.progress = progress
         self.spec_type = spec_type
         self.mechanism = spec_type.mechanism
@@ -148,7 +151,7 @@ class Campaign:
                                           self.workload.registry)
 
     def plan(self):
-        """The wave schedule for this campaign."""
+        """The schedule for this campaign."""
         return plan_campaign(self.fault_list(), prune=self.prune)
 
     def fingerprint(self) -> str:

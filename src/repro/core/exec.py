@@ -1,13 +1,23 @@
-"""Pluggable execution backends and the wave scheduler.
+"""Pluggable execution backends and the campaign scheduler.
 
 A backend maps a picklable function over a batch of independent work
 items — campaign runs, load runs, files to lint — with results aligned
 to the batch.  :func:`run_batch` is the one checkpointing loop on top
 of it (serve from the store, execute the rest, record, advance the
 ledger); the scheduler (:func:`run_plan`) walks a
-:class:`CampaignPlan` through it — the profile run, the probes, then
-the releases of the functions whose probe activated — and hands every
-completed run back in canonical fault-list order.  The run ledger
+:class:`CampaignPlan` through it — the profile run, then the eligible
+probes and all of their releases as one batch, probes first — and
+hands every completed run back in canonical fault-list order.  The
+activation shortcut is applied where runs are recorded
+(:class:`ActivationGate`): a release counts only if its probe
+activated.  A lazy backend (:class:`SerialBackend`) pulls each task
+only after recording the one before, so it never runs a release past
+a closed gate; an eager one (:class:`ProcessPoolBackend`) dispatches
+the whole batch at once and so runs such releases on speculation, and
+the gate drops them — never stored, counted or reported, only tallied
+in ``dropped_count``.  A speculated run that raises in its worker
+still fails its chunk, and so the campaign, although the serial
+reference would never have run it.  The run ledger
 (:class:`PlanExecution`) is the one progress record.
 
 **Determinism contract.**  Each run boots a fresh simulated machine
@@ -24,7 +34,7 @@ import concurrent.futures
 import functools
 import multiprocessing
 import os
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .collector import RunResult, infer_result
 from .plan import CampaignPlan, RunTask
@@ -38,18 +48,19 @@ OnResult = Callable[[Any, Any], None]
 class ExecutionBackend:
     """Maps work over independent items; results align with the batch."""
 
-    def map(self, execute: Callable[[Any], Any], items: Sequence,
+    def map(self, execute: Callable[[Any], Any], items: Iterable,
             on_result: Optional[OnResult] = None) -> list:
         """``[execute(item) for item in items]``.
 
-        ``on_result(item, result)`` sees every result as it is
-        collected, in item order.  ``execute`` must pickle (a
-        module-level function, or a ``functools.partial`` of one) for
-        out-of-process backends.
+        ``items`` is an iterable the backend consumes in order, pulling
+        lazily or listing it first.  ``on_result(item, result)`` sees
+        every result as it is collected, in item order.  ``execute``
+        must pickle (a module-level function, or a
+        ``functools.partial`` of one) for out-of-process backends.
         """
         raise NotImplementedError
 
-    def run_tasks(self, tasks: Sequence[RunTask], workload: WorkloadSpec,
+    def run_tasks(self, tasks: Iterable[RunTask], workload: WorkloadSpec,
                   middleware: MiddlewareKind, config: RunConfig,
                   on_result: Optional[OnResult] = None) -> list[RunResult]:
         """Execute campaign run tasks: :meth:`map` over ``tasks``."""
@@ -79,7 +90,11 @@ def _execute_named_task(workload_name: str, middleware_value: str,
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process, one item at a time — the reference implementation."""
+    """In-process, one item at a time — the reference implementation.
+
+    Lazy: the next item is pulled only after ``on_result`` has seen
+    the one before.
+    """
 
     def map(self, execute, items, on_result=None) -> list:
         results = []
@@ -108,9 +123,10 @@ def _map_chunk(execute, items: list) -> list:
 class ProcessPoolBackend(ExecutionBackend):
     """Dispatches work across a ``concurrent.futures`` process pool.
 
-    Items are submitted in chunks (one IPC round-trip per chunk, not
-    per item) and results are collected in submission order, so the
-    caller sees the same sequence a serial backend would produce.
+    Eager: ``items`` is listed up front and submitted in chunks (one
+    IPC round-trip per chunk, not per item), and results are collected
+    in submission order, so the caller sees the same sequence a serial
+    backend would produce.
 
     Workers are forked where the platform allows, so they inherit the
     parent's registries — plugin workloads registered before the first
@@ -216,8 +232,8 @@ def backend_for(jobs: Optional[int]) -> ExecutionBackend:
 # The run ledger, the checkpointing loop and the scheduler
 # ----------------------------------------------------------------------
 class PlanExecution:
-    """The run ledger: the one progress record of a campaign's waves or
-    a load grid, and what :func:`run_plan` (and the load grid runner)
+    """The run ledger: the one progress record of a campaign's stages
+    or a load grid, and what :func:`run_plan` (and the load grid runner)
     hands back.  ``done`` (out of ``total``) moves only in
     :meth:`advance`, the one caller of the observer
     ``progress(execution)``.  The observer's first ``Exception`` stops
@@ -227,7 +243,7 @@ class PlanExecution:
 
     __slots__ = ("profile_run", "runs", "skipped_functions", "stage",
                  "total", "done", "executed_count", "cached_count",
-                 "inferred_count", "last_run", "progress")
+                 "inferred_count", "dropped_count", "last_run", "progress")
 
     def __init__(self, total: int = 0, progress=None):
         self.profile_run: Optional[RunResult] = None
@@ -239,6 +255,9 @@ class PlanExecution:
         self.executed_count = 0
         self.cached_count = 0
         self.inferred_count = 0
+        # Runs an eager backend executed on speculation that the
+        # activation gate then refused: never stored, counted or reported.
+        self.dropped_count = 0
         self.last_run = None    # None: a stage entry or skipped runs
         self.progress = progress
 
@@ -259,47 +278,141 @@ class PlanExecution:
             self.progress = None
 
 
+class ActivationGate:
+    """The paper's activation shortcut, applied where runs are recorded.
+
+    :func:`run_plan` hands a campaign's profile-eligible probes and all
+    of their releases to the backend as one batch, probes first.  The
+    gate decides which of those runs count: a probe always does, a
+    release only once every probe has been recorded (the gate is open)
+    and its own probe activated.  The last probe's record opens the
+    gate: the releases of every unactivated function are accounted as
+    skipped, in function order, and the ledger enters ``"releasing"``.
+    """
+
+    __slots__ = ("plan", "eligible", "execution", "probe_of", "waiting",
+                 "activated", "is_open")
+
+    def __init__(self, plan: CampaignPlan, eligible: list[str],
+                 execution: PlanExecution):
+        self.plan = plan
+        self.eligible = eligible
+        self.execution = execution
+        self.probe_of = {release: plan.probes[name] for name in eligible
+                         for release in plan.releases[name]}
+        self.waiting = len(eligible)    # probes not recorded yet
+        self.activated: set[RunTask] = set()
+        self.is_open = False
+
+    def admits(self, task: RunTask) -> Optional[bool]:
+        """Whether ``task``'s run counts: None while a release's probe
+        is still unrecorded (an eager backend runs it on speculation)."""
+        probe = self.probe_of.get(task)
+        if probe is None:
+            return True
+        if not self.is_open:
+            return None
+        return probe in self.activated
+
+    def recorded(self, task: RunTask, run: RunResult) -> bool:
+        """Note an accounted run; True when it opened the gate."""
+        if task in self.probe_of:
+            return False
+        if run.activated:
+            self.activated.add(task)
+        self.waiting -= 1
+        if self.waiting:
+            return False
+        self.open()
+        return True
+
+    def open(self) -> None:
+        """Skip the releases of unactivated functions; enter
+        ``"releasing"``."""
+        execution = self.execution
+        for name in self.eligible:
+            if self.plan.probes[name] not in self.activated:
+                # The function is not called, so its remaining faults
+                # would not activate either.
+                execution.skipped_functions.add(name)
+                execution.advance(None, len(self.plan.releases[name]))
+        execution.enter("releasing")
+        self.is_open = True
+
+
 def run_batch(tasks: Sequence, execute, execution: PlanExecution,
-              store=None, store_key=None, counted: bool = True) -> list:
+              store=None, store_key=None, counted: bool = True,
+              gate: Optional[ActivationGate] = None) -> list:
     """Serve ``tasks`` from the store, execute the rest, checkpoint.
 
     ``store_key(task)`` is the task's ``(fingerprint, key string)`` in
     ``store``, built once per task for both the lookup and the
     checkpoint; ``execute(pending, on_result)`` runs the uncached tasks
-    on a backend.  Every executed run is checkpointed before the ledger
-    reports it, so an interrupt never loses a finished run.  ``counted``
-    runs advance ``execution``.  Returns the runs aligned with
-    ``tasks``.
+    on a backend, consuming the ``pending`` iterable in order.  Every
+    executed run is checkpointed before the ledger reports it, so an
+    interrupt never loses a finished run.  ``counted`` runs advance
+    ``execution``.
+
+    With a ``gate``, a run is accounted only when the gate admits it:
+    ``pending`` leaves out the tasks it has already refused, an
+    executed run it does not admit is dropped (counted in
+    ``execution.dropped_count``, never stored), and a cached run it has
+    not yet ruled on waits until the gate opens.  Returns the runs
+    aligned with ``tasks``, None where a run was not accounted.
     """
     runs = [None] * len(tasks)
     pending = []
-    keys = {}   # id(task) -> store key; ``tasks`` keeps every id alive
+    held = []   # cached runs the gate has not ruled on yet
+    # id(task) -> (index, store key): ``tasks`` holds distinct objects
+    # and keeps every id alive.
+    slots = {}
 
-    def advance(run) -> None:
+    # No closure here calls itself: a reference cycle would keep every
+    # batch's runs alive until a full collection.
+    def account(task, run) -> bool:
+        """Report an admitted run; True when it opened the gate."""
+        runs[slots[id(task)][0]] = run
         if counted:
             execution.advance(run)
+        return gate is not None and gate.recorded(task, run)
+
+    def serve_held() -> None:
+        for task, run in held:
+            if gate.admits(task):
+                execution.cached_count += 1
+                account(task, run)
 
     for index, task in enumerate(tasks):
-        cached = None
+        key = cached = None
         if store is not None:
-            key = keys[id(task)] = store_key(task)
+            key = store_key(task)
             cached = store.get(*key)
+        slots[id(task)] = (index, key)
         if cached is None:
-            pending.append(index)
-        else:
-            runs[index] = cached
+            pending.append(task)
+            continue
+        admitted = True if gate is None else gate.admits(task)
+        if admitted:
             execution.cached_count += 1
-            advance(cached)
+            if account(task, cached):
+                serve_held()
+        elif admitted is None:
+            held.append((task, cached))
 
     def record(task, run) -> None:
+        if gate is not None and not gate.admits(task):
+            execution.dropped_count += 1
+            return
         if store is not None:
-            store.put(*keys[id(task)], run)
+            store.put(*slots[id(task)][1], run)
         execution.executed_count += 1
-        advance(run)
+        if account(task, run):
+            serve_held()
 
-    fresh = execute([tasks[index] for index in pending], record)
-    for index, run in zip(pending, fresh):
-        runs[index] = run
+    if gate is not None:
+        pending = (task for task in pending
+                   if gate.admits(task) is not False)
+    execute(pending, record)
     return runs
 
 
@@ -307,35 +420,38 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
              middleware: MiddlewareKind, config: RunConfig,
              fingerprint: str, backend: ExecutionBackend,
              store=None, progress=None) -> PlanExecution:
-    """Execute a campaign plan: profile, probes, then releases.
+    """Execute a campaign plan: the profile run, then its eligible
+    probes and their releases as one batch behind an
+    :class:`ActivationGate`.
 
     Completed runs are checkpointed to ``store`` (when given) under
     ``fingerprint`` before the ledger reports them, so an interrupt
     never loses a finished run; runs already present in the store are
     served from it and not re-executed.
 
-    ``progress(execution)`` observes the ledger: once as each wave
+    ``progress(execution)`` observes the ledger: once as each stage
     (``"profiling"``, ``"probing"``, ``"releasing"``) starts, and on
     every advance — the serve daemon's job state machine rides on it.
     """
     execution = PlanExecution(progress=progress)
     results: dict[RunTask, RunResult] = {}
 
-    def execute(pending: list[RunTask], on_result) -> list[RunResult]:
+    def execute(pending, on_result) -> list[RunResult]:
         return backend.run_tasks(pending, workload, middleware, config,
                                  on_result=on_result)
 
-    def dispatch(stage: str, tasks: Sequence[RunTask],
-                 counted: bool = True) -> None:
-        execution.enter(stage)
+    def dispatch(tasks: Sequence[RunTask], counted: bool = True,
+                 gate: Optional[ActivationGate] = None) -> None:
         runs = run_batch(tasks, execute, execution, store=store,
                          store_key=lambda task: (fingerprint,
                                                  fault_key_str(task.fault)),
-                         counted=counted)
-        results.update(zip(tasks, runs))
+                         counted=counted, gate=gate)
+        results.update((task, run) for task, run in zip(tasks, runs)
+                       if run is not None)
 
     # --- The fault-free profiling run gates the probes -----------------
-    dispatch("profiling", [plan.profile_task], counted=False)
+    execution.enter("profiling")
+    dispatch([plan.profile_task], counted=False)
     execution.profile_run = results[plan.profile_task]
     called = set(execution.profile_run.called_functions)
 
@@ -353,20 +469,14 @@ def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
     execution.total = sum(1 + len(plan.releases[name])
                           for name in eligible)
 
-    # --- Probes (one fault per function) -------------------------------
-    dispatch("probing", [plan.probes[name] for name in eligible])
-
-    # --- Activation gate: release the rest of each activated function --
-    released = []
-    for name in eligible:
-        if results[plan.probes[name]].activated:
-            released.extend(plan.releases[name])
-        else:
-            # The paper's shortcut: the function is not called, so its
-            # remaining faults would not activate either.
-            execution.skipped_functions.add(name)
-            execution.advance(None, len(plan.releases[name]))
-    dispatch("releasing", released)
+    # --- Probes and releases: one batch, gated as it is recorded -------
+    execution.enter("probing")
+    gate = ActivationGate(plan, eligible, execution)
+    if not eligible:
+        gate.open()
+    dispatch([plan.probes[name] for name in eligible]
+             + [task for name in eligible for task in plan.releases[name]],
+             gate=gate)
 
     # --- Expansion: pruned faults inherit their representative's run --
     # Never checkpointed: on resume the representative is served from

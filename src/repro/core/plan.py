@@ -9,12 +9,16 @@ one probe, its releases and its inferred members — which
 in parallel, without re-deriving the paper's scheduling rules.
 
 The activation shortcut (*"if an injected function is not called, all
-other injections for that function will be skipped"*) becomes **wave
-scheduling**: for every function the first fault is a *probe*; the
-function's remaining faults are *releases* that are dispatched only
-after the probe run reports activation.  The fault-free profiling run
-gates the probes themselves — probes of functions absent from the
-called-function set are cancelled outright.
+other injections for that function will be skipped"*) becomes a
+**record-time gate**: for every function the first fault is a *probe*;
+the function's remaining faults are *releases*.  The executor hands
+the probes and their releases to the backend as one batch, probes
+first, and a release's run counts only if its probe activated.  A
+lazy backend therefore never runs a release of an unactivated
+function; an eager one may run it on speculation, and the run is
+dropped unrecorded.  The fault-free profiling run gates the probes
+themselves — probes of functions absent from the called-function set
+are cancelled outright.
 
 Nothing in this module touches a :class:`~repro.nt.machine.Machine`;
 planning is deterministic, cheap, and side-effect free.
@@ -29,7 +33,7 @@ from .faultlist import faults_by_function
 
 
 class TaskKind(enum.Enum):
-    """What role a task plays in the wave schedule."""
+    """What role a task plays in the campaign schedule."""
 
     PROFILE = "profile"   # fault-free run discovering the called set
     PROBE = "probe"       # first fault of a function (activation test)
@@ -74,7 +78,9 @@ class CampaignPlan:
     ``probes``, ``releases`` and ``inferred`` index them by function,
     in fault-list order.
     :func:`~repro.core.exec.run_plan` runs ``profile_task``, then the
-    probes, then the releases of the functions whose probe activated.
+    profile-eligible probes and all of their releases as one batch,
+    probes first; a release's run is recorded only if its probe
+    activated, and one an eager backend ran on speculation is dropped.
     """
 
     def __init__(self, tasks: Sequence[RunTask], profile_task: RunTask,
@@ -86,7 +92,7 @@ class CampaignPlan:
         self.probes = probes
         self.releases = releases
         # Pruned faults by function: scheduled nowhere, their results
-        # are expanded from class representatives after the last wave.
+        # are expanded from class representatives after the batch.
         self.inferred = inferred
 
     def __repr__(self) -> str:
@@ -95,7 +101,7 @@ class CampaignPlan:
 
 
 def plan_campaign(faults: Sequence, prune=None) -> CampaignPlan:
-    """Turn an ordered fault list into the wave schedule.
+    """Turn an ordered fault list into the campaign schedule.
 
     Works for every fault family — anything with a ``.function``
     attribute groups.

@@ -503,6 +503,9 @@ class ShardedRunStore(_StoreIndex):
         self.durable = durable
         self.segments = segments
         self._load()
+        # Built once: ``put`` picks its segment file by number.
+        self._segment_paths = [self.path / _segment_name(number)
+                               for number in range(self.segments)]
 
     # ------------------------------------------------------------------
     @property
@@ -577,8 +580,8 @@ class ShardedRunStore(_StoreIndex):
         """Checkpoint one completed run into its segment (flushed
         immediately; fsynced too when the store is ``durable``)."""
         key = fault if isinstance(fault, str) else fault_key_str(fault)
-        segment = self.path / _segment_name(self.segment_for(fingerprint, key))
-        self._append(segment, fingerprint, key, serialize_result(result))
+        self._append(self._segment_paths[self.segment_for(fingerprint, key)],
+                     fingerprint, key, serialize_result(result))
 
     # ------------------------------------------------------------------
     def compact(self) -> None:

@@ -10,7 +10,7 @@ reconciles that prediction against *dynamic* evidence:
 - **live census** — fault-free profile runs of every registered
   workload under each middleware configuration (they cost milliseconds
   in simulated time), collecting the target role's called-function
-  sets exactly as the campaign's wave-0 profiling run does;
+  sets exactly as the campaign's profiling run does;
 - **store census** — previously checkpointed runs read back from
   JSONL run stores: each entry contributes its recorded
   ``called_functions`` set, plus the fault's own target function when
@@ -78,7 +78,7 @@ def dynamic_census_live(workload_names: Optional[Sequence[str]] = None,
 
     Runs every requested workload under all three middleware
     configurations with no fault armed — the same collection path as
-    the campaign's profiling wave, so the census and the campaign can
+    the campaign's profiling run, so the census and the campaign can
     never disagree about what "called" means.
     """
     from ..core.runner import RunConfig, execute_run

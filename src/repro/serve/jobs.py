@@ -17,12 +17,13 @@ surfaces as ``cached`` in its status.
 A job's progress is the run's own ledger
 (:class:`~repro.core.exec.PlanExecution`), which the job's observer
 keeps a reference to; a status read sees the live counts, never a copy.
-The state machine mirrors the ledger's stage, i.e. the wave schedule::
+The state machine mirrors the ledger's stage::
 
     queued → profiling → probing → releasing → done
                                              ↘ failed / cancelled
 
-Load jobs have no waves; they go ``queued → running → done``.
+Load jobs have no stages of their own; they go ``queued → running →
+done``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class JobState(enum.Enum):
     PROFILING = "profiling"
     PROBING = "probing"
     RELEASING = "releasing"
-    RUNNING = "running"          # load jobs: no waves, one flat grid
+    RUNNING = "running"          # load jobs: one flat grid
     DONE = "done"
     FAILED = "failed"
     CANCELLED = "cancelled"
@@ -118,6 +119,7 @@ class Job:
                 "done": execution.done,
                 "cached": execution.cached_count,
                 "executed": execution.executed_count,
+                "dropped": execution.dropped_count,
                 "skipped_functions": len(execution.skipped_functions),
                 "activated": self.activated_count,
             },

@@ -143,6 +143,23 @@ def test_campaign_accepts_spec_object(config):
     assert campaign.workload.name == "IIS"
 
 
+def test_campaign_resolves_a_middleware_name(config):
+    """A middleware name resolves like the CLI's, checked against the
+    config's watchd version."""
+    by_name = Campaign("IIS", "WatchD", functions=["GetACP"], config=config)
+    by_kind = Campaign("IIS", MiddlewareKind.WATCHD, functions=["GetACP"],
+                       config=config)
+    assert by_name.middleware is MiddlewareKind.WATCHD
+    assert by_name.fingerprint() == by_kind.fingerprint()
+    two = RunConfig(base_seed=77, watchd_version=2)
+    assert Campaign("IIS", "watchd2", config=two).fingerprint() == \
+        Campaign("IIS", MiddlewareKind.WATCHD, config=two).fingerprint()
+    with pytest.raises(ValueError, match="conflicts with watchd_version 3"):
+        Campaign("IIS", "watchd2", config=config)
+    with pytest.raises(ValueError, match="unknown middleware"):
+        Campaign("IIS", "nginx", config=config)
+
+
 def test_campaign_is_deterministic(config):
     def distribution():
         return _run(Campaign("Apache2", MiddlewareKind.NONE,

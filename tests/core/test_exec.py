@@ -1,4 +1,4 @@
-"""Tests for the execution backends and the wave scheduler.
+"""Tests for the execution backends and the campaign scheduler.
 
 The acceptance bar: a Figure-2 slice run under ``SerialBackend`` and
 ``ProcessPoolBackend(jobs=4)`` must yield identical per-fault outcomes
@@ -144,6 +144,80 @@ def test_safe_progress_with_none_callback_is_noop():
     execution.enter("probing")
     execution.advance(None, 2)  # must not raise
     assert (execution.stage, execution.done) == ("probing", 2)
+
+
+# ----------------------------------------------------------------------
+# The activation gate: probes and releases in one batch
+# ----------------------------------------------------------------------
+# Apache1's io faults under watchd at seed 2000: the three transport
+# probes have no profile gate, never activate, and each has 3 releases.
+UNACTIVATED = {"net.connect", "net.send", "net.recv"}
+
+
+def _io_campaign(config, **kwargs):
+    return Campaign("Apache1", MiddlewareKind.WATCHD, mechanism="io",
+                    config=config, **kwargs)
+
+
+def test_lazy_backend_never_runs_a_release_past_a_closed_gate(config):
+    from repro.core.plan import TaskKind
+    from repro.core.store import fault_key_str
+
+    pulled = []
+
+    class RecordingBackend(SerialBackend):
+        def run_tasks(self, tasks, *args, **kwargs):
+            def recorded():
+                for task in tasks:
+                    pulled.append(task)
+                    yield task
+
+            return super().run_tasks(recorded(), *args, **kwargs)
+
+    ledger = []
+    result = _io_campaign(config, backend=RecordingBackend(),
+                          progress=ledger.append).run()
+    by_key = {fault_key_str(run.fault): run for run in result.runs}
+    closed = {task.function for task in pulled
+              if task.kind is TaskKind.PROBE
+              and not by_key[fault_key_str(task.fault)].activated}
+    assert closed == UNACTIVATED
+    assert [task for task in pulled if task.kind is TaskKind.RELEASE
+            and task.function in closed] == []
+    assert len(pulled) == result.executed_count    # the profile run too
+    assert ledger[-1].dropped_count == 0
+
+
+def test_speculation_leaves_stores_and_reports_unchanged(config, tmp_path):
+    """The pool runs the releases of unactivated probes on speculation
+    and the gate drops them: its store file and the observer's report
+    sequence are the serial backend's, byte for byte."""
+    from repro.core.store import RunStore
+
+    seen = {}
+    for name, backend in (("serial", SerialBackend()),
+                          ("pool", ProcessPoolBackend(jobs=2))):
+        reports = []
+        ledger = []
+
+        def observe(execution):
+            reports.append((execution.stage, execution.done,
+                            execution.total, execution.executed_count,
+                            execution.cached_count,
+                            len(execution.skipped_functions)))
+            ledger[:] = [execution]
+
+        path = tmp_path / f"{name}.jsonl"
+        with backend, RunStore(path) as store:
+            result = _io_campaign(config, backend=backend, store=store,
+                                  progress=observe).run()
+        assert UNACTIVATED <= result.skipped_functions
+        # Dropped runs are recorded after the last report.
+        seen[name] = path.read_bytes(), reports, ledger[0].dropped_count
+    serial, pool = seen["serial"], seen["pool"]
+    assert pool[0] == serial[0]
+    assert pool[1] == serial[1]
+    assert [serial[2], pool[2]] == [0, 9]
 
 
 # ----------------------------------------------------------------------

@@ -261,8 +261,12 @@ def test_interrupted_campaign_resumes_only_missing_runs(tmp_path):
             self.dispatched = 0
 
         def run_tasks(self, tasks, *args, **kwargs):
-            self.dispatched += len(tasks)
-            return super().run_tasks(tasks, *args, **kwargs)
+            def counted():
+                for task in tasks:
+                    self.dispatched += 1
+                    yield task
+
+            return super().run_tasks(counted(), *args, **kwargs)
 
     backend = CountingBackend()
     with RunStore(path) as store:

@@ -247,7 +247,7 @@ class TestResourceEffects:
 class TestCampaignGating:
     def test_uncalled_file_op_is_skipped_by_the_profile_gate(self):
         # IIS never calls WriteFile, so its io faults are skipped by
-        # wave scheduling exactly as an uncalled export's parameter
+        # the profile gate exactly as an uncalled export's parameter
         # faults are.
         campaign = Campaign("IIS", MiddlewareKind.NONE, mechanism="io",
                             functions=["ReadFile", "WriteFile"],

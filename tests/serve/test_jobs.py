@@ -97,7 +97,7 @@ def test_load_job_runs_to_done(queue):
 
 
 def test_campaign_walks_the_stage_machine(tmp_path):
-    """The wave schedule surfaces as state transitions: profiling
+    """The ledger's stages surface as state transitions: profiling
     before probing before releasing before done.  A status read mid-job
     sees the run ledger itself, so executed runs show while the job
     runs, not only once it ends."""
@@ -132,6 +132,26 @@ def test_campaign_walks_the_stage_machine(tmp_path):
     assert final["done"] == final["total"] > 0
 
 
+def test_pool_job_status_counts_dropped_speculation(tmp_path):
+    """On the 2-worker pool a campaign's releases run alongside its
+    probes; the releases of Apache1's three unactivated io probes are
+    dropped by the activation gate, and the status says how many."""
+    store = ShardedRunStore(tmp_path / "store.d", segments=4)
+    queue = JobQueue(store, jobs=2)
+    try:
+        job = _wait(queue.submit(CampaignJobSpec(
+            workload="Apache1", middleware="watchd", mechanism="io")))
+    finally:
+        queue.close()
+        store.close()
+    assert job.state is JobState.DONE
+    progress = job.status_dict()["progress"]
+    assert progress["dropped"] == 9
+    assert progress["skipped_functions"] == 4
+    assert progress["done"] == progress["total"] == 24
+    assert progress["executed"] == 16   # 15 recorded runs and the profile
+
+
 # ----------------------------------------------------------------------
 # Cancellation
 # ----------------------------------------------------------------------
@@ -157,7 +177,7 @@ def test_cancel_queued_job_is_immediate(tmp_path):
 def test_job_cancelled_as_it_starts_never_shows_a_wave_state(
         tmp_path, monkeypatch):
     """A cancel that lands after the worker took the job but before its
-    first wave still finds it marked queued, so the job ends at once;
+    first stage still finds it marked queued, so the job ends at once;
     the worker must then unwind without moving it back to profiling."""
     states = []
 
